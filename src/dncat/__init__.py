@@ -20,7 +20,7 @@ from .edges import (
     tau,
     tau_inv,
 )
-from .kernels import BACKEND
+from ._maxcliques_py import BACKEND
 from .quivers import (
     Quiver,
     base_quiver,

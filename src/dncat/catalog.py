@@ -19,6 +19,7 @@ from pathlib import Path
 from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
+from .errors import CatalogError
 
 VERSION = "0.1.0"
 
@@ -112,12 +113,12 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     for name, recorded in meta["checksums"].items():
         actual = _sha256(target / name)
         if actual != recorded:
-            raise ValueError(f"checksum mismatch for {name}: {actual} != {recorded}")
+            raise CatalogError(f"checksum mismatch for {name}: {actual} != {recorded}")
 
     tri_lines = (target / "triangulations.jsonl").read_text(encoding="utf-8").splitlines()
     header = json.loads(tri_lines[0])
     if header["count"] != len(tri_lines) - 1:
-        raise ValueError("triangulation count disagrees with the header")
+        raise CatalogError("triangulation count disagrees with the header")
     triangulations = [
         tr.parse_triangulation(n, json.loads(line)["edges"]) for line in tri_lines[1:]
     ]
@@ -125,13 +126,13 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     cls_lines = (target / "classes.jsonl").read_text(encoding="utf-8").splitlines()
     header = json.loads(cls_lines[0])
     if header["count"] != len(cls_lines) - 1:
-        raise ValueError("class count disagrees with the header")
+        raise CatalogError("class count disagrees with the header")
     classes = [json.loads(line) for line in cls_lines[1:]]
     for payload in classes:
         rep = tr.parse_triangulation(n, payload["representative"])
         canonical, orbit = tr.canonical_form(rep)
         if canonical != rep or orbit != payload["orbitSize"]:
-            raise ValueError(f"class representative {payload['representative']} not canonical")
+            raise CatalogError(f"class representative {payload['representative']} not canonical")
     return Catalog(n, triangulations, classes)
 
 

@@ -18,7 +18,7 @@ from . import relations as rl
 from . import triangulations as tr
 from . import verify as vf
 from .errors import DncatError, NotATriangulationError
-from .kernels import BACKEND
+from ._maxcliques_py import BACKEND
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

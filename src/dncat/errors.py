@@ -29,3 +29,8 @@ class InvalidQuotientError(DncatError, ValueError):
 class ModelInconsistencyError(DncatError, RuntimeError):
     """An internal invariant failed (e.g. a flip with zero or two
     replacements); signals a bug in the crossing rules, not bad input."""
+
+
+class CatalogError(DncatError, ValueError):
+    """A catalog on disk fails validation when read (checksum, header count
+    or class representative)."""

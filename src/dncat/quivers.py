@@ -11,7 +11,7 @@ contributes one of four templates.  The two must agree edge for edge.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,25 +145,19 @@ def transport_table(n: int, max_n: int = tr.DEFAULT_MAX_N) -> dict:
     """Quivers for every triangulation, by breadth-first transport from the
     fan.  Every flip-graph edge is checked for consistency on the way, which
     makes the result path independent by construction."""
-    start = tr.fan(n)
-    table: dict[tuple[int, ...], Quiver] = {start.edge_indices(): base_quiver(n)}
-    queue = deque([start])
-    while queue:
-        tri = queue.popleft()
-        q = table[tri.edge_indices()]
-        for m in tri.edges:
-            tri2, m2 = tr.flip(tri, m)
+    table: dict[tuple[int, ...], Quiver] = {tr.fan(n).edge_indices(): base_quiver(n)}
+    for _, key, flips in tr.walk_flip_graph(n):
+        q = table[key]
+        for m, tri2, m2, key2 in flips:
             q2 = mutate(q, m.token()).relabel({m.token(): m2.token()})
             assert_cluster_quiver(q2, f"(transport to {tri2.token()})")
-            key = tri2.edge_indices()
-            if key in table:
-                if table[key] != q2:
+            if key2 in table:
+                if table[key2] != q2:
                     raise ModelInconsistencyError(
                         f"transported quiver depends on the flip path at {tri2.token()}"
                     )
             else:
-                table[key] = q2
-                queue.append(tri2)
+                table[key2] = q2
     if len(table) != tr.count_all(n, max_n):
         raise ModelInconsistencyError(
             f"flip graph disconnected at n={n}: reached {len(table)} triangulations"

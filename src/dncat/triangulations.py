@@ -4,6 +4,7 @@ four structural types, and quotients."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ from .errors import (
     NotATriangulationError,
     UnsupportedSizeError,
 )
-from .kernels import maximal_cliques
+from ._maxcliques_py import maximal_cliques
 
 DEFAULT_MAX_N = 9
 
@@ -88,6 +89,9 @@ def triangulation_from_json(obj: dict) -> Triangulation:
 
 
 def validate_triangulation(n: int, items) -> None:
+    """Raise NotATriangulationError with a witness unless the set is a
+    triangulation.  Maximality and the size-n criterion are both evaluated
+    and must agree."""
     items = tuple(items)
     for e in items:
         ed.check_edge(n, e)
@@ -100,13 +104,14 @@ def validate_triangulation(n: int, items) -> None:
                     f"edges cross: {m.token()} x {other.token()}"
                 )
     witness = _extension_witness(n, items)
-    if witness is not None:
+    maximal = witness is None
+    if maximal != (len(items) == n):
+        raise ModelInconsistencyError(
+            f"maximality ({maximal}) and size-n ({len(items)}=={n}) checks disagree"
+        )
+    if not maximal:
         raise NotATriangulationError(
             f"set is not maximal: {witness.token()} is compatible with all members"
-        )
-    if len(items) != n:
-        raise ModelInconsistencyError(
-            f"maximal non-crossing set of size {len(items)} != {n}"
         )
 
 
@@ -121,23 +126,13 @@ def _extension_witness(n: int, items) -> TaggedEdge | None:
 
 
 def is_triangulation(n: int, items) -> bool:
-    """True iff the set is pairwise non-crossing and maximal.  Maximality and
-    the size-n criterion are both evaluated and must agree."""
-    items = tuple(items)
-    for e in items:
-        ed.check_edge(n, e)
-    if len(set(items)) != len(items):
+    """True iff the set is pairwise non-crossing and maximal (see
+    validate_triangulation)."""
+    try:
+        validate_triangulation(n, items)
+    except NotATriangulationError:
         return False
-    for i, m in enumerate(items):
-        for other in items[i + 1:]:
-            if ed.crossing_number(n, m, other) != 0:
-                return False
-    maximal = _extension_witness(n, items) is None
-    if maximal != (len(items) == n):
-        raise ModelInconsistencyError(
-            f"maximality ({maximal}) and size-n ({len(items)}=={n}) checks disagree"
-        )
-    return maximal
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -208,14 +203,32 @@ def flip(tri: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     return new_tri, replacement
 
 
+def walk_flip_graph(n: int):
+    """Breadth-first walk of the flip graph from the fan.  Yields each
+    reachable triangulation once as (tri, key, flips), where key is its
+    edge-index tuple and flips holds one (m, tri2, m2, key2) per edge m:
+    flipping m gives tri2, with replacement m2 and key key2.  Only the keys
+    seen and the queue are held."""
+    start = fan(n)
+    key = start.edge_indices()
+    seen = {key}
+    queue = deque([(start, key)])
+    while queue:
+        tri, key = queue.popleft()
+        flips = []
+        for m in tri.edges:
+            tri2, m2 = flip(tri, m)
+            key2 = tri2.edge_indices()
+            if key2 not in seen:
+                seen.add(key2)
+                queue.append((tri2, key2))
+            flips.append((m, tri2, m2, key2))
+        yield tri, key, flips
+
+
 def apply_tau(tri: Triangulation) -> Triangulation:
     n = tri.n
     return Triangulation(n, _sorted_edges(n, (ed.tau(n, e) for e in tri.edges)))
-
-
-def apply_tau_inv(tri: Triangulation) -> Triangulation:
-    n = tri.n
-    return Triangulation(n, _sorted_edges(n, (ed.tau_inv(n, e) for e in tri.edges)))
 
 
 def apply_sigma(tri: Triangulation) -> Triangulation:

@@ -165,22 +165,10 @@ def _flip_chunk(n: int, indices) -> list[str]:
 
 
 def _check_flip_connected(n: int) -> list[str]:
-    from collections import deque
-
-    start = tr.fan(n)
-    seen = {start.edge_indices()}
-    queue = deque([start])
-    while queue:
-        tri = queue.popleft()
-        for m in tri.edges:
-            tri2, _ = tr.flip(tri, m)
-            key = tri2.edge_indices()
-            if key not in seen:
-                seen.add(key)
-                queue.append(tri2)
+    reached = sum(1 for _ in tr.walk_flip_graph(n))
     total = tr.count_all(n)
-    if len(seen) != total:
-        return [f"reached {len(seen)} of {total} triangulations from the fan"]
+    if reached != total:
+        return [f"reached {reached} of {total} triangulations from the fan"]
     return []
 
 

@@ -171,6 +171,17 @@ def test_catalog_commands(capsys, tmp_path):
     assert code == 3
 
 
+def test_catalog_show_corrupted_exits_3(capsys, tmp_path):
+    run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
+    victim = tmp_path / "n=4" / "classes.jsonl"
+    victim.write_text(victim.read_text().replace("p:1-3", "p:1-4"), encoding="utf-8")
+    code, out, err = run(capsys, "catalog", "show", "--n", "4",
+                         "--dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: checksum mismatch") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "edges.txt"
     code, out, _ = run(capsys, "edges", "--n", "4", "--out", str(target))

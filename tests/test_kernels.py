@@ -1,50 +1,25 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import dncat
-import dncat._maxcliques_py as pure
+from dncat._maxcliques_py import maximal_cliques
 from dncat.edges import compatibility_masks
-from dncat.kernels import BACKEND, maximal_cliques
+from dncat.triangulations import walk_flip_graph
 
 
 def test_backend_selected():
-    assert BACKEND in ("python", "cython")
+    assert dncat.BACKEND == "python"
 
 
-def test_kernels_agree_on_small_graphs():
+def test_maximal_cliques_small_graph():
     # triangle plus an isolated vertex
     masks = [0b0110, 0b0101, 0b0011, 0b0000]
-    expected = [(0, 1, 2), (3,)]
-    assert pure.maximal_cliques(masks, 4) == expected
-    assert maximal_cliques(masks, 4) == expected
+    assert maximal_cliques(masks, 4) == [(0, 1, 2), (3,)]
 
 
-def test_kernels_agree_on_compatibility_graphs():
+def test_cliques_equal_flip_bfs_set():
+    # Bron-Kerbosch on the compatibility graph and the flip-graph walk from
+    # the fan reach the triangulations independently
     for n in (4, 5, 6, 7):
         masks = list(compatibility_masks(n))
-        assert maximal_cliques(masks, len(masks)) == pure.maximal_cliques(
-            masks, len(masks))
-
-
-def test_pure_fallback_env_switch():
-    code = (
-        "import dncat.kernels as k\n"
-        "assert k.BACKEND == 'python', k.BACKEND\n"
-        "masks = [0b110, 0b101, 0b011]\n"
-        "assert k.maximal_cliques(masks, 3) == [(0, 1, 2)]\n"
-    )
-    # The child inherits the environment and imports the same dncat the
-    # parent imported, whether it comes from a checkout or an install.
-    src = str(Path(dncat.__file__).parent.parent)
-    env = dict(os.environ, DNCAT_PURE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+        cliques = maximal_cliques(masks, len(masks))
+        reached = [key for _, key, _ in walk_flip_graph(n)]
+        assert len(reached) == len(set(reached))
+        assert set(cliques) == set(reached)
