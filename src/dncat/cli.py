@@ -65,7 +65,7 @@ def cmd_edges(args) -> int:
 
 
 def _classes_output(args) -> str:
-    classes = tr.equivalence_classes(args.n)
+    classes = tr.equivalence_classes(args.n, args.max_n)
     if args.type:
         classes = tuple(c for c in classes if c.type == args.type)
     if args.count:
@@ -112,7 +112,7 @@ def _parse_tri(args) -> tr.Triangulation:
 def cmd_quiver(args) -> int:
     _check_bound(args)
     tri = _parse_tri(args)
-    quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri)
+    quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri, args.max_n)
     if args.dot:
         text = quiver.to_dot()
     else:

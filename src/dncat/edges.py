@@ -273,3 +273,22 @@ def compatibility_masks(n: int) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
+
+
+def _index_permutation(n: int, image) -> tuple[int, ...]:
+    index = _edge_index_map(n)
+    return tuple(index[image(n, e)] for e in all_edges(n))
+
+
+@lru_cache(maxsize=None)
+def _tau_indices(n: int) -> tuple[int, ...]:
+    """The translation as a permutation of the edge indices, built on first
+    use."""
+    return _index_permutation(n, tau)
+
+
+@lru_cache(maxsize=None)
+def _sigma_indices(n: int) -> tuple[int, ...]:
+    """The tag swap as a permutation of the edge indices, built on first
+    use."""
+    return _index_permutation(n, sigma)

@@ -140,35 +140,83 @@ def base_quiver(n: int) -> Quiver:
     return Quiver.build(chain + forks, arrows)
 
 
-@lru_cache(maxsize=None)
+def _mutate_arrows(arrows, v: int, v2: int) -> tuple:
+    """Fomin-Zelevinsky mutation of a cluster quiver given by its index
+    arrows, at vertex v, which is renamed v2 (the flip's replacement).
+    Returns the sorted arrow tuple; a composition through v that closes a
+    2-cycle or doubles an arrow is a model bug."""
+    ins = [s for s, t in arrows if t == v]
+    outs = [t for s, t in arrows if s == v]
+    result = {a for a in arrows if v not in a}
+    for u in ins:
+        for w in outs:
+            if u == w:
+                raise ModelInconsistencyError("2-cycle through mutation vertex")
+            if (w, u) in result:
+                result.remove((w, u))
+            elif (u, w) in result:
+                raise ModelInconsistencyError(
+                    f"multiple arrow {u}->{w} after mutation at {v}"
+                )
+            else:
+                result.add((u, w))
+    result.update((v2, u) for u in ins)
+    result.update((w, v2) for w in outs)
+    return tuple(sorted(result))
+
+
 def transport_table(n: int, max_n: int = tr.DEFAULT_MAX_N) -> dict:
     """Quivers for every triangulation, by breadth-first transport from the
     fan.  Every flip-graph edge is checked for consistency on the way, which
-    makes the result path independent by construction."""
-    table: dict[tuple[int, ...], Quiver] = {tr.fan(n).edge_indices(): base_quiver(n)}
-    for _, key, flips in tr.walk_flip_graph(n):
-        q = table[key]
-        for m, tri2, m2, key2 in flips:
-            q2 = mutate(q, m.token()).relabel({m.token(): m2.token()})
-            assert_cluster_quiver(q2, f"(transport to {tri2.token()})")
-            if key2 in table:
-                if table[key2] != q2:
-                    raise ModelInconsistencyError(
-                        f"transported quiver depends on the flip path at {tri2.token()}"
-                    )
-            else:
-                table[key2] = q2
-    if len(table) != tr.count_all(n, max_n):
+    makes the result path independent by construction.  The size bound is
+    checked before the walk."""
+    return _transport_table(n, tr.count_all(n, max_n))
+
+
+@lru_cache(maxsize=None)
+def _transport_table(n: int, total: int) -> dict:
+    # Mutation runs on index arrows; every entry is a sorted tuple of (s, t)
+    # pairs, one shared object per distinct pair, and becomes a token Quiver
+    # once at the end.
+    tokens = [e.token() for e in ed.all_edges(n)]
+    index = {tok: i for i, tok in enumerate(tokens)}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def intern(arrows) -> tuple:
+        return tuple(pairs.setdefault(a, a) for a in arrows)
+
+    base = sorted((index[s], index[t]) for s, t in base_quiver(n).arrows)
+    table = {tr.fan(n).edge_indices(): intern(base)}
+    for key, flips in tr.walk_flip_graph(n):
+        arrows = table[key]
+        for m, key2, m2 in flips:
+            arrows2 = _mutate_arrows(arrows, m, m2)
+            known = table.get(key2)
+            if known is None:
+                table[key2] = intern(arrows2)
+            elif known != arrows2:
+                raise ModelInconsistencyError(
+                    "transported quiver depends on the flip path at "
+                    + ",".join(tokens[i] for i in key2)
+                )
+    if len(table) != total:
         raise ModelInconsistencyError(
             f"flip graph disconnected at n={n}: reached {len(table)} triangulations"
         )
-    return table
+    token_pairs = {a: (tokens[a[0]], tokens[a[1]]) for a in pairs}
+    quivers = {}
+    for key in list(table):
+        q = Quiver.build([tokens[i] for i in key],
+                         [token_pairs[a] for a in table.pop(key)])
+        assert_cluster_quiver(q, f"(transport to {','.join(tokens[i] for i in key)})")
+        quivers[key] = q
+    return quivers
 
 
-def quiver_of(tri: tr.Triangulation) -> Quiver:
+def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
     """The quiver of the cluster-tilted algebra of the triangulation, by
     mutation transport from the fan."""
-    return transport_table(tri.n)[tri.edge_indices()]
+    return transport_table(tri.n, max_n)[tri.edge_indices()]
 
 
 # ---------------------------------------------------------------------------

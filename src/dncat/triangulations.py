@@ -4,6 +4,7 @@ four structural types, and quotients."""
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,12 +42,16 @@ class Triangulation:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "Triangulation":
-        """Trusted fast path for enumeration output (already canonical)."""
+        """Trusted fast path for sorted index tuples from the per-n tables
+        (enumeration, flips, orbit images)."""
         universe = ed.all_edges(n)
         return cls(n, tuple(universe[i] for i in indices))
 
     def edge_indices(self) -> tuple[int, ...]:
-        return tuple(ed.edge_index(self.n, e) for e in self.edges)
+        # the edges were validated on the way in (from_edges) or come from
+        # the per-n tables (from_indices, fan, flip)
+        index = ed._edge_index_map(self.n)
+        return tuple(index[e] for e in self.edges)
 
     def token(self) -> str:
         return ",".join(e.token() for e in self.edges)
@@ -65,7 +70,7 @@ class Triangulation:
 
 
 def _sorted_edges(n: int, items) -> tuple[TaggedEdge, ...]:
-    return tuple(sorted(items, key=lambda e: ed.sort_key(n, e)))
+    return tuple(sorted(items, key=ed._edge_index_map(n).__getitem__))
 
 
 def fan(n: int) -> Triangulation:
@@ -97,32 +102,34 @@ def validate_triangulation(n: int, items) -> None:
         ed.check_edge(n, e)
     if len(set(items)) != len(items):
         raise NotATriangulationError("duplicate edges in set")
-    for i, m in enumerate(items):
-        for other in items[i + 1:]:
-            if ed.crossing_number(n, m, other) != 0:
+    masks = ed.compatibility_masks(n)
+    index = ed._edge_index_map(n)
+    keys = [index[e] for e in items]
+    # distinct edges cross exactly when their compatibility bit is clear;
+    # pairs are tested in input order, so the first crossing pair is the
+    # witness
+    for i, a in enumerate(keys):
+        row = masks[a]
+        for j in range(i + 1, len(keys)):
+            if not row >> keys[j] & 1:
                 raise NotATriangulationError(
-                    f"edges cross: {m.token()} x {other.token()}"
+                    f"edges cross: {items[i].token()} x {items[j].token()}"
                 )
-    witness = _extension_witness(n, items)
-    maximal = witness is None
+    # edges compatible with every member; the lowest is the first extension
+    # in canonical order
+    common = (1 << len(masks)) - 1
+    for a in keys:
+        common &= masks[a]
+    maximal = common == 0
     if maximal != (len(items) == n):
         raise ModelInconsistencyError(
             f"maximality ({maximal}) and size-n ({len(items)}=={n}) checks disagree"
         )
     if not maximal:
+        witness = ed.all_edges(n)[(common & -common).bit_length() - 1]
         raise NotATriangulationError(
             f"set is not maximal: {witness.token()} is compatible with all members"
         )
-
-
-def _extension_witness(n: int, items) -> TaggedEdge | None:
-    member = set(items)
-    for cand in ed.all_edges(n):
-        if cand in member:
-            continue
-        if all(ed.crossing_number(n, cand, m) == 0 for m in items):
-            return cand
-    return None
 
 
 def is_triangulation(n: int, items) -> bool:
@@ -147,23 +154,23 @@ def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cliques)
 
 
-def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N):
-    """Every triangulation exactly once, in lexicographic canonical order."""
+def _check_bound(n: int, max_n: int) -> None:
     ed.check_size(n)
     if n > max_n:
         raise UnsupportedSizeError(
             f"n={n} above the configured bound {max_n}; raise it explicitly"
         )
+
+
+def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N):
+    """Every triangulation exactly once, in lexicographic canonical order."""
+    _check_bound(n, max_n)
     for indices in _all_index_sets(n):
         yield Triangulation.from_indices(n, indices)
 
 
 def count_all(n: int, max_n: int = DEFAULT_MAX_N) -> int:
-    ed.check_size(n)
-    if n > max_n:
-        raise UnsupportedSizeError(
-            f"n={n} above the configured bound {max_n}; raise it explicitly"
-        )
+    _check_bound(n, max_n)
     return len(_all_index_sets(n))
 
 
@@ -178,81 +185,98 @@ def cluster_count_formula(n: int) -> int:
     return num // n
 
 
+def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], int]:
+    """Flip edge index m out of the sorted index tuple key: the replacement is
+    the single edge other than m compatible with every kept edge.  Returns
+    the new sorted key and the replacement's index."""
+    masks = ed.compatibility_masks(n)
+    kept = [i for i in key if i != m]
+    cand = (1 << len(masks)) - 1
+    for i in kept:
+        cand &= masks[i]
+    cand &= ~(1 << m)
+    if cand == 0 or cand & (cand - 1):
+        universe = ed.all_edges(n)
+        found = []
+        while cand:
+            low = cand & -cand
+            found.append(universe[low.bit_length() - 1].token())
+            cand ^= low
+        raise ModelInconsistencyError(
+            f"flip of {universe[m].token()} has {len(found)} replacements {found}; "
+            "expected 1"
+        )
+    m2 = cand.bit_length() - 1
+    insort(kept, m2)
+    return tuple(kept), m2
+
+
 def flip(tri: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     """Exchange edge m for the unique other edge restoring maximality."""
     n = tri.n
     if m not in tri.edges:
         raise NotATriangulationError(f"{m.token()} is not an edge of the triangulation")
-    masks = ed.compatibility_masks(n)
-    kept = [e for e in tri.edges if e != m]
-    cand = (1 << len(masks)) - 1
-    for e in kept:
-        cand &= masks[ed.edge_index(n, e)]
-    cand &= ~(1 << ed.edge_index(n, m))
-    if cand == 0 or cand & (cand - 1):
-        found = []
-        while cand:
-            low = cand & -cand
-            found.append(ed.all_edges(n)[low.bit_length() - 1].token())
-            cand ^= low
-        raise ModelInconsistencyError(
-            f"flip of {m.token()} has {len(found)} replacements {found}; expected 1"
-        )
-    replacement = ed.all_edges(n)[cand.bit_length() - 1]
-    new_tri = Triangulation(n, _sorted_edges(n, kept + [replacement]))
-    return new_tri, replacement
+    key2, m2 = _flip_index(n, tri.edge_indices(), ed._edge_index_map(n)[m])
+    return Triangulation.from_indices(n, key2), ed.all_edges(n)[m2]
 
 
 def walk_flip_graph(n: int):
-    """Breadth-first walk of the flip graph from the fan.  Yields each
-    reachable triangulation once as (tri, key, flips), where key is its
-    edge-index tuple and flips holds one (m, tri2, m2, key2) per edge m:
-    flipping m gives tri2, with replacement m2 and key key2.  Only the keys
-    seen and the queue are held."""
-    start = fan(n)
-    key = start.edge_indices()
+    """Breadth-first walk of the flip graph from the fan, on edge indices.
+    Yields each reachable triangulation once as (key, flips), where key is
+    its sorted edge-index tuple and flips holds one (m, key2, m2) per edge
+    index m of key: flipping m gives the triangulation key2, with
+    replacement m2.  Only the keys seen and the queue are held."""
+    key = fan(n).edge_indices()
     seen = {key}
-    queue = deque([(start, key)])
+    queue = deque([key])
     while queue:
-        tri, key = queue.popleft()
+        key = queue.popleft()
         flips = []
-        for m in tri.edges:
-            tri2, m2 = flip(tri, m)
-            key2 = tri2.edge_indices()
+        for m in key:
+            key2, m2 = _flip_index(n, key, m)
             if key2 not in seen:
                 seen.add(key2)
-                queue.append((tri2, key2))
-            flips.append((m, tri2, m2, key2))
-        yield tri, key, flips
+                queue.append(key2)
+            flips.append((m, key2, m2))
+        yield key, flips
+
+
+def _apply(tri: Triangulation, perm: tuple[int, ...]) -> Triangulation:
+    return Triangulation.from_indices(tri.n, sorted(perm[i] for i in tri.edge_indices()))
 
 
 def apply_tau(tri: Triangulation) -> Triangulation:
-    n = tri.n
-    return Triangulation(n, _sorted_edges(n, (ed.tau(n, e) for e in tri.edges)))
+    return _apply(tri, ed._tau_indices(tri.n))
 
 
 def apply_sigma(tri: Triangulation) -> Triangulation:
-    n = tri.n
-    return Triangulation(n, _sorted_edges(n, (ed.sigma(n, e) for e in tri.edges)))
+    return _apply(tri, ed._sigma_indices(tri.n))
+
+
+def _orbit_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sorted index tuples of the orbit of key under the translation and
+    the tag swap, deduplicated and in lexicographic order."""
+    tau, sigma = ed._tau_indices(n), ed._sigma_indices(n)
+    seen = set()
+    current = key
+    for _ in range(ed.tau_order(n)):
+        seen.add(current)
+        seen.add(tuple(sorted(sigma[i] for i in current)))
+        current = tuple(sorted(tau[i] for i in current))
+    return sorted(seen)
 
 
 def orbit(tri: Triangulation) -> list[Triangulation]:
     """The orbit under the group generated by the translation and the tag
     swap, as a deduplicated list sorted by edge indices."""
-    n = tri.n
-    seen: dict[tuple[int, ...], Triangulation] = {}
-    current = tri
-    for _ in range(ed.tau_order(n)):
-        for image in (current, apply_sigma(current)):
-            seen.setdefault(image.edge_indices(), image)
-        current = apply_tau(current)
-    return [seen[k] for k in sorted(seen)]
+    return [Triangulation.from_indices(tri.n, k)
+            for k in _orbit_keys(tri.n, tri.edge_indices())]
 
 
 def canonical_form(tri: Triangulation) -> tuple[Triangulation, int]:
     """Lexicographic minimum of the orbit plus the orbit's cardinality."""
-    images = orbit(tri)
-    return images[0], len(images)
+    keys = _orbit_keys(tri.n, tri.edge_indices())
+    return Triangulation.from_indices(tri.n, keys[0]), len(keys)
 
 
 def classify_type(tri: Triangulation) -> int:
@@ -289,16 +313,28 @@ class TriangulationClass:
         }
 
 
-@lru_cache(maxsize=None)
-def equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
+def equivalence_classes(n: int,
+                        max_n: int = DEFAULT_MAX_N) -> tuple[TriangulationClass, ...]:
     """Orbit representatives of all triangulations, in canonical order."""
-    reps: dict[tuple[int, ...], TriangulationClass] = {}
-    for tri in enumerate_all(n):
-        rep, size = canonical_form(tri)
-        key = rep.edge_indices()
-        if key not in reps:
-            reps[key] = TriangulationClass(rep, size, classify_type(rep))
-    return tuple(reps[k] for k in sorted(reps))
+    _check_bound(n, max_n)
+    return _equivalence_classes(n)
+
+
+@lru_cache(maxsize=None)
+def _equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
+    # The keys come in lexicographic order, so the first key met of each
+    # orbit is its minimum; the rest of the orbit is marked and skipped.
+    classes = []
+    marked: set[tuple[int, ...]] = set()
+    for key in _all_index_sets(n):
+        if key in marked:
+            marked.remove(key)  # every key is met once
+            continue
+        keys = _orbit_keys(n, key)
+        marked.update(keys[1:])
+        rep = Triangulation.from_indices(n, key)
+        classes.append(TriangulationClass(rep, len(keys), classify_type(rep)))
+    return tuple(classes)
 
 
 def type_census(n: int) -> dict[int, int]:

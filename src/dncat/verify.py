@@ -188,6 +188,11 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 
 
 def _check_commutation(n: int) -> list[str]:
+    """Mutate every quiver of the transport table at every flip with the
+    public token-level `mutate` and compare with the table's entry for the
+    flipped triangulation.  The table itself is built by the separate
+    mutation on index arrows inside `quivers`, so this cross-checks two
+    independent implementations of the mutation rule."""
     fails = []
     table = qv.transport_table(n)
     for tri in tr.enumerate_all(n):

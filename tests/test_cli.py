@@ -1,7 +1,11 @@
 import json
 
+import pytest
 
+from dncat import quivers as qv
+from dncat import triangulations as tr
 from dncat.cli import main
+from dncat.errors import UnsupportedSizeError
 
 FAN5 = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
 ALL_SPOKES5 = "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+"
@@ -157,6 +161,28 @@ def test_usage_errors(capsys):
 def test_max_n_bound(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "10", "--count")
     assert code == 3 and "--max-n" in err
+
+
+def test_max_n_reaches_classes(capsys):
+    # the orbit sizes must add up to the closed-form cluster count
+    code, out, _ = run(capsys, "classes", "--json", "--n", "10", "--max-n", "10")
+    assert code == 0
+    sizes = [json.loads(line)["orbitSize"] for line in out.splitlines()]
+    assert sum(sizes) == tr.cluster_count_formula(10) == 136136
+    code, out, _ = run(capsys, "enumerate", "--classes", "--count",
+                       "--n", "10", "--max-n", "10")
+    assert code == 0 and int(out) == len(sizes)
+
+
+def test_quiver_bound_checked_before_the_walk(capsys, monkeypatch):
+    def no_walk(n):
+        raise AssertionError(f"flip graph walked at n={n}")
+
+    monkeypatch.setattr(tr, "walk_flip_graph", no_walk)
+    code, _, err = run(capsys, "quiver", "--n", "10", "--edges", tr.fan(10).token())
+    assert code == 3 and "--max-n" in err
+    with pytest.raises(UnsupportedSizeError):
+        qv.quiver_of(tr.fan(10))
 
 
 def test_catalog_commands(capsys, tmp_path):

@@ -20,6 +20,6 @@ def test_cliques_equal_flip_bfs_set():
     for n in (4, 5, 6, 7):
         masks = list(compatibility_masks(n))
         cliques = maximal_cliques(masks, len(masks))
-        reached = [key for _, key, _ in walk_flip_graph(n)]
+        reached = [key for key, _ in walk_flip_graph(n)]
         assert len(reached) == len(set(reached))
         assert set(cliques) == set(reached)
