@@ -17,7 +17,7 @@ from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
 from . import verify as vf
-from .errors import DncatError, NotATriangulationError
+from .errors import DncatError, UnsupportedSizeError
 from ._maxcliques_py import BACKEND
 
 EXIT_OK = 0
@@ -45,8 +45,9 @@ def _emit(args, text: str) -> None:
 
 
 def _check_bound(args) -> None:
+    """Refuse n above --max-n, for the commands that enumerate."""
     if args.n > args.max_n:
-        raise NotATriangulationError(
+        raise UnsupportedSizeError(
             f"n={args.n} above the bound {args.max_n}; pass --max-n to raise it"
         )
     if args.max_n > tr.DEFAULT_MAX_N and args.n > tr.DEFAULT_MAX_N:
@@ -110,7 +111,8 @@ def _parse_tri(args) -> tr.Triangulation:
 
 
 def cmd_quiver(args) -> int:
-    _check_bound(args)
+    if not args.direct:
+        _check_bound(args)  # transport walks the whole flip graph
     tri = _parse_tri(args)
     quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri, args.max_n)
     if args.dot:
@@ -125,14 +127,12 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    _check_bound(args)
     tri = _parse_tri(args)
     _emit(args, json.dumps(rl.relations_of(tri).to_json(), sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_flip(args) -> int:
-    _check_bound(args)
     tri = _parse_tri(args)
     edge = ed.parse_edge(args.edge)
     flipped, replacement = tr.flip(tri, edge)

@@ -22,27 +22,25 @@ from .errors import ModelInconsistencyError, UnsupportedSizeError
 DEFAULT_CLASS_BOUND = 8
 
 
-def _label_key(v):
-    return (0, "", v) if isinstance(v, int) else (1, str(v), 0)
-
-
 @dataclass(frozen=True, slots=True)
 class Quiver:
-    """Finite directed multigraph; vertices are opaque labels (edge tokens
-    or integers), arrows a multiset of ordered pairs."""
+    """Finite directed multigraph; vertices sorted, arrows a sorted multiset
+    of ordered pairs.  The quiver of a triangulation of the n-gon has edge
+    indices as vertices and carries n; the abstract type-A/D shapes have
+    n = None and any sortable labels."""
 
     vertices: tuple
     arrows: tuple
+    n: int | None = None
 
     @classmethod
-    def build(cls, vertices, arrows) -> "Quiver":
-        vs = tuple(sorted(set(vertices), key=_label_key))
+    def build(cls, vertices, arrows, n: int | None = None) -> "Quiver":
+        vs = tuple(sorted(set(vertices)))
         known = set(vs)
         for s, t in arrows:
             if s not in known or t not in known:
                 raise ValueError(f"arrow ({s},{t}) uses unknown vertex")
-        ar = tuple(sorted(arrows, key=lambda a: (_label_key(a[0]), _label_key(a[1]))))
-        return cls(vs, ar)
+        return cls(vs, tuple(sorted(arrows)), n)
 
     @property
     def arrow_counts(self) -> Counter:
@@ -60,28 +58,35 @@ class Quiver:
     def relabel(self, mapping: dict) -> "Quiver":
         f = lambda v: mapping.get(v, v)
         return Quiver.build([f(v) for v in self.vertices],
-                            [(f(s), f(t)) for s, t in self.arrows])
+                            [(f(s), f(t)) for s, t in self.arrows], self.n)
+
+    def label(self, v):
+        """Export name of vertex v: its edge token in a triangulation's
+        quiver, v itself in an abstract shape."""
+        return v if self.n is None else ed.all_edges(self.n)[v].token()
 
     def to_json(self) -> dict:
-        return {"vertices": list(self.vertices),
-                "arrows": [[s, t] for s, t in self.arrows]}
+        """Vertices and arrows by name, sorted by name.  A triangulation's
+        quiver names its vertices by edge token, so p:1-10 sorts before
+        p:1-3."""
+        name = {v: self.label(v) for v in self.vertices}
+        return {"vertices": sorted(name.values()),
+                "arrows": [list(a) for a in
+                           sorted((name[s], name[t]) for s, t in self.arrows)]}
 
     def to_dot(self, name: str = "Q") -> str:
-        index = {v: i + 1 for i, v in enumerate(self.vertices)}
+        payload = self.to_json()
+        index = {v: i + 1 for i, v in enumerate(payload["vertices"])}
         lines = [f"digraph {name} {{"]
-        for v in self.vertices:
+        for v in payload["vertices"]:
             lines.append(f'  {index[v]} [label="{v}"];')
-        for s, t in self.arrows:
+        for s, t in payload["arrows"]:
             lines.append(f"  {index[s]} -> {index[t]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
-
-
-def quiver_from_json(obj: dict) -> Quiver:
-    return Quiver.build(obj["vertices"], [tuple(a) for a in obj["arrows"]])
 
 
 def mutate(q: Quiver, v) -> Quiver:
@@ -106,7 +111,7 @@ def mutate(q: Quiver, v) -> Quiver:
                 raise ModelInconsistencyError("2-cycle through mutation vertex")
             counts[(u, w)] += 1
     for s, t in list(counts):
-        if _label_key(s) < _label_key(t):
+        if s < t:
             cancel = min(counts[(s, t)], counts.get((t, s), 0))
             if cancel:
                 counts[(s, t)] -= cancel
@@ -114,30 +119,34 @@ def mutate(q: Quiver, v) -> Quiver:
     arrows = []
     for pair, c in counts.items():
         arrows.extend([pair] * c)
-    return Quiver.build(q.vertices, arrows)
+    return Quiver.build(q.vertices, arrows, q.n)
 
 
 def assert_cluster_quiver(q: Quiver, context: str = "") -> None:
-    """No loops, no 2-cycles, no multiple arrows; raised as a model bug."""
+    """No loops, no 2-cycles, no multiple arrows; raised as a model bug.
+    A non-empty context is followed by the triangulation's edge tokens."""
     counts = q.arrow_counts
     for (s, t), c in counts.items():
+        if s != t and c == 1 and not counts.get((t, s)):
+            continue
+        s, t = q.label(s), q.label(t)
+        if context:
+            context = f"({context} {','.join(map(q.label, q.vertices))})"
         if s == t:
             raise ModelInconsistencyError(f"loop at {s!r} {context}")
         if c > 1:
             raise ModelInconsistencyError(f"multiple arrow {s!r}->{t!r} {context}")
-        if counts.get((t, s)):
-            raise ModelInconsistencyError(f"2-cycle {s!r}<->{t!r} {context}")
+        raise ModelInconsistencyError(f"2-cycle {s!r}<->{t!r} {context}")
 
 
 def base_quiver(n: int) -> Quiver:
     """The fan's quiver: a chain through the plain arcs, forking into the
-    two spokes at the end.  Vertex k is the k-th edge in canonical order."""
-    ed.check_size(n)
-    chain = [ed.plain(1, k).token() for k in range(3, n + 1)]
-    forks = [ed.spoke(1, 1).token(), ed.spoke(1, -1).token()]
+    two spokes at the end."""
+    key = tr.fan(n).edge_indices()
+    chain, forks = key[:-2], key[-2:]
     arrows = list(zip(chain, chain[1:]))
     arrows += [(chain[-1], forks[0]), (chain[-1], forks[1])]
-    return Quiver.build(chain + forks, arrows)
+    return Quiver.build(key, arrows, n)
 
 
 def _mutate_arrows(arrows, v: int, v2: int) -> tuple:
@@ -175,18 +184,15 @@ def transport_table(n: int, max_n: int = tr.DEFAULT_MAX_N) -> dict:
 
 @lru_cache(maxsize=None)
 def _transport_table(n: int, total: int) -> dict:
-    # Mutation runs on index arrows; every entry is a sorted tuple of (s, t)
-    # pairs, one shared object per distinct pair, and becomes a token Quiver
-    # once at the end.
-    tokens = [e.token() for e in ed.all_edges(n)]
-    index = {tok: i for i, tok in enumerate(tokens)}
+    # Mutation runs on the sorted arrow tuples, one shared object per
+    # distinct pair; each entry becomes a Quiver on its key once at the end.
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     def intern(arrows) -> tuple:
         return tuple(pairs.setdefault(a, a) for a in arrows)
 
-    base = sorted((index[s], index[t]) for s, t in base_quiver(n).arrows)
-    table = {tr.fan(n).edge_indices(): intern(base)}
+    base = base_quiver(n)
+    table = {base.vertices: intern(base.arrows)}
     for key, flips in tr.walk_flip_graph(n):
         arrows = table[key]
         for m, key2, m2 in flips:
@@ -197,20 +203,16 @@ def _transport_table(n: int, total: int) -> dict:
             elif known != arrows2:
                 raise ModelInconsistencyError(
                     "transported quiver depends on the flip path at "
-                    + ",".join(tokens[i] for i in key2)
+                    + tr.Triangulation.from_indices(n, key2).token()
                 )
     if len(table) != total:
         raise ModelInconsistencyError(
             f"flip graph disconnected at n={n}: reached {len(table)} triangulations"
         )
-    token_pairs = {a: (tokens[a[0]], tokens[a[1]]) for a in pairs}
-    quivers = {}
-    for key in list(table):
-        q = Quiver.build([tokens[i] for i in key],
-                         [token_pairs[a] for a in table.pop(key)])
-        assert_cluster_quiver(q, f"(transport to {','.join(tokens[i] for i in key)})")
-        quivers[key] = q
-    return quivers
+    for key, arrows in table.items():
+        table[key] = Quiver(key, arrows, n)
+        assert_cluster_quiver(table[key], "transport to")
+    return table
 
 
 def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
@@ -225,19 +227,27 @@ def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """A triangulation cut along its central configuration.
+    """A triangulation cut along its central configuration, on edge indices.
 
     regions: one entry per polygon region, as (corner vertices ccw, junction
-    token, list of triangle side-triples); each triangle side is an edge
-    token or None for a boundary segment.  central: template arrows between
-    junction and spoke tokens.  For type 4, f/g/h carry the template roles.
+    edge, list of triangle side-triples); each triangle side is an edge or
+    None for a boundary segment.  central: template arrows between junction
+    and spoke edges.  For type 4, f/g/h carry the template roles.
     """
 
     type: int
     regions: tuple
     central_arrows: tuple
-    spoke_cycle: tuple      # type 4 only: spoke tokens in ccw base order
-    junctions: tuple        # type 4 only: junction token or None per gap
+    spoke_cycle: tuple      # type 4 only: spoke edges in ccw base order
+    junctions: tuple        # type 4 only: junction edge or None per gap
+
+    def arrows(self) -> list:
+        """The quiver's arrows: the central template plus the triangle rule
+        in every region."""
+        arrows = list(self.central_arrows)
+        for _, _, triangles in self.regions:
+            arrows.extend(region_arrows(triangles))
+        return arrows
 
 
 def _region_triangles(n: int, corners: list[int], diagonals: set) -> list:
@@ -246,14 +256,15 @@ def _region_triangles(n: int, corners: list[int], diagonals: set) -> list:
     the first and last corner is an edge of the triangulation; diagonals is
     the set of unordered corner pairs carried by the region's interior
     edges.  Each triangle is returned as its three sides, each side either
-    an edge token or None for a boundary segment."""
+    an edge index or None for a boundary segment."""
     m = len(corners)
+    index = ed._edge_index_map(n)
     index_pairs = {frozenset(p): None for p in diagonals}
 
-    def side_token(i: int, j: int):
+    def side(i: int, j: int):
         if j == i + 1:
             return None  # boundary segment
-        return ed.plain(corners[i], corners[j]).token()
+        return index[ed.plain(corners[i], corners[j])]
 
     def has_edge(i: int, j: int) -> bool:
         if j == i + 1 or (i, j) == (0, m - 1):
@@ -267,7 +278,7 @@ def _region_triangles(n: int, corners: list[int], diagonals: set) -> list:
             return
         for k in range(i + 1, j):
             if has_edge(i, k) and has_edge(k, j):
-                triangles.append((side_token(i, k), side_token(k, j), side_token(i, j)))
+                triangles.append((side(i, k), side(k, j), side(i, j)))
                 split(i, k)
                 split(k, j)
                 return
@@ -287,6 +298,7 @@ def _span(n: int, a: int, b: int) -> list[int]:
 def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges."""
     n = tri.n
+    index = ed._edge_index_map(n)
     kind = tr.classify_type(tri)
     spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
     eset = set(tri.edges)
@@ -296,10 +308,10 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     spoke_cycle: tuple = ()
     junctions: tuple = ()
 
-    def add_region(a: int, b: int, junction_token: str, interior: list) -> None:
+    def add_region(a: int, b: int, junction: ed.TaggedEdge, interior: list) -> None:
         corners = _span(n, a, b)
         diag = {frozenset((e.a, e.b)) for e in interior}
-        regions.append((tuple(corners), junction_token,
+        regions.append((tuple(corners), index[junction],
                         tuple(_region_triangles(n, corners, diag))))
 
     def interior_edges(a: int, b: int, exclude: set) -> list:
@@ -314,12 +326,12 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
 
     if kind == tr.TYPE1:
         m = next(e for e in tri.plains() if ed.edge_length(n, e) == n)
-        add_region(m.a, m.b, m.token(), interior_edges(m.a, m.b, {m}))
+        add_region(m.a, m.b, m, interior_edges(m.a, m.b, {m}))
         for s in spokes:
             if s.a == m.a:
-                central.append((m.token(), s.token()))
+                central.append((m, s))
             elif s.a == m.b:
-                central.append((s.token(), m.token()))
+                central.append((s, m))
             else:
                 raise ModelInconsistencyError(
                     f"type 1 spoke {s.token()} away from the long arc {m.token()}"
@@ -335,14 +347,14 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
         b = bases[0]
         j_out, j_in = ed.plain(a, b), ed.plain(b, a)
         used = {j_out, j_in}
-        add_region(a, b, j_out.token(), interior_edges(a, b, used))
-        add_region(b, a, j_in.token(), interior_edges(b, a, used))
+        add_region(a, b, j_out, interior_edges(a, b, used))
+        add_region(b, a, j_in, interior_edges(b, a, used))
         s_plus = next(s for s in spokes if s.tag == 1)
         s_minus = next(s for s in spokes if s.tag == -1)
         central += [
-            (j_out.token(), s_plus.token()), (s_plus.token(), j_in.token()),
-            (j_out.token(), s_minus.token()), (s_minus.token(), j_in.token()),
-            (j_in.token(), j_out.token()),
+            (j_out, s_plus), (s_plus, j_in),
+            (j_out, s_minus), (s_minus, j_in),
+            (j_in, j_out),
         ]
     elif kind == tr.TYPE3:
         a, b = spokes[0].a, spokes[1].a
@@ -352,21 +364,17 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
                 f"type 3 junctions missing from {tri.token()}"
             )
         used = {j_out, j_in}
-        add_region(a, b, j_out.token(), interior_edges(a, b, used))
-        add_region(b, a, j_in.token(), interior_edges(b, a, used))
-        s_a, s_b = spokes[0].token(), spokes[1].token()
-        central += [
-            (j_out.token(), s_a), (s_a, j_in.token()),
-            (j_in.token(), s_b), (s_b, j_out.token()),
-        ]
+        add_region(a, b, j_out, interior_edges(a, b, used))
+        add_region(b, a, j_in, interior_edges(b, a, used))
+        s_a, s_b = spokes
+        central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
     else:
         bases = [s.a for s in spokes]
-        toks = [s.token() for s in spokes]
         t = len(bases)
         gap_junctions = []
         for i in range(t):
             a, nxt = bases[i], bases[(i + 1) % t]
-            central.append((toks[i], toks[(i + 1) % t]))
+            central.append((spokes[i], spokes[(i + 1) % t]))
             if ed.delta_length(n, a, nxt) == 2:
                 gap_junctions.append(None)
                 continue
@@ -375,14 +383,15 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
                 raise ModelInconsistencyError(
                     f"connecting arc {j.token()} missing from {tri.token()}"
                 )
-            gap_junctions.append(j.token())
-            central.append((toks[(i + 1) % t], j.token()))
-            central.append((j.token(), toks[i]))
-            add_region(a, nxt, j.token(), interior_edges(a, nxt, {j}))
-        spoke_cycle = tuple(toks)
+            gap_junctions.append(index[j])
+            central.append((spokes[(i + 1) % t], j))
+            central.append((j, spokes[i]))
+            add_region(a, nxt, j, interior_edges(a, nxt, {j}))
+        spoke_cycle = tuple(index[s] for s in spokes)
         junctions = tuple(gap_junctions)
 
-    return Decomposition(kind, tuple(regions), tuple(central),
+    return Decomposition(kind, tuple(regions),
+                         tuple((index[s], index[t]) for s, t in central),
                          spoke_cycle, junctions)
 
 
@@ -409,12 +418,8 @@ def region_three_cycles(triangles) -> list:
 
 def direct_quiver_of(tri: tr.Triangulation) -> Quiver:
     """Template assembly of the quiver, independent of mutation transport."""
-    dec = decompose(tri)
-    arrows = list(dec.central_arrows)
-    for _, _, triangles in dec.regions:
-        arrows.extend(region_arrows(triangles))
-    q = Quiver.build([e.token() for e in tri.edges], arrows)
-    assert_cluster_quiver(q, f"(direct at {tri.token()})")
+    q = Quiver.build(tri.edge_indices(), decompose(tri).arrows(), tri.n)
+    assert_cluster_quiver(q, "direct at")
     return q
 
 
@@ -499,11 +504,8 @@ def canonical_key(q: Quiver):
     """Label-free canonical encoding: minimal sorted arrow list over all
     vertex orderings consistent with individualization-refinement."""
     n_verts = len(q.vertices)
-    _, adj_out, adj_in = _index_graph(q)
-    arrow_pairs = []
-    idx = {v: i for i, v in enumerate(q.vertices)}
-    for s, t in q.arrows:
-        arrow_pairs.append((idx[s], idx[t]))
+    idx, adj_out, adj_in = _index_graph(q)
+    arrow_pairs = [(idx[s], idx[t]) for s, t in q.arrows]
 
     best = [None]
 
@@ -540,7 +542,21 @@ def delete_vertex(q: Quiver, v) -> Quiver:
     if v not in q.vertices:
         raise ValueError(f"unknown vertex {v!r}")
     return Quiver.build([w for w in q.vertices if w != v],
-                        [(s, t) for s, t in q.arrows if s != v and t != v])
+                        [(s, t) for s, t in q.arrows if s != v and t != v], q.n)
+
+
+def reachable(seeds, step) -> set:
+    """The seeds and every vertex reached from them by repeated steps;
+    step(v) gives the vertices one step from v (q.neighbors for undirected
+    reachability, q.out_neighbors along the arrows)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def connected_components(q: Quiver) -> int:
@@ -548,13 +564,7 @@ def connected_components(q: Quiver) -> int:
     count = 0
     while remaining:
         count += 1
-        stack = [remaining.pop()]
-        while stack:
-            v = stack.pop()
-            for w in q.neighbors(v):
-                if w in remaining:
-                    remaining.remove(w)
-                    stack.append(w)
+        remaining -= reachable([next(iter(remaining))], q.neighbors)
     return count
 
 
@@ -581,7 +591,7 @@ def simple_cycles(q: Quiver) -> list[tuple]:
     """All directed simple cycles, each rooted at its minimal vertex."""
     verts = list(q.vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    out = {v: sorted(set(q.out_neighbors(v)), key=_label_key) for v in verts}
+    out = {v: sorted(set(q.out_neighbors(v))) for v in verts}
     cycles = []
 
     def walk(root, v, path, on_path):

@@ -1,6 +1,6 @@
 """Relation ideals of the cluster-tilted algebras, read off the templates.
 
-Paths are written left to right along the arrows, as vertex-label tuples.
+Paths are written left to right along the arrows, as edge-index tuples.
 Every type-A region contributes the length-2 subpaths of its triangle-rule
 3-cycles.  The central configuration adds, per type:
 
@@ -26,27 +26,38 @@ from .errors import ModelInconsistencyError
 
 @dataclass(frozen=True, slots=True)
 class RelationSet:
+    """Relation generators as vertex tuples: edge indices for a
+    triangulation of the n-gon, abstract labels when n is None."""
+
     zero_paths: tuple = field(default_factory=tuple)
     commutativity_pairs: tuple = field(default_factory=tuple)
+    n: int | None = None
 
     def is_empty(self) -> bool:
         return not self.zero_paths and not self.commutativity_pairs
 
     def to_json(self) -> dict:
+        """Paths by vertex name: edge tokens for a triangulation."""
+        def names(path: tuple) -> list:
+            if self.n is None:
+                return list(path)
+            universe = ed.all_edges(self.n)
+            return [universe[v].token() for v in path]
+
         return {
-            "zeroPaths": [list(p) for p in self.zero_paths],
+            "zeroPaths": [names(p) for p in self.zero_paths],
             "commutativityPairs": [
-                [list(p), list(q)] for p, q in self.commutativity_pairs
+                [names(p), names(q)] for p, q in self.commutativity_pairs
             ],
         }
 
 
-def _check_composable(q: qv.Quiver, path: tuple) -> None:
-    counts = q.arrow_counts
+def _check_composable(arrows: set, path: tuple, universe) -> None:
     for s, t in zip(path, path[1:]):
-        if not counts.get((s, t)):
+        if (s, t) not in arrows:
             raise ModelInconsistencyError(
-                f"relation path {path} not composable: missing arrow {s}->{t}"
+                f"relation path {tuple(universe[v].token() for v in path)} not "
+                f"composable: missing arrow {universe[s].token()}->{universe[t].token()}"
             )
 
 
@@ -57,8 +68,9 @@ def _cycle_subpaths(cycle: tuple, length: int) -> list[tuple]:
 
 
 def relations_of(tri: tr.Triangulation) -> RelationSet:
-    """Generators of the relation ideal, resolved to edge-token vertices."""
+    """Generators of the relation ideal, on edge-index vertices."""
     n = tri.n
+    universe = ed.all_edges(n)
     dec = qv.decompose(tri)
     zero: list[tuple] = []
     comm: list[tuple] = []
@@ -68,14 +80,14 @@ def relations_of(tri: tr.Triangulation) -> RelationSet:
             zero.extend(_cycle_subpaths(cycle, 2))
 
     if dec.type == tr.TYPE2:
-        (f1, f2), (g1, g2), h = _type2_roles(dec)
+        (f1, f2), (g1, g2), h = _type2_roles(dec, universe)
         comm.append(((f1[0], f1[1], f2[1]), (g1[0], g1[1], g2[1])))
         zero.append((h[0], h[1], f1[1]))    # h f1
         zero.append((f2[0], f2[1], h[1]))   # f2 h
         zero.append((h[0], h[1], g1[1]))    # h g1
         zero.append((g2[0], g2[1], h[1]))   # g2 h
     elif dec.type == tr.TYPE3:
-        cycle = _type3_cycle(dec)
+        cycle = _type3_cycle(dec, universe)
         zero.extend(_cycle_subpaths(cycle, 3))
     elif dec.type == tr.TYPE4:
         spokes = dec.spoke_cycle
@@ -89,38 +101,34 @@ def relations_of(tri: tr.Triangulation) -> RelationSet:
             zero.append((junction, spokes[i], nxt))      # h_i f_i
         lap = spokes + spokes
         for i in range(t):
-            a_prev = ed.parse_edge(spokes[i - 1]).a
-            a_here = ed.parse_edge(spokes[i]).a
+            a_prev = universe[spokes[i - 1]].a
+            a_here = universe[spokes[i]].a
             steps = t - 1 if ed.delta_length(n, a_prev, a_here) == 2 else t
             zero.append(tuple(lap[i:i + steps + 1]))
 
-    rels = RelationSet(tuple(zero), tuple(comm))
-    q = qv.direct_quiver_of(tri)
-    for p in rels.zero_paths:
-        _check_composable(q, p)
-    for p, alt in rels.commutativity_pairs:
-        _check_composable(q, p)
-        _check_composable(q, alt)
-    return rels
+    arrows = set(dec.arrows())
+    for p in zero + [p for pair in comm for p in pair]:
+        _check_composable(arrows, p, universe)
+    return RelationSet(tuple(zero), tuple(comm), n)
 
 
-def _type2_roles(dec: qv.Decomposition):
+def _type2_roles(dec: qv.Decomposition, universe):
     """Recover (f1,f2), (g1,g2), h from the central arrows: the two spoke
     routes out of the junction arc and the return arrow between the arcs."""
     spoke_targets = {}
     spoke_sources = {}
     h = None
     for s, t in dec.central_arrows:
-        s_spoke = s.startswith("s:")
-        t_spoke = t.startswith("s:")
+        s_spoke = universe[s].is_spoke
+        t_spoke = universe[t].is_spoke
         if not s_spoke and t_spoke:
             spoke_targets[t] = (s, t)
         elif s_spoke and not t_spoke:
             spoke_sources[s] = (s, t)
         else:
             h = (s, t)
-    plus = next(k for k in spoke_targets if k.endswith(":+"))
-    minus = next(k for k in spoke_targets if k.endswith(":-"))
+    plus = next(k for k in spoke_targets if universe[k].tag == 1)
+    minus = next(k for k in spoke_targets if universe[k].tag == -1)
     return (
         (spoke_targets[plus], spoke_sources[plus]),
         (spoke_targets[minus], spoke_sources[minus]),
@@ -128,10 +136,10 @@ def _type2_roles(dec: qv.Decomposition):
     )
 
 
-def _type3_cycle(dec: qv.Decomposition) -> tuple:
+def _type3_cycle(dec: qv.Decomposition, universe) -> tuple:
     """The central 4-cycle as a vertex tuple, starting at a junction arc."""
     arrows = dict(dec.central_arrows)
-    start = next(s for s, _ in dec.central_arrows if not s.startswith("s:"))
+    start = next(s for s, _ in dec.central_arrows if universe[s].is_plain)
     cycle = [start]
     v = arrows[start]
     while v != start:
@@ -156,8 +164,7 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     for p, alt in rels.commutativity_pairs:
         rewrites.append((p, alt))
         rewrites.append((alt, p))
-    out = {v: sorted((t for s, t in q.arrows if s == v), key=qv._label_key)
-           for v in q.vertices}
+    out = {v: sorted(t for s, t in q.arrows if s == v) for v in q.vertices}
     cap = max_length if max_length is not None else 2 * len(q.vertices) + 2
 
     def closure(path: tuple) -> frozenset:

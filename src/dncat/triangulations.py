@@ -87,12 +87,6 @@ def parse_triangulation(n: int, text: str) -> Triangulation:
     return Triangulation.from_edges(n, items)
 
 
-def triangulation_from_json(obj: dict) -> Triangulation:
-    n = int(obj["n"])
-    items = [ed.edge_from_json(e) for e in obj["edges"]]
-    return Triangulation.from_edges(n, items)
-
-
 def validate_triangulation(n: int, items) -> None:
     """Raise NotATriangulationError with a witness unless the set is a
     triangulation.  Maximality and the size-n criterion are both evaluated

@@ -189,19 +189,20 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 
 def _check_commutation(n: int) -> list[str]:
     """Mutate every quiver of the transport table at every flip with the
-    public token-level `mutate` and compare with the table's entry for the
-    flipped triangulation.  The table itself is built by the separate
-    mutation on index arrows inside `quivers`, so this cross-checks two
-    independent implementations of the mutation rule."""
+    public `mutate` and compare with the table's entry for the flipped
+    triangulation.  The table itself is built by the separate mutation on
+    arrow tuples inside `quivers`, so this cross-checks two independent
+    implementations of the mutation rule."""
     fails = []
     table = qv.transport_table(n)
-    for tri in tr.enumerate_all(n):
-        q = table[tri.edge_indices()]
-        for m in tri.edges:
-            tri2, m2 = tr.flip(tri, m)
-            transported = qv.mutate(q, m.token()).relabel({m.token(): m2.token()})
-            if transported != table[tri2.edge_indices()]:
-                fails.append(f"{tri.token()} at {m.token()}: mutation != flip")
+    universe = ed.all_edges(n)
+    for key in sorted(table):
+        q = table[key]
+        for m in key:
+            key2, m2 = tr._flip_index(n, key, m)
+            if qv.mutate(q, m).relabel({m: m2}) != table[key2]:
+                fails.append(f"{tr.Triangulation.from_indices(n, key).token()} "
+                             f"at {universe[m].token()}: mutation != flip")
     return fails
 
 
@@ -217,16 +218,14 @@ def _direct_chunk(n: int, indices) -> list[str]:
 def _check_symmetry_invariance(n: int) -> list[str]:
     fails = []
     table = qv.transport_table(n)
-    for tri in tr.enumerate_all(n):
-        q = table[tri.edge_indices()]
-        for name, image, edge_map in (
-            ("translation", tr.apply_tau(tri),
-             {e.token(): ed.tau(n, e).token() for e in tri.edges}),
-            ("tag swap", tr.apply_sigma(tri),
-             {e.token(): ed.sigma(n, e).token() for e in tri.edges}),
-        ):
-            if q.relabel(edge_map) != table[image.edge_indices()]:
-                fails.append(f"{tri.token()}: quiver not {name} equivariant")
+    for key in sorted(table):
+        q = table[key]
+        for name, perm in (("translation", ed._tau_indices(n)),
+                           ("tag swap", ed._sigma_indices(n))):
+            image = tuple(sorted(perm[i] for i in key))
+            if q.relabel({i: perm[i] for i in key}) != table[image]:
+                fails.append(f"{tr.Triangulation.from_indices(n, key).token()}: "
+                             f"quiver not {name} equivariant")
     return fails
 
 
@@ -325,72 +324,49 @@ def _local_structure_chunk(n: int, indices) -> list[str]:
     if not qv.is_connected(q):
         fails.append(f"{token}: quiver disconnected")
 
-    for m in tri.edges:
-        kind = ed.classify_edge(n, m)
-        vm = m.token()
+    for m, e in zip(indices, tri.edges):
+        kind = ed.classify_edge(n, e)
+        vm = e.token()
         if kind == ed.CONNECTED:
-            inner, outer = _partition_sides(tri, m)
+            inner, outer = _partition_sides(tri, e)
             for s, t in q.arrows:
                 if (s in inner and t in outer) or (s in outer and t in inner):
-                    fails.append(f"{token}: arrow across {vm} between {s} and {t}")
-            cut = qv.delete_vertex(q, vm)
-            reach = _reachable_undirected(cut, inner)
-            if reach & outer:
+                    fails.append(f"{token}: arrow across {vm} between "
+                                 f"{q.label(s)} and {q.label(t)}")
+            cut = qv.delete_vertex(q, m)
+            if qv.reachable(inner, cut.neighbors) & outer:
                 fails.append(f"{token}: path around {vm} after deletion")
-            side_neighbors = q.neighbors(vm) & inner
+            side_neighbors = q.neighbors(m) & inner
             if len(side_neighbors) not in (1, 2):
                 fails.append(
                     f"{token}: {vm} has {len(side_neighbors)} region neighbors"
                 )
-            if len(side_neighbors) == 2 and not qv._three_cycles_through(q, vm):
+            if len(side_neighbors) == 2 and not qv._three_cycles_through(q, m):
                 fails.append(f"{token}: {vm} with two region neighbors off 3-cycles")
         elif kind == ed.CLOSE_TO_BORDER:
-            outs = q.out_neighbors(vm)
-            ins = q.in_neighbors(vm)
-            on_cycle = vm in _reachable_directed(q, set(outs))
+            outs = q.out_neighbors(m)
+            ins = q.in_neighbors(m)
+            on_cycle = m in qv.reachable(outs, q.out_neighbors)
             if outs and ins and not on_cycle:
                 fails.append(f"{token}: {vm} neither source, sink, nor on a cycle")
     return fails
 
 
 def _partition_sides(tri: tr.Triangulation, m) -> tuple[set, set]:
+    """Edge indices of the triangulation inside the arc m and outside it."""
     n = tri.n
     span = (m.b - m.a) % n
     inner, outer = set(), set()
-    for e in tri.edges:
+    for i, e in zip(tri.edge_indices(), tri.edges):
         if e == m:
             continue
         if e.is_plain:
             pa, pb = (e.a - m.a) % n, (e.b - m.a) % n
             if pa < pb <= span:
-                inner.add(e.token())
+                inner.add(i)
                 continue
-        outer.add(e.token())
+        outer.add(i)
     return inner, outer
-
-
-def _reachable_undirected(q: qv.Quiver, seeds: set) -> set:
-    seen = set(s for s in seeds if s in q.vertices)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w in q.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _reachable_directed(q: qv.Quiver, seeds: set) -> set:
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for w in q.out_neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _check_census(n: int) -> list[str]:
@@ -446,9 +422,9 @@ def _prop45_chunk(n: int, indices) -> list[str]:
     tri = tr.Triangulation.from_indices(n, indices)
     token = tri.token()
     q = qv.quiver_of(tri)
-    for m in tri.edges:
+    for i, m in zip(indices, tri.edges):
         kind = ed.classify_edge(n, m)
-        cut = qv.delete_vertex(q, m.token())
+        cut = qv.delete_vertex(q, i)
         connected = qv.is_connected(cut)
         in_d = connected and qv.in_mutation_class_d(cut, n - 1)
         in_a = connected and qv.in_mutation_class_a(cut, n - 1)
@@ -531,8 +507,10 @@ def suite_d4(n: int = 4, jobs: int = 1) -> SuiteReport:
     report = SuiteReport("d4", 4, checks)
     if witness is not None:
         a, b = witness
-        iso, mapping = qv.is_isomorphic(qv.quiver_of(a.representative),
-                                        qv.quiver_of(b.representative))
+        qa, qb = qv.quiver_of(a.representative), qv.quiver_of(b.representative)
+        iso, mapping = qv.is_isomorphic(qa, qb)
+        if mapping is not None:
+            mapping = {qa.label(v): qb.label(w) for v, w in mapping.items()}
         report.checks.append(
             (f"witness: {a.representative.token()} (type {a.type}) ~/~ "
              f"{b.representative.token()} (type {b.type}); vertex map {mapping}",

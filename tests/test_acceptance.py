@@ -69,7 +69,8 @@ def test_criterion_05_flip_mutation_commutation():
             q = table[tri.edge_indices()]
             for m in tri.edges:
                 tri2, m2 = tr.flip(tri, m)
-                moved = qv.mutate(q, m.token()).relabel({m.token(): m2.token()})
+                i, i2 = ed.edge_index(n, m), ed.edge_index(n, m2)
+                moved = qv.mutate(q, i).relabel({i: i2})
                 assert moved == table[tri2.edge_indices()]
                 checked += 1
     report(5, f"transport commutes with every flip and is path independent "
@@ -122,7 +123,7 @@ def test_criterion_09_quotient_laws():
             q = qv.quiver_of(tri)
             for m in tri.edges:
                 kind = ed.classify_edge(n, m)
-                cut = qv.delete_vertex(q, m.token())
+                cut = qv.delete_vertex(q, ed.edge_index(n, m))
                 connected = qv.is_connected(cut)
                 in_d = connected and qv.in_mutation_class_d(cut, n - 1)
                 in_a = connected and qv.in_mutation_class_a(cut, n - 1)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dncat import edges as ed
 from dncat import quivers as qv
+from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat.cli import main
 from dncat.errors import UnsupportedSizeError
@@ -172,6 +174,25 @@ def test_max_n_reaches_classes(capsys):
     code, out, _ = run(capsys, "enumerate", "--classes", "--count",
                        "--n", "10", "--max-n", "10")
     assert code == 0 and int(out) == len(sizes)
+
+
+def test_non_enumerating_commands_ignore_the_bound(capsys):
+    # flip, relations and quiver --direct read one triangulation and never
+    # enumerate, so n=10 needs no --max-n
+    tri = tr.fan(10)
+    code, out, _ = run(capsys, "flip", "--n", "10", "--edges", tri.token(),
+                       "--edge", "s:1:+", "--json")
+    flipped, replacement = tr.flip(tri, ed.spoke(1, 1))
+    assert code == 0 and json.loads(out) == {
+        "replacement": replacement.token(), "triangulation": flipped.token()}
+    code, out, _ = run(capsys, "relations", "--n", "10", "--edges", flipped.token())
+    assert code == 0 and json.loads(out) == rl.relations_of(flipped).to_json()
+    code, out, _ = run(capsys, "quiver", "--n", "10", "--edges", flipped.token(),
+                       "--direct")
+    assert code == 0 and json.loads(out) == qv.direct_quiver_of(flipped).to_json()
+    code, out, _ = run(capsys, "quiver", "--n", "10", "--edges", flipped.token(),
+                       "--direct", "--dot")
+    assert code == 0 and out == qv.direct_quiver_of(flipped).to_dot()
 
 
 def test_quiver_bound_checked_before_the_walk(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from dncat import quivers as qv
 from dncat.edges import plain, spoke
 from dncat.quivers import direct_quiver_of
 from dncat.relations import path_algebra_dimension, relations_of
@@ -20,9 +21,9 @@ def test_type_two_relations():
         5, [spoke(1, 1), spoke(1, -1), plain(1, 3), plain(3, 1), plain(3, 5)])
     rels = relations_of(tri)
     assert len(rels.commutativity_pairs) == 1
-    left, right = rels.commutativity_pairs[0]
-    assert left == ("p:1-3", "s:1:+", "p:3-1")
-    assert right == ("p:1-3", "s:1:-", "p:3-1")
+    left, right = rels.to_json()["commutativityPairs"][0]
+    assert left == ["p:1-3", "s:1:+", "p:3-1"]
+    assert right == ["p:1-3", "s:1:-", "p:3-1"]
     assert len(rels.zero_paths) == 4
     assert all(len(p) == 3 for p in rels.zero_paths)  # four length-2 paths
 
@@ -49,7 +50,7 @@ def test_type_four_with_junction():
     tri = Triangulation.from_edges(
         5, [spoke(1, 1), spoke(2, 1), spoke(3, 1), plain(3, 1), plain(3, 5)])
     rels = relations_of(tri)
-    zero = set(rels.zero_paths)
+    zero = {tuple(p) for p in rels.to_json()["zeroPaths"]}
     assert ("s:1:+", "s:2:+", "s:3:+", "s:1:+") in zero  # lap closing the junction gap
     assert ("s:2:+", "s:3:+", "s:1:+") in zero           # neighbor gap, one lap short
     assert ("s:3:+", "s:1:+", "s:2:+") in zero
@@ -67,6 +68,16 @@ def test_relation_paths_are_composable():
                 assert all(counts[(s, t)] for s, t in zip(path, path[1:]))
             for left, right in rels.commutativity_pairs:
                 assert left[0] == right[0] and left[-1] == right[-1]
+
+
+def test_relations_decompose_once(monkeypatch):
+    calls = []
+    decompose = qv.decompose
+    monkeypatch.setattr(qv, "decompose", lambda tri: calls.append(tri) or decompose(tri))
+    tri = Triangulation.from_edges(
+        5, [spoke(1, 1), spoke(1, -1), plain(1, 3), plain(3, 1), plain(3, 5)])
+    relations_of(tri)
+    assert calls == [tri]
 
 
 def test_json_shape():
