@@ -106,28 +106,41 @@ def write_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
     return target
 
 
+def _record(line: str, where: str, **fields: type) -> dict:
+    """One JSON object of the catalog, holding the fields the reader uses."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"malformed JSON in {where}: {exc}") from exc
+    if isinstance(record, dict) and all(isinstance(record.get(f), t) for f, t in fields.items()):
+        return record
+    spec = ", ".join(f"{f}: {t.__name__}" for f, t in fields.items())
+    raise CatalogError(f"{where} must be a JSON object with {spec}")
+
+
+def _jsonl(path: Path, what: str, **fields: type) -> list[dict]:
+    """The records after the header line, as many as the header counts."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = _record(lines[0] if lines else "", f"{path.name} header", count=int)
+    if header["count"] != len(lines) - 1:
+        raise CatalogError(f"{what} count disagrees with the header")
+    return [_record(line, path.name, **fields) for line in lines[1:]]
+
+
 def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     base = Path(directory) if directory is not None else default_dir()
     target = base / f"n={n}"
-    meta = json.loads((target / "meta.json").read_text(encoding="utf-8"))
+    meta = _record((target / "meta.json").read_text(encoding="utf-8"), "meta.json",
+                   checksums=dict)
     for name, recorded in meta["checksums"].items():
         actual = _sha256(target / name)
         if actual != recorded:
             raise CatalogError(f"checksum mismatch for {name}: {actual} != {recorded}")
 
-    tri_lines = (target / "triangulations.jsonl").read_text(encoding="utf-8").splitlines()
-    header = json.loads(tri_lines[0])
-    if header["count"] != len(tri_lines) - 1:
-        raise CatalogError("triangulation count disagrees with the header")
-    triangulations = [
-        tr.parse_triangulation(n, json.loads(line)["edges"]) for line in tri_lines[1:]
-    ]
-
-    cls_lines = (target / "classes.jsonl").read_text(encoding="utf-8").splitlines()
-    header = json.loads(cls_lines[0])
-    if header["count"] != len(cls_lines) - 1:
-        raise CatalogError("class count disagrees with the header")
-    classes = [json.loads(line) for line in cls_lines[1:]]
+    records = _jsonl(target / "triangulations.jsonl", "triangulation", edges=str)
+    triangulations = [tr.parse_triangulation(n, r["edges"]) for r in records]
+    classes = _jsonl(target / "classes.jsonl", "class",
+                     representative=str, orbitSize=int, type=int)
     for payload in classes:
         rep = tr.parse_triangulation(n, payload["representative"])
         canonical, orbit = tr.canonical_form(rep)

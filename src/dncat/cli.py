@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-input data.
+input data, a malformed catalog or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -264,10 +264,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except DncatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DncatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

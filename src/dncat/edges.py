@@ -116,37 +116,15 @@ def classify_edge(n: int, e: TaggedEdge) -> str:
     return CONNECTED
 
 
-def sort_key(n: int, e: TaggedEdge) -> tuple:
-    """Canonical order: plain edges by (a, length), then spokes by (a, tag)
-    with +1 before -1."""
-    if e.is_plain:
-        return (0, e.a, delta_length(n, e.a, e.b))
-    return (1, e.a, 0 if e.tag == 1 else 1)
-
-
-@lru_cache(maxsize=None)
 def all_edges(n: int) -> tuple[TaggedEdge, ...]:
-    """All n*n tagged edges in canonical order: n(n-2) plain arcs, 2n spokes."""
-    check_size(n)
-    edges = []
-    for a in range(1, n + 1):
-        for length in range(3, n + 1):
-            edges.append(plain(a, wrap(n, a + length - 1)))
-    for a in range(1, n + 1):
-        edges.append(spoke(a, 1))
-        edges.append(spoke(a, -1))
-    edges.sort(key=lambda e: sort_key(n, e))
-    return tuple(edges)
-
-
-@lru_cache(maxsize=None)
-def _edge_index_map(n: int) -> dict[TaggedEdge, int]:
-    return {e: i for i, e in enumerate(all_edges(n))}
+    """All n*n tagged edges in canonical order: n(n-2) plain arcs by (a,
+    length), then 2n spokes by (a, tag) with +1 before -1."""
+    return alphabet(n).edges
 
 
 def edge_index(n: int, e: TaggedEdge) -> int:
     check_edge(n, e)
-    return _edge_index_map(n)[e]
+    return alphabet(n).index[e]
 
 
 def _in_open_interval(n: int, lo: int, hi: int, v: int) -> bool:
@@ -168,6 +146,10 @@ def crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
     """
     check_edge(n, m)
     check_edge(n, other)
+    return _crossing(n, m, other)
+
+
+def _crossing(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
     if m == other:
         return 0
     if m.is_spoke and other.is_spoke:
@@ -260,35 +242,46 @@ def edge_from_json(obj: dict) -> TaggedEdge:
     raise InvalidEdgeError(f"unknown edge kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
 def compatibility_masks(n: int) -> tuple[int, ...]:
     """Bitset row per edge index: bit j set iff edge j is distinct from and
     non-crossing with edge i."""
-    edges = all_edges(n)
-    m = len(edges)
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if crossing_number(n, edges[i], edges[j]) == 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
+    return alphabet(n).masks
 
 
-def _index_permutation(n: int, image) -> tuple[int, ...]:
-    index = _edge_index_map(n)
-    return tuple(index[image(n, e)] for e in all_edges(n))
+@dataclass(frozen=True, slots=True)
+class Alphabet:
+    """The per-n edge tables on canonical edge indices: the edges in order,
+    the index of each edge, the crossing numbers as one bytes row per edge,
+    the compatibility masks, the translation, its inverse and the tag swap
+    as index permutations, and classify_edge of each edge."""
 
-
-@lru_cache(maxsize=None)
-def _tau_indices(n: int) -> tuple[int, ...]:
-    """The translation as a permutation of the edge indices, built on first
-    use."""
-    return _index_permutation(n, tau)
+    edges: tuple[TaggedEdge, ...]
+    index: dict[TaggedEdge, int]
+    cross: tuple[bytes, ...]
+    masks: tuple[int, ...]
+    tau: tuple[int, ...]
+    tau_inv: tuple[int, ...]
+    sigma: tuple[int, ...]
+    kind: tuple[str, ...]
 
 
 @lru_cache(maxsize=None)
-def _sigma_indices(n: int) -> tuple[int, ...]:
-    """The tag swap as a permutation of the edge indices, built on first
-    use."""
-    return _index_permutation(n, sigma)
+def alphabet(n: int) -> Alphabet:
+    """The edge tables of the n-gon, built on first use.  The edges are
+    generated in canonical order.  They come from the alphabet itself, so
+    the crossing rule runs unchecked, once per unordered pair (the crossing
+    number is symmetric)."""
+    check_size(n)
+    edges = [plain(a, wrap(n, a + length - 1))
+             for a in range(1, n + 1) for length in range(3, n + 1)]
+    edges += [spoke(a, tag) for a in range(1, n + 1) for tag in (1, -1)]
+    cross = []
+    for i, m in enumerate(edges):
+        # row i starts with column i of the rows above
+        cross.append(bytes([row[i] for row in cross] + [_crossing(n, m, e) for e in edges[i:]]))
+    masks = tuple(sum(1 << j for j, c in enumerate(row) if c == 0 and j != i)
+                  for i, row in enumerate(cross))
+    index = {e: i for i, e in enumerate(edges)}
+    perms = [tuple(index[image(n, e)] for e in edges) for image in (tau, tau_inv, sigma)]
+    return Alphabet(tuple(edges), index, tuple(cross), masks, *perms,
+                    tuple(classify_edge(n, e) for e in edges))

@@ -63,13 +63,14 @@ class Quiver:
     def label(self, v):
         """Export name of vertex v: its edge token in a triangulation's
         quiver, v itself in an abstract shape."""
-        return v if self.n is None else ed.all_edges(self.n)[v].token()
+        return v if self.n is None else ed.alphabet(self.n).edges[v].token()
 
     def to_json(self) -> dict:
         """Vertices and arrows by name, sorted by name.  A triangulation's
         quiver names its vertices by edge token, so p:1-10 sorts before
         p:1-3."""
-        name = {v: self.label(v) for v in self.vertices}
+        universe = None if self.n is None else ed.alphabet(self.n).edges
+        name = {v: v if universe is None else universe[v].token() for v in self.vertices}
         return {"vertices": sorted(name.values()),
                 "arrows": [list(a) for a in
                            sorted((name[s], name[t]) for s, t in self.arrows)]}
@@ -142,7 +143,7 @@ def assert_cluster_quiver(q: Quiver, context: str = "") -> None:
 def base_quiver(n: int) -> Quiver:
     """The fan's quiver: a chain through the plain arcs, forking into the
     two spokes at the end."""
-    key = tr.fan(n).edge_indices()
+    key = tr.fan(n).key
     chain, forks = key[:-2], key[-2:]
     arrows = list(zip(chain, chain[1:]))
     arrows += [(chain[-1], forks[0]), (chain[-1], forks[1])]
@@ -203,7 +204,7 @@ def _transport_table(n: int, total: int) -> dict:
             elif known != arrows2:
                 raise ModelInconsistencyError(
                     "transported quiver depends on the flip path at "
-                    + tr.Triangulation.from_indices(n, key2).token()
+                    + tr.Triangulation(n, key2).token()
                 )
     if len(table) != total:
         raise ModelInconsistencyError(
@@ -218,7 +219,7 @@ def _transport_table(n: int, total: int) -> dict:
 def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
     """The quiver of the cluster-tilted algebra of the triangulation, by
     mutation transport from the fan."""
-    return transport_table(tri.n, max_n)[tri.edge_indices()]
+    return transport_table(tri.n, max_n)[tri.key]
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +251,15 @@ class Decomposition:
         return arrows
 
 
-def _region_triangles(n: int, corners: list[int], diagonals: set) -> list:
+def _region_triangles(index: dict, corners: list[int], diagonals: set) -> list:
     """Triangles of a triangulated polygon region.  The region's corners are
     contiguous boundary vertices in ccw order and the closing side between
     the first and last corner is an edge of the triangulation; diagonals is
     the set of unordered corner pairs carried by the region's interior
     edges.  Each triangle is returned as its three sides, each side either
-    an edge index or None for a boundary segment."""
+    an edge index (by the alphabet's index map) or None for a boundary
+    segment."""
     m = len(corners)
-    index = ed._edge_index_map(n)
     index_pairs = {frozenset(p): None for p in diagonals}
 
     def side(i: int, j: int):
@@ -298,7 +299,7 @@ def _span(n: int, a: int, b: int) -> list[int]:
 def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges."""
     n = tri.n
-    index = ed._edge_index_map(n)
+    index = ed.alphabet(n).index
     kind = tr.classify_type(tri)
     spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
     eset = set(tri.edges)
@@ -312,7 +313,7 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
         corners = _span(n, a, b)
         diag = {frozenset((e.a, e.b)) for e in interior}
         regions.append((tuple(corners), index[junction],
-                        tuple(_region_triangles(n, corners, diag))))
+                        tuple(_region_triangles(index, corners, diag))))
 
     def interior_edges(a: int, b: int, exclude: set) -> list:
         pos = {v: i for i, v in enumerate(_span(n, a, b))}
@@ -325,7 +326,7 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
         return picked
 
     if kind == tr.TYPE1:
-        m = next(e for e in tri.plains() if ed.edge_length(n, e) == n)
+        m = next(e for e in tri.plains() if (e.b - e.a) % n == n - 1)  # length n
         add_region(m.a, m.b, m, interior_edges(m.a, m.b, {m}))
         for s in spokes:
             if s.a == m.a:
@@ -418,7 +419,7 @@ def region_three_cycles(triangles) -> list:
 
 def direct_quiver_of(tri: tr.Triangulation) -> Quiver:
     """Template assembly of the quiver, independent of mutation transport."""
-    q = Quiver.build(tri.edge_indices(), decompose(tri).arrows(), tri.n)
+    q = Quiver.build(tri.key, decompose(tri).arrows(), tri.n)
     assert_cluster_quiver(q, "direct at")
     return q
 

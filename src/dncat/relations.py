@@ -38,11 +38,10 @@ class RelationSet:
 
     def to_json(self) -> dict:
         """Paths by vertex name: edge tokens for a triangulation."""
+        universe = None if self.n is None else ed.alphabet(self.n).edges
+
         def names(path: tuple) -> list:
-            if self.n is None:
-                return list(path)
-            universe = ed.all_edges(self.n)
-            return [universe[v].token() for v in path]
+            return list(path) if universe is None else [universe[v].token() for v in path]
 
         return {
             "zeroPaths": [names(p) for p in self.zero_paths],
@@ -70,7 +69,7 @@ def _cycle_subpaths(cycle: tuple, length: int) -> list[tuple]:
 def relations_of(tri: tr.Triangulation) -> RelationSet:
     """Generators of the relation ideal, on edge-index vertices."""
     n = tri.n
-    universe = ed.all_edges(n)
+    universe = ed.alphabet(n).edges
     dec = qv.decompose(tri)
     zero: list[tuple] = []
     comm: list[tuple] = []

@@ -26,11 +26,12 @@ TYPE1, TYPE2, TYPE3, TYPE4 = 1, 2, 3, 4
 
 @dataclass(frozen=True, slots=True)
 class Triangulation:
-    """A maximal set of n pairwise non-crossing tagged edges, stored in
-    canonical edge order."""
+    """A maximal set of n pairwise non-crossing tagged edges, held as the
+    sorted tuple of its edge indices (its key).  The constructor trusts the
+    key; from_edges and parse_triangulation validate outside input."""
 
     n: int
-    edges: tuple[TaggedEdge, ...]
+    key: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, items) -> "Triangulation":
@@ -38,20 +39,14 @@ class Triangulation:
         witness when the set is not a triangulation."""
         items = tuple(items)
         validate_triangulation(n, items)
-        return cls(n, _sorted_edges(n, items))
+        index = ed.alphabet(n).index
+        return cls(n, tuple(sorted(index[e] for e in items)))
 
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Triangulation":
-        """Trusted fast path for sorted index tuples from the per-n tables
-        (enumeration, flips, orbit images)."""
-        universe = ed.all_edges(n)
-        return cls(n, tuple(universe[i] for i in indices))
-
-    def edge_indices(self) -> tuple[int, ...]:
-        # the edges were validated on the way in (from_edges) or come from
-        # the per-n tables (from_indices, fan, flip)
-        index = ed._edge_index_map(self.n)
-        return tuple(index[e] for e in self.edges)
+    @property
+    def edges(self) -> tuple[TaggedEdge, ...]:
+        """The edges in canonical order."""
+        universe = ed.alphabet(self.n).edges
+        return tuple(universe[i] for i in self.key)
 
     def token(self) -> str:
         return ",".join(e.token() for e in self.edges)
@@ -69,16 +64,11 @@ class Triangulation:
         return f"Triangulation[n={self.n}: {self.token()}]"
 
 
-def _sorted_edges(n: int, items) -> tuple[TaggedEdge, ...]:
-    return tuple(sorted(items, key=ed._edge_index_map(n).__getitem__))
-
-
 def fan(n: int) -> Triangulation:
     """The fan at vertex 1: arcs 1->3 .. 1->n plus both spokes at 1."""
-    ed.check_size(n)
-    items = [ed.plain(1, k) for k in range(3, n + 1)]
-    items += [ed.spoke(1, 1), ed.spoke(1, -1)]
-    return Triangulation(n, _sorted_edges(n, items))
+    index = ed.alphabet(n).index
+    items = [ed.plain(1, k) for k in range(3, n + 1)] + [ed.spoke(1, 1), ed.spoke(1, -1)]
+    return Triangulation(n, tuple(sorted(index[e] for e in items)))
 
 
 def parse_triangulation(n: int, text: str) -> Triangulation:
@@ -96,9 +86,9 @@ def validate_triangulation(n: int, items) -> None:
         ed.check_edge(n, e)
     if len(set(items)) != len(items):
         raise NotATriangulationError("duplicate edges in set")
-    masks = ed.compatibility_masks(n)
-    index = ed._edge_index_map(n)
-    keys = [index[e] for e in items]
+    alpha = ed.alphabet(n)
+    masks = alpha.masks
+    keys = [alpha.index[e] for e in items]
     # distinct edges cross exactly when their compatibility bit is clear;
     # pairs are tested in input order, so the first crossing pair is the
     # witness
@@ -120,7 +110,7 @@ def validate_triangulation(n: int, items) -> None:
             f"maximality ({maximal}) and size-n ({len(items)}=={n}) checks disagree"
         )
     if not maximal:
-        witness = ed.all_edges(n)[(common & -common).bit_length() - 1]
+        witness = alpha.edges[(common & -common).bit_length() - 1]
         raise NotATriangulationError(
             f"set is not maximal: {witness.token()} is compatible with all members"
         )
@@ -138,7 +128,7 @@ def is_triangulation(n: int, items) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    masks = ed.compatibility_masks(n)
+    masks = ed.alphabet(n).masks
     cliques = maximal_cliques(masks, len(masks))
     for c in cliques:
         if len(c) != n:
@@ -160,7 +150,7 @@ def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N):
     """Every triangulation exactly once, in lexicographic canonical order."""
     _check_bound(n, max_n)
     for indices in _all_index_sets(n):
-        yield Triangulation.from_indices(n, indices)
+        yield Triangulation(n, indices)
 
 
 def count_all(n: int, max_n: int = DEFAULT_MAX_N) -> int:
@@ -183,21 +173,21 @@ def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], 
     """Flip edge index m out of the sorted index tuple key: the replacement is
     the single edge other than m compatible with every kept edge.  Returns
     the new sorted key and the replacement's index."""
-    masks = ed.compatibility_masks(n)
+    alpha = ed.alphabet(n)
+    masks = alpha.masks
     kept = [i for i in key if i != m]
     cand = (1 << len(masks)) - 1
     for i in kept:
         cand &= masks[i]
     cand &= ~(1 << m)
     if cand == 0 or cand & (cand - 1):
-        universe = ed.all_edges(n)
         found = []
         while cand:
             low = cand & -cand
-            found.append(universe[low.bit_length() - 1].token())
+            found.append(alpha.edges[low.bit_length() - 1].token())
             cand ^= low
         raise ModelInconsistencyError(
-            f"flip of {universe[m].token()} has {len(found)} replacements {found}; "
+            f"flip of {alpha.edges[m].token()} has {len(found)} replacements {found}; "
             "expected 1"
         )
     m2 = cand.bit_length() - 1
@@ -208,10 +198,12 @@ def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], 
 def flip(tri: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     """Exchange edge m for the unique other edge restoring maximality."""
     n = tri.n
-    if m not in tri.edges:
+    alpha = ed.alphabet(n)
+    i = alpha.index.get(m)
+    if i not in tri.key:
         raise NotATriangulationError(f"{m.token()} is not an edge of the triangulation")
-    key2, m2 = _flip_index(n, tri.edge_indices(), ed._edge_index_map(n)[m])
-    return Triangulation.from_indices(n, key2), ed.all_edges(n)[m2]
+    key2, m2 = _flip_index(n, tri.key, i)
+    return Triangulation(n, key2), alpha.edges[m2]
 
 
 def walk_flip_graph(n: int):
@@ -220,7 +212,7 @@ def walk_flip_graph(n: int):
     its sorted edge-index tuple and flips holds one (m, key2, m2) per edge
     index m of key: flipping m gives the triangulation key2, with
     replacement m2.  Only the keys seen and the queue are held."""
-    key = fan(n).edge_indices()
+    key = fan(n).key
     seen = {key}
     queue = deque([key])
     while queue:
@@ -236,21 +228,22 @@ def walk_flip_graph(n: int):
 
 
 def _apply(tri: Triangulation, perm: tuple[int, ...]) -> Triangulation:
-    return Triangulation.from_indices(tri.n, sorted(perm[i] for i in tri.edge_indices()))
+    return Triangulation(tri.n, tuple(sorted(perm[i] for i in tri.key)))
 
 
 def apply_tau(tri: Triangulation) -> Triangulation:
-    return _apply(tri, ed._tau_indices(tri.n))
+    return _apply(tri, ed.alphabet(tri.n).tau)
 
 
 def apply_sigma(tri: Triangulation) -> Triangulation:
-    return _apply(tri, ed._sigma_indices(tri.n))
+    return _apply(tri, ed.alphabet(tri.n).sigma)
 
 
 def _orbit_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Sorted index tuples of the orbit of key under the translation and
     the tag swap, deduplicated and in lexicographic order."""
-    tau, sigma = ed._tau_indices(n), ed._sigma_indices(n)
+    alpha = ed.alphabet(n)
+    tau, sigma = alpha.tau, alpha.sigma
     seen = set()
     current = key
     for _ in range(ed.tau_order(n)):
@@ -263,21 +256,20 @@ def _orbit_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
 def orbit(tri: Triangulation) -> list[Triangulation]:
     """The orbit under the group generated by the translation and the tag
     swap, as a deduplicated list sorted by edge indices."""
-    return [Triangulation.from_indices(tri.n, k)
-            for k in _orbit_keys(tri.n, tri.edge_indices())]
+    return [Triangulation(tri.n, k) for k in _orbit_keys(tri.n, tri.key)]
 
 
 def canonical_form(tri: Triangulation) -> tuple[Triangulation, int]:
     """Lexicographic minimum of the orbit plus the orbit's cardinality."""
-    keys = _orbit_keys(tri.n, tri.edge_indices())
-    return Triangulation.from_indices(tri.n, keys[0]), len(keys)
+    keys = _orbit_keys(tri.n, tri.key)
+    return Triangulation(tri.n, keys[0]), len(keys)
 
 
 def classify_type(tri: Triangulation) -> int:
     """The structural type: 1 with a length-n arc, else by the degenerate
     edge configuration (double / two separate spokes / three or more)."""
     n = tri.n
-    if any(ed.edge_length(n, e) == n for e in tri.plains()):
+    if any((e.b - e.a) % n == n - 1 for e in tri.plains()):  # length n
         return TYPE1
     spokes = tri.spokes()
     if len(spokes) == 2:
@@ -326,7 +318,7 @@ def _equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
             continue
         keys = _orbit_keys(n, key)
         marked.update(keys[1:])
-        rep = Triangulation.from_indices(n, key)
+        rep = Triangulation(n, key)
         classes.append(TriangulationClass(rep, len(keys), classify_type(rep)))
     return tuple(classes)
 
@@ -349,9 +341,11 @@ def quotient(tri: Triangulation, m: TaggedEdge) -> Triangulation:
     """Factor out a close-to-border arc M(a, a+2): delete boundary vertex
     a+1 and relabel downward, yielding a triangulation one size smaller."""
     n = tri.n
-    if m not in tri.edges:
+    alpha = ed.alphabet(n)
+    i = alpha.index.get(m)
+    if i not in tri.key:
         raise InvalidQuotientError(f"{m.token()} is not an edge of the triangulation")
-    if ed.classify_edge(n, m) != ed.CLOSE_TO_BORDER:
+    if alpha.kind[i] != ed.CLOSE_TO_BORDER:
         raise InvalidQuotientError(f"{m.token()} is not close to the border")
     if n - 1 < ed.MIN_N:
         raise UnsupportedSizeError(f"quotient would leave n={n - 1} < {ed.MIN_N}")
@@ -364,19 +358,14 @@ def quotient(tri: Triangulation, m: TaggedEdge) -> Triangulation:
             )
         return v - 1 if v > dropped else v
 
-    new_edges = []
-    for e in tri.edges:
-        if e == m:
-            continue
-        if e.is_spoke:
-            new_edges.append(ed.spoke(relabel(e.a), e.tag))
-        else:
-            new_edges.append(ed.plain(relabel(e.a), relabel(e.b)))
+    new_edges = [TaggedEdge(relabel(e.a), relabel(e.b), e.tag) for e in tri.edges if e != m]
     return Triangulation.from_edges(n - 1, new_edges)
 
 
 def pairwise_hom_matrix(tri: Triangulation) -> list[list[int]]:
     """Matrix of morphism-space dimensions between the edges, in canonical
     edge order; the diagonal records each edge's endomorphisms."""
-    n = tri.n
-    return [[ed.hom_dim(n, a, b) for b in tri.edges] for a in tri.edges]
+    alpha = ed.alphabet(tri.n)
+    cross, tau_inv = alpha.cross, alpha.tau_inv
+    # dim Hom(a, b) = e(a, tau^{-1} b), read off the crossing table
+    return [[cross[a][tau_inv[b]] for b in tri.key] for a in tri.key]

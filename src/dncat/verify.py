@@ -109,13 +109,13 @@ def _check_staple_agreement(n: int) -> list[str]:
 
 def _check_maximal_sizes(n: int) -> list[str]:
     fails = []
-    masks = ed.compatibility_masks(n)
+    masks = ed.alphabet(n).masks
     for tri in tr.enumerate_all(n):
         if len(tri.edges) != n:
             fails.append(f"{tri.token()}: {len(tri.edges)} edges")
         member_bits = 0
         inter = (1 << len(masks)) - 1
-        for i in tri.edge_indices():
+        for i in tri.key:
             member_bits |= 1 << i
             inter &= masks[i]
         if inter & ~member_bits:
@@ -149,7 +149,7 @@ def suite_crossing(n: int, jobs: int = 1) -> SuiteReport:
 
 def _flip_chunk(n: int, indices) -> list[str]:
     fails = []
-    tri = tr.Triangulation.from_indices(n, indices)
+    tri = tr.Triangulation(n, indices)
     for m in tri.edges:
         try:
             tri2, m2 = tr.flip(tri, m)
@@ -173,7 +173,7 @@ def _check_flip_connected(n: int) -> list[str]:
 
 
 def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
-    keys = [t.edge_indices() for t in tr.enumerate_all(n)]
+    keys = [t.key for t in tr.enumerate_all(n)]
     results = _parallel(partial(_flip_chunk, n), keys, jobs)
     checks = [
         ("every edge of every triangulation flips uniquely and involutively",
@@ -195,19 +195,19 @@ def _check_commutation(n: int) -> list[str]:
     implementations of the mutation rule."""
     fails = []
     table = qv.transport_table(n)
-    universe = ed.all_edges(n)
+    universe = ed.alphabet(n).edges
     for key in sorted(table):
         q = table[key]
         for m in key:
             key2, m2 = tr._flip_index(n, key, m)
             if qv.mutate(q, m).relabel({m: m2}) != table[key2]:
-                fails.append(f"{tr.Triangulation.from_indices(n, key).token()} "
+                fails.append(f"{tr.Triangulation(n, key).token()} "
                              f"at {universe[m].token()}: mutation != flip")
     return fails
 
 
 def _direct_chunk(n: int, indices) -> list[str]:
-    tri = tr.Triangulation.from_indices(n, indices)
+    tri = tr.Triangulation(n, indices)
     direct = qv.direct_quiver_of(tri)
     transported = qv.quiver_of(tri)
     if direct != transported:
@@ -218,13 +218,13 @@ def _direct_chunk(n: int, indices) -> list[str]:
 def _check_symmetry_invariance(n: int) -> list[str]:
     fails = []
     table = qv.transport_table(n)
+    alpha = ed.alphabet(n)
     for key in sorted(table):
         q = table[key]
-        for name, perm in (("translation", ed._tau_indices(n)),
-                           ("tag swap", ed._sigma_indices(n))):
+        for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
             image = tuple(sorted(perm[i] for i in key))
             if q.relabel({i: perm[i] for i in key}) != table[image]:
-                fails.append(f"{tr.Triangulation.from_indices(n, key).token()}: "
+                fails.append(f"{tr.Triangulation(n, key).token()}: "
                              f"quiver not {name} equivariant")
     return fails
 
@@ -232,7 +232,7 @@ def _check_symmetry_invariance(n: int) -> list[str]:
 def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
     # building the table already fails loudly on any path dependence
     qv.transport_table(n)
-    keys = [t.edge_indices() for t in tr.enumerate_all(n)]
+    keys = [t.key for t in tr.enumerate_all(n)]
     direct_results = _parallel(partial(_direct_chunk, n), keys, jobs)
     checks = [
         ("mutation commutes with every flip (path independence)",
@@ -260,15 +260,25 @@ def _type_predicates(tri: tr.Triangulation) -> tuple[bool, bool, bool, bool]:
     return p1, p2, p3, p4
 
 
-def _types_chunk(n: int, indices) -> list[str]:
+def _types_chunk(n: int, indices) -> tuple[list[str], list[str], list[str]]:
+    """Failures of the type templates, local structure and relation dimension."""
+    tri = tr.Triangulation(n, indices)
+    q = qv.quiver_of(tri)
+    return (_template_failures(tri), _local_structure_failures(tri, q),
+            _relations_failures(tri, q))
+
+
+def _template_failures(tri: tr.Triangulation) -> list[str]:
     fails = []
-    tri = tr.Triangulation.from_indices(n, indices)
+    n = tri.n
     token = tri.token()
     spokes = tri.spokes()
+    eset = set(tri.edges)
+    kind = tr.classify_type(tri)
     preds = _type_predicates(tri)
     if sum(preds) != 1:
         fails.append(f"{token}: {sum(preds)} type predicates hold")
-    elif preds.index(True) + 1 != tr.classify_type(tri):
+    elif preds.index(True) + 1 != kind:
         fails.append(f"{token}: classifier disagrees with the predicates")
     if len(spokes) < 2:
         fails.append(f"{token}: fewer than two degenerate edges")
@@ -289,19 +299,17 @@ def _types_chunk(n: int, indices) -> list[str]:
                 fails.append(f"{token}: long-arc spokes form no double or pairing")
         if len(spokes) >= 3:
             fails.append(f"{token}: three spokes beside a long arc")
-    if tr.classify_type(tri) == tr.TYPE2 and not long_edges:
+    if kind == tr.TYPE2 and not long_edges:
         a = spokes[0].a
-        eset = set(tri.edges)
         if not any(x != a and ed.plain(a, x) in eset and ed.plain(x, a) in eset
                    for x in range(1, n + 1)):
             fails.append(f"{token}: double without its return arcs")
-    if tr.classify_type(tri) == tr.TYPE3:
+    if kind == tr.TYPE3:
         a, b = sorted({s.a for s in spokes})
         if ed.delta_length(n, a, b) == 2 or ed.delta_length(n, b, a) == 2:
             fails.append(f"{token}: non-double spoke pair is a pairing")
     # consecutive spokes at non-neighbor vertices must be joined by an arc
     distinct = sorted(set(bases))
-    eset = set(tri.edges)
     if len(distinct) >= 2:
         for i, a in enumerate(distinct):
             b = distinct[(i + 1) % len(distinct)]
@@ -312,11 +320,10 @@ def _types_chunk(n: int, indices) -> list[str]:
     return fails
 
 
-def _local_structure_chunk(n: int, indices) -> list[str]:
+def _local_structure_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
     fails = []
-    tri = tr.Triangulation.from_indices(n, indices)
     token = tri.token()
-    q = qv.quiver_of(tri)
+    kinds = ed.alphabet(tri.n).kind
     try:
         qv.assert_cluster_quiver(q)
     except Exception as exc:  # noqa: BLE001
@@ -324,11 +331,12 @@ def _local_structure_chunk(n: int, indices) -> list[str]:
     if not qv.is_connected(q):
         fails.append(f"{token}: quiver disconnected")
 
-    for m, e in zip(indices, tri.edges):
-        kind = ed.classify_edge(n, e)
+    members = tuple(zip(tri.key, tri.edges))
+    for m, e in members:
+        kind = kinds[m]
         vm = e.token()
         if kind == ed.CONNECTED:
-            inner, outer = _partition_sides(tri, e)
+            inner, outer = _partition_sides(tri.n, members, e)
             for s, t in q.arrows:
                 if (s in inner and t in outer) or (s in outer and t in inner):
                     fails.append(f"{token}: arrow across {vm} between "
@@ -352,12 +360,12 @@ def _local_structure_chunk(n: int, indices) -> list[str]:
     return fails
 
 
-def _partition_sides(tri: tr.Triangulation, m) -> tuple[set, set]:
-    """Edge indices of the triangulation inside the arc m and outside it."""
-    n = tri.n
+def _partition_sides(n: int, members, m) -> tuple[set, set]:
+    """Edge indices of the triangulation, given as (index, edge) members,
+    inside the arc m and outside it."""
     span = (m.b - m.a) % n
     inner, outer = set(), set()
-    for i, e in zip(tri.edge_indices(), tri.edges):
+    for i, e in members:
         if e == m:
             continue
         if e.is_plain:
@@ -385,13 +393,14 @@ def _check_census(n: int) -> list[str]:
     return fails
 
 
-def _relations_chunk(n: int, indices) -> list[str]:
-    tri = tr.Triangulation.from_indices(n, indices)
+def _relations_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
+    """q is the transported quiver, checked against the template by the
+    transport suite."""
     try:
         rels = rl.relations_of(tri)
     except Exception as exc:  # noqa: BLE001
         return [f"{tri.token()}: {exc}"]
-    dim = rl.path_algebra_dimension(qv.direct_quiver_of(tri), rels)
+    dim = rl.path_algebra_dimension(q, rels)
     expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
     if dim != expected:
         return [f"{tri.token()}: algebra dimension {dim} != hom total {expected}"]
@@ -400,15 +409,13 @@ def _relations_chunk(n: int, indices) -> list[str]:
 
 def suite_types(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n)  # built before forking so workers inherit it
-    keys = [t.edge_indices() for t in tr.enumerate_all(n)]
+    keys = [t.key for t in tr.enumerate_all(n)]
+    templates, local, dims = zip(*_parallel(partial(_types_chunk, n), keys, jobs))
     checks = [
-        ("each triangulation matches exactly one type template",
-         _gather(_parallel(partial(_types_chunk, n), keys, jobs))),
+        ("each triangulation matches exactly one type template", _gather(templates)),
         ("type and class censuses are consistent", _check_census(n)),
-        ("separation, region-neighbor, and border-vertex structure",
-         _gather(_parallel(partial(_local_structure_chunk, n), keys, jobs))),
-        ("relation ideals give the morphism-space dimensions",
-         _gather(_parallel(partial(_relations_chunk, n), keys, jobs))),
+        ("separation, region-neighbor, and border-vertex structure", _gather(local)),
+        ("relation ideals give the morphism-space dimensions", _gather(dims)),
     ]
     return SuiteReport("types", n, checks)
 
@@ -419,11 +426,12 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
 
 def _prop45_chunk(n: int, indices) -> list[str]:
     fails = []
-    tri = tr.Triangulation.from_indices(n, indices)
+    tri = tr.Triangulation(n, indices)
     token = tri.token()
     q = qv.quiver_of(tri)
+    kinds = ed.alphabet(n).kind
     for i, m in zip(indices, tri.edges):
-        kind = ed.classify_edge(n, m)
+        kind = kinds[i]
         cut = qv.delete_vertex(q, i)
         connected = qv.is_connected(cut)
         in_d = connected and qv.in_mutation_class_d(cut, n - 1)
@@ -446,7 +454,7 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n - 1)
     qv.mutation_class_a(n - 1)
     qv.mutation_class_d(n - 1)
-    keys = [t.edge_indices() for t in tr.enumerate_all(n)]
+    keys = [t.key for t in tr.enumerate_all(n)]
     checks = [
         ("vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate",
          _gather(_parallel(partial(_prop45_chunk, n), keys, jobs))),

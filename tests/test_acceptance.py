@@ -25,7 +25,7 @@ def test_criterion_01_triangulation_sizes():
             assert len(tri.edges) == n
             member_bits = 0
             inter = (1 << len(masks)) - 1
-            for i in tri.edge_indices():
+            for i in tri.key:
                 member_bits |= 1 << i
                 inter &= masks[i]
             assert inter & ~member_bits == 0  # maximal: no compatible edge left
@@ -66,12 +66,12 @@ def test_criterion_05_flip_mutation_commutation():
     for n in range(4, 8):
         table = qv.transport_table(n)  # raises on any path dependence
         for tri in tr.enumerate_all(n):
-            q = table[tri.edge_indices()]
+            q = table[tri.key]
             for m in tri.edges:
                 tri2, m2 = tr.flip(tri, m)
                 i, i2 = ed.edge_index(n, m), ed.edge_index(n, m2)
                 moved = qv.mutate(q, i).relabel({i: i2})
-                assert moved == table[tri2.edge_indices()]
+                assert moved == table[tri2.key]
                 checked += 1
     report(5, f"transport commutes with every flip and is path independent "
               f"at n=4..7 ({checked} flips)")
@@ -83,7 +83,7 @@ def test_criterion_06_oracle_equivalence():
         table = qv.transport_table(n)
         for tri in tr.enumerate_all(n):
             direct = qv.direct_quiver_of(tri)
-            assert direct == table[tri.edge_indices()]
+            assert direct == table[tri.key]
             checked += 1
     report(6, f"template construction equals mutation transport at n=4..7 "
               f"({checked} quivers)")

@@ -6,6 +6,7 @@ from dncat import edges as ed
 from dncat import quivers as qv
 from dncat import relations as rl
 from dncat import triangulations as tr
+from dncat import verify as vf
 from dncat.cli import main
 from dncat.errors import UnsupportedSizeError
 
@@ -154,6 +155,17 @@ def test_verify_jobs_deterministic(capsys):
     assert serial == parallel
 
 
+def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
+    # once for the template quiver (transport suite), once for the relation
+    # ideal (types suite); the dimension oracle reads the transported quiver
+    calls = []
+    decompose = qv.decompose
+    monkeypatch.setattr(qv, "decompose", lambda tri: calls.append(tri) or decompose(tri))
+    reports = vf.run_suite("all", 6)
+    assert all(r.ok for r in reports)
+    assert len(calls) == 2 * tr.count_all(6) == 1344
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "enumerate")[0] == 2          # missing --n
     assert run(capsys, "nonsense", "--n", "5")[0] == 2
@@ -239,3 +251,30 @@ def test_out_file(capsys, tmp_path):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
+
+
+def test_unwritable_out_file_exits_3(capsys, tmp_path):
+    code, out, err = run(capsys, "edges", "--n", "5", "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _show_with_meta(capsys, tmp_path, text):
+    run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
+    (tmp_path / "n=4" / "meta.json").write_text(text, encoding="utf-8")
+    return run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
+
+
+def test_catalog_show_malformed_meta_exits_3(capsys, tmp_path):
+    code, out, err = _show_with_meta(capsys, tmp_path, '{"version": ')
+    assert code == 3 and out == ""
+    assert err.startswith("error: malformed JSON in meta.json")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("meta", ['{"version": "0.1.0", "n": 4}', '{"checksums": []}'])
+def test_catalog_show_meta_without_checksums_exits_3(capsys, tmp_path, meta):
+    code, out, err = _show_with_meta(capsys, tmp_path, meta + "\n")
+    assert code == 3 and out == ""
+    assert err == "error: meta.json must be a JSON object with checksums: dict\n"
+    assert len(err.splitlines()) == 1

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dncat
 from dncat.edges import (
+    alphabet,
     all_edges,
     classify_edge,
     compatibility_masks,
@@ -160,10 +167,29 @@ def test_canonical_order_and_index():
 
 
 def test_compatibility_masks_match_crossings():
-    for n in (4, 5):
+    # the per-n tables against the validated per-edge rules
+    for n in range(4, 13):
+        table = alphabet(n)
         edges = all_edges(n)
         masks = compatibility_masks(n)
+        assert table.edges == edges and table.masks == masks
         for i, m in enumerate(edges):
+            assert table.index[m] == i
+            assert edges[table.tau[i]] == tau(n, m)
+            assert edges[table.tau_inv[i]] == tau_inv(n, m)
+            assert edges[table.sigma[i]] == sigma(n, m)
+            assert table.kind[i] == classify_edge(n, m)
             for j, other in enumerate(edges):
-                expected = i != j and crossing_number(n, m, other) == 0
-                assert bool(masks[i] >> j & 1) == expected
+                e = crossing_number(n, m, other)
+                assert table.cross[i][j] == e
+                assert bool(masks[i] >> j & 1) == (i != j and e == 0)
+
+
+def test_import_builds_no_tables():
+    # the per-n tables are built on first use, never at import
+    code = "import dncat; print(dncat.edges.alphabet.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(dncat.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"

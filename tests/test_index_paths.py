@@ -1,6 +1,8 @@
-"""Property tests of the mask-based validation and flips against the
-pairwise crossing-number reference: the crossing loop over input pairs and
-the extension scan in canonical edge order."""
+"""Property tests of the table-based paths against the per-edge rules: the
+mask-based validation and flips against the pairwise crossing-number
+reference (the crossing loop over input pairs and the extension scan in
+canonical edge order), and the morphism-space matrix read off the crossing
+table against hom_dim."""
 
 import random
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dncat import edges as ed
 from dncat.errors import DncatError, ModelInconsistencyError, NotATriangulationError
-from dncat.triangulations import fan, flip, validate_triangulation
+from dncat.triangulations import fan, flip, pairwise_hom_matrix, validate_triangulation
 
 
 def reference_validate(n, items):
@@ -97,3 +99,13 @@ def test_flip_matches_reference_on_random_walks(n, seed):
         back, m3 = flip(tri2, m2)
         assert back == tri and m3 == m
         tri = tri2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 20), st.integers(0, 2**32 - 1))
+def test_hom_matrix_matches_hom_dim_on_random_walks(n, seed):
+    tri = random_walk(n, random.Random(seed), 3 * n)
+    matrix = pairwise_hom_matrix(tri)
+    for a, e_a in enumerate(tri.edges):
+        for b, e_b in enumerate(tri.edges):
+            assert matrix[a][b] == ed.hom_dim(n, e_a, e_b)

@@ -1,6 +1,6 @@
 import pytest
 
-from dncat.edges import _sigma_indices, _tau_indices, edge_index, plain, spoke
+from dncat.edges import alphabet, edge_index, plain, spoke
 from dncat.errors import UnsupportedSizeError
 from dncat.quivers import (
     Quiver,
@@ -107,30 +107,30 @@ def test_quiver_is_symmetry_equivariant():
     for n in (4, 5):
         table = transport_table(n)
         for tri in enumerate_all(n):
-            q = table[tri.edge_indices()]
-            tau_map = dict(enumerate(_tau_indices(n)))
-            sigma_map = dict(enumerate(_sigma_indices(n)))
-            assert q.relabel(tau_map) == table[apply_tau(tri).edge_indices()]
-            assert q.relabel(sigma_map) == table[apply_sigma(tri).edge_indices()]
+            q = table[tri.key]
+            tau_map = dict(enumerate(alphabet(n).tau))
+            sigma_map = dict(enumerate(alphabet(n).sigma))
+            assert q.relabel(tau_map) == table[apply_tau(tri).key]
+            assert q.relabel(sigma_map) == table[apply_sigma(tri).key]
 
 
 def test_flip_mutation_commutation():
     for n in (4, 5):
         table = transport_table(n)
         for tri in enumerate_all(n):
-            q = table[tri.edge_indices()]
+            q = table[tri.key]
             for m in tri.edges:
                 tri2, m2 = flip(tri, m)
                 i, i2 = edge_index(n, m), edge_index(n, m2)
                 moved = mutate(q, i).relabel({i: i2})
-                assert moved == table[tri2.edge_indices()]
+                assert moved == table[tri2.key]
 
 
 def test_direct_equals_transport():
     for n in (4, 5, 6):
         table = transport_table(n)
         for tri in enumerate_all(n):
-            assert direct_quiver_of(tri) == table[tri.edge_indices()]
+            assert direct_quiver_of(tri) == table[tri.key]
 
 
 def test_direct_type_two_shape():

@@ -1,3 +1,5 @@
+from math import comb, gcd
+
 import pytest
 
 from dncat.edges import CLOSE_TO_BORDER, classify_edge, ext_dim, plain, spoke, tau
@@ -60,7 +62,7 @@ def test_enumeration_is_sorted_and_sized():
         previous = None
         for tri in enumerate_all(n):
             assert len(tri.edges) == n
-            key = tri.edge_indices()
+            key = tri.key
             if previous is not None:
                 assert previous < key
             previous = key
@@ -130,6 +132,18 @@ def test_census_at_five():
     assert type_census(5) == {1: 100, 2: 20, 3: 20, 4: 42}
     assert class_census(5) == {1: 15, 2: 4, 3: 2, 4: 5}
     assert len(equivalence_classes(5)) == 26
+
+
+def test_class_count_matches_the_mutation_class_formula():
+    # Classes correspond to the quivers of Mut(D_n), whose number is
+    # (1/2n) sum_{d | n} phi(n/d) C(2d, d) (Buan-Torkildsen, arXiv:0812.2240).
+    def phi(k):
+        return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+    for n in range(4, 10):
+        total = sum(phi(n // d) * comb(2 * d, d) for d in range(1, n + 1) if n % d == 0)
+        assert total % (2 * n) == 0
+        assert len(equivalence_classes(n)) == total // (2 * n)
 
 
 def test_class_representatives_are_canonical():
