@@ -454,67 +454,15 @@ def _index_graph(q: Quiver):
     return idx, adj_out, adj_in
 
 
-def is_isomorphic(q1: Quiver, q2: Quiver):
-    """Vertex-bijection test preserving the arrow multiset; returns
-    (bool, witness dict or None).  Colors are refined by in/out degree
-    signatures, then a backtracking matcher runs inside the color classes."""
-    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
-        return False, None
-    _, out1, in1 = _index_graph(q1)
-    _, out2, in2 = _index_graph(q2)
-    n_verts = len(q1.vertices)
-    c1 = _refine_colors(n_verts, out1, in1, [0] * n_verts)
-    c2 = _refine_colors(n_verts, out2, in2, [0] * n_verts)
-    if sorted(c1) != sorted(c2):
-        return False, None
-    cnt1 = [Counter(out1[v]) for v in range(n_verts)]
-    cnt2 = [Counter(out2[v]) for v in range(n_verts)]
-
-    order = sorted(range(n_verts), key=lambda v: (c1.count(c1[v]), c1[v], v))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == n_verts:
-            return True
-        v = order[pos]
-        for w in range(n_verts):
-            if w in used or c2[w] != c1[v]:
-                continue
-            ok = True
-            for u, x in assigned.items():
-                if cnt1[v][u] != cnt2[w][x] or cnt1[u][v] != cnt2[x][w]:
-                    ok = False
-                    break
-            if ok:
-                assigned[v] = w
-                used.add(w)
-                if extend(pos + 1):
-                    return True
-                del assigned[v]
-                used.remove(w)
-        return False
-
-    if extend(0):
-        witness = {q1.vertices[v]: q2.vertices[w] for v, w in assigned.items()}
-        return True, witness
-    return False, None
-
-
-def canonical_key(q: Quiver):
-    """Label-free canonical encoding: minimal sorted arrow list over all
-    vertex orderings consistent with individualization-refinement."""
+def _canonical_labeling(q: Quiver):
+    """Individualization-refinement: over the vertex orderings it reaches,
+    the one whose sorted arrow list is minimal.  Returns that encoding as
+    the key and the vertices in the order (rank) that produces it."""
     n_verts = len(q.vertices)
     idx, adj_out, adj_in = _index_graph(q)
     arrow_pairs = [(idx[s], idx[t]) for s, t in q.arrows]
 
-    best = [None]
-
-    def encode(perm: list[int]):
-        pos = [0] * n_verts
-        for rank, v in enumerate(perm):
-            pos[v] = rank
-        return tuple(sorted((pos[s], pos[t]) for s, t in arrow_pairs))
+    best = [None, None]
 
     def search(colors):
         classes: dict[int, list[int]] = {}
@@ -522,10 +470,11 @@ def canonical_key(q: Quiver):
             classes.setdefault(colors[v], []).append(v)
         split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
         if split is None:
-            perm = sorted(range(n_verts), key=lambda v: colors[v])
-            cand = encode(perm)
+            # colors are distinct here: each is its vertex's rank
+            cand = tuple(sorted((colors[s], colors[t]) for s, t in arrow_pairs))
             if best[0] is None or cand < best[0]:
                 best[0] = cand
+                best[1] = sorted(range(n_verts), key=lambda v: colors[v])
             return
         for v in classes[split]:
             new = list(colors)
@@ -536,7 +485,31 @@ def canonical_key(q: Quiver):
             search(new)
 
     search(_refine_colors(n_verts, adj_out, adj_in, [0] * n_verts))
-    return (n_verts, best[0])
+    return (n_verts, best[0]), [q.vertices[v] for v in best[1]]
+
+
+def canonical_key(q: Quiver):
+    """Label-free canonical encoding: minimal sorted arrow list over all
+    vertex orderings consistent with individualization-refinement."""
+    return _canonical_labeling(q)[0]
+
+
+def is_isomorphic(q1: Quiver, q2: Quiver):
+    """Vertex-bijection test preserving the arrow multiset; returns
+    (bool, witness dict or None).  The quivers are isomorphic iff their
+    canonical keys agree, and the witness pairs the two canonical labelings
+    rank by rank, listed in q2's vertex order."""
+    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
+        return False, None
+    key1, order1 = _canonical_labeling(q1)
+    key2, order2 = _canonical_labeling(q2)
+    if key1 != key2:
+        return False, None
+    rank2 = {w: r for r, w in enumerate(order2)}
+    witness = {order1[rank2[w]]: w for w in q2.vertices}
+    if sorted((witness[s], witness[t]) for s, t in q1.arrows) != sorted(q2.arrows):
+        raise ModelInconsistencyError("canonical labelings do not map the arrows")
+    return True, witness
 
 
 def delete_vertex(q: Quiver, v) -> Quiver:
@@ -668,21 +641,29 @@ def _mutation_class_keys(seed: Quiver, check_a: bool) -> frozenset:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
 def mutation_class_a(k: int, bound: int = DEFAULT_CLASS_BOUND) -> frozenset:
     if k > bound:
         raise UnsupportedSizeError(f"k={k} above the mutation-class bound {bound}")
     if k < 1:
         raise UnsupportedSizeError("k must be at least 1")
-    return _mutation_class_keys(linear_a_quiver(k), check_a=True)
+    return _mutation_class_a(k)
 
 
 @lru_cache(maxsize=None)
+def _mutation_class_a(k: int) -> frozenset:
+    return _mutation_class_keys(linear_a_quiver(k), check_a=True)
+
+
 def mutation_class_d(k: int, bound: int = DEFAULT_CLASS_BOUND) -> frozenset:
     if k > bound:
         raise UnsupportedSizeError(f"k={k} above the mutation-class bound {bound}")
     if k < 4:
         raise UnsupportedSizeError("type D needs k >= 4")
+    return _mutation_class_d(k)
+
+
+@lru_cache(maxsize=None)
+def _mutation_class_d(k: int) -> frozenset:
     return _mutation_class_keys(base_quiver_d(k), check_a=False)
 
 

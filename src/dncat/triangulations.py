@@ -340,6 +340,14 @@ def class_census(n: int) -> dict[int, int]:
 def quotient(tri: Triangulation, m: TaggedEdge) -> Triangulation:
     """Factor out a close-to-border arc M(a, a+2): delete boundary vertex
     a+1 and relabel downward, yielding a triangulation one size smaller."""
+    universe = ed.alphabet(tri.n - 1).edges
+    return Triangulation.from_edges(
+        tri.n - 1, [universe[j] for j in quotient_map(tri, m).values()])
+
+
+def quotient_map(tri: Triangulation, m: TaggedEdge) -> dict[int, int]:
+    """The quotient's explicit edge map: each edge index of tri other than
+    m to the index of its relabelled edge in quotient(tri, m)."""
     n = tri.n
     alpha = ed.alphabet(n)
     i = alpha.index.get(m)
@@ -358,8 +366,11 @@ def quotient(tri: Triangulation, m: TaggedEdge) -> Triangulation:
             )
         return v - 1 if v > dropped else v
 
-    new_edges = [TaggedEdge(relabel(e.a), relabel(e.b), e.tag) for e in tri.edges if e != m]
-    return Triangulation.from_edges(n - 1, new_edges)
+    # every other edge avoids the dropped vertex, and an arc over it keeps
+    # at least three boundary vertices, so its image is an edge at n - 1
+    index = ed.alphabet(n - 1).index
+    return {j: index[TaggedEdge(relabel(e.a), relabel(e.b), e.tag)]
+            for j, e in zip(tri.key, tri.edges) if j != i}
 
 
 def pairwise_hom_matrix(tri: Triangulation) -> list[list[int]]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dncat
 from dncat import edges as ed
 from dncat import quivers as qv
 from dncat import relations as rl
@@ -164,6 +169,40 @@ def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
     reports = vf.run_suite("all", 6)
     assert all(r.ok for r in reports)
     assert len(calls) == 2 * tr.count_all(6) == 1344
+
+
+def test_prop45_keys_each_connected_deletion_once(monkeypatch):
+    # one canonical key per connected deletion, tested against both classes;
+    # the quotient law is a labelled comparison and takes no key
+    qv.mutation_class_a(5)
+    qv.mutation_class_d(5)
+    calls = []
+    canonical_key = qv.canonical_key
+    monkeypatch.setattr(qv, "canonical_key", lambda q: calls.append(q) or canonical_key(q))
+    assert vf.suite_prop45(6).ok
+    assert len(calls) == 2676
+
+
+def test_mutation_classes_are_built_once(monkeypatch):
+    # the suite's warm-up and the membership tests share one cache entry per k
+    qv._mutation_class_a.cache_clear()
+    qv._mutation_class_d.cache_clear()
+    seeds = []
+    build = qv._mutation_class_keys
+    monkeypatch.setattr(qv, "_mutation_class_keys",
+                        lambda seed, check_a: seeds.append(check_a) or build(seed, check_a))
+    assert vf.suite_prop45(5).ok
+    assert qv.in_mutation_class_a(qv.linear_a_quiver(4), 4)
+    assert qv.in_mutation_class_d(qv.base_quiver_d(4), 4)
+    assert sorted(seeds) == [False, True]  # D(4) once, A(4) once
+
+
+def test_module_entry_point_runs_without_install():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(dncat.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dncat", "--version"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("dncat ")
 
 
 def test_usage_errors(capsys):

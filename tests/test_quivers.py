@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dncat.edges import alphabet, edge_index, plain, spoke
 from dncat.errors import UnsupportedSizeError
@@ -28,6 +31,7 @@ from dncat.triangulations import (
     fan,
     flip,
 )
+from dncat.verify import find_d4_witness
 
 
 def b_matrix_mutate(matrix, k):
@@ -163,6 +167,41 @@ def test_isomorphism_witness_maps_arrows():
     mapped = sorted((witness[s], witness[t]) for s, t in a.arrows)
     assert mapped == sorted(b.arrows)
     assert canonical_key(a) == canonical_key(b)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(5, 14), st.integers(0, 2**32 - 1))
+def test_isomorphism_witness_on_relabelled_walk_quivers(n, seed):
+    # quivers from seeded flip walks, renamed by a random vertex permutation
+    rng = random.Random(seed)
+    tri = fan(n)
+    for _ in range(3 * n):
+        tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+    q = direct_quiver_of(tri)
+    image = list(q.vertices)
+    rng.shuffle(image)
+    renamed = q.relabel(dict(zip(q.vertices, image)))
+    ok, witness = is_isomorphic(q, renamed)
+    assert ok
+    assert sorted(witness) == list(q.vertices)
+    assert list(witness.values()) == list(renamed.vertices)
+    assert tuple(sorted((witness[s], witness[t]) for s, t in q.arrows)) == renamed.arrows
+    # a mutation that changes the key leaves no isomorphism
+    key = canonical_key(q)
+    changed = [v for v in q.vertices if canonical_key(mutate(q, v)) != key]
+    assert changed
+    for v in changed:
+        assert is_isomorphic(renamed, mutate(q, v)) == (False, None)
+
+
+def test_d4_witness_pairs_the_canonical_labelings():
+    a, b = find_d4_witness()
+    qa, qb = quiver_of(a.representative), quiver_of(b.representative)
+    ok, witness = is_isomorphic(qa, qb)
+    assert ok
+    assert [(qa.label(v), qb.label(w)) for v, w in witness.items()] == [
+        ("s:1:+", "p:1-3"), ("p:1-4", "p:4-3"), ("p:1-3", "s:3:+"), ("s:4:+", "s:3:-"),
+    ]
 
 
 def test_canonical_key_separates():

@@ -8,6 +8,7 @@ from dncat.errors import (
     NotATriangulationError,
     UnsupportedSizeError,
 )
+from dncat.quivers import delete_vertex, quiver_of
 from dncat.triangulations import (
     Triangulation,
     apply_sigma,
@@ -26,6 +27,7 @@ from dncat.triangulations import (
     pairwise_hom_matrix,
     parse_triangulation,
     quotient,
+    quotient_map,
     type_census,
 )
 
@@ -175,6 +177,26 @@ def test_quotient_preserves_spokes_and_validity():
             assert reduced.n == 5
             assert is_triangulation(5, reduced.edges)
             assert len(reduced.spokes()) == len(tri.spokes())
+
+
+def test_quotient_map_carries_the_cut_quiver_onto_the_quotient_quiver():
+    # labelled, not up to isomorphism: the quiver of tri minus m, renamed by
+    # the quotient's edge map, is the quotient's quiver
+    checked = 0
+    for n in (5, 6, 7):
+        for tri in enumerate_all(n):
+            q = quiver_of(tri)
+            for i, m in zip(tri.key, tri.edges):
+                if classify_edge(n, m) != CLOSE_TO_BORDER:
+                    continue
+                reduced = quotient(tri, m)
+                emap = quotient_map(tri, m)
+                assert tuple(sorted(emap.values())) == reduced.key
+                moved = delete_vertex(q, i).relabel(emap)
+                expected = quiver_of(reduced)
+                assert (moved.vertices, moved.arrows) == (expected.vertices, expected.arrows)
+                checked += 1
+    assert checked == 6046
 
 
 def test_quotient_wraparound_labels():
