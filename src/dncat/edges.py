@@ -150,27 +150,27 @@ def crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
 
 
 def _crossing(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
-    if m == other:
-        return 0
-    if m.is_spoke and other.is_spoke:
+    m_spoke = m.a == m.b
+    other_spoke = other.a == other.b
+    if m_spoke and other_spoke:
         return 1 if (m.a != other.a and m.tag != other.tag) else 0
-    if m.is_spoke or other.is_spoke:
-        s, p = (m, other) if m.is_spoke else (other, m)
+    if m_spoke or other_spoke:
+        s, p = (m, other) if m_spoke else (other, m)
         return 1 if _in_open_interval(n, p.a, p.b, s.a) else 0
-    # plain vs plain, on the line: window (a, a+p), lifts (c+kn, c+q+kn)
-    a = m.a
+    # plain vs plain, on the line shifted so m starts at 0: window (0, span),
+    # lifts (x, x+q).  The window is shorter than n and so is q, so only the
+    # lifts starting at d and d-n (d in 0..n-1) can put an endpoint strictly
+    # inside it; equal arcs meet only at the window's ends and count 0.
     span = (m.b - m.a) % n
-    c = other.a
     q = (other.b - other.a) % n
-    hi = a + span
+    d = (other.a - m.a) % n
     count = 0
-    for k in (-2, -1, 0, 1, 2):
-        x = c + k * n
+    for x in (d, d - n):
         y = x + q
-        x_in = a < x < hi
-        y_in = a < y < hi
-        x_out = x < a or x > hi
-        y_out = y < a or y > hi
+        x_in = 0 < x < span
+        y_in = 0 < y < span
+        x_out = x < 0 or x > span
+        y_out = y < 0 or y > span
         if (x_in and y_out) or (y_in and x_out):
             count += 1
     return count

@@ -239,18 +239,36 @@ def apply_sigma(tri: Triangulation) -> Triangulation:
     return _apply(tri, ed.alphabet(tri.n).sigma)
 
 
-def _orbit_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sorted index tuples of the orbit of key under the translation and
-    the tag swap, deduplicated and in lexicographic order."""
+@lru_cache(maxsize=None)
+def _group(n: int) -> tuple[tuple[int, ...], ...]:
+    """The group generated by the translation and the tag swap, as index
+    permutations in the order tau^0, sigma tau^0, tau^1, sigma tau^1, ...
+    up to tau_order(n)."""
     alpha = ed.alphabet(n)
     tau, sigma = alpha.tau, alpha.sigma
-    seen = set()
-    current = key
+    perms = []
+    g = tuple(range(len(tau)))
     for _ in range(ed.tau_order(n)):
-        seen.add(current)
-        seen.add(tuple(sorted(sigma[i] for i in current)))
-        current = tuple(sorted(tau[i] for i in current))
-    return sorted(seen)
+        perms.append(g)
+        perms.append(tuple(sigma[i] for i in g))
+        g = tuple(tau[i] for i in g)
+    return tuple(perms)
+
+
+def _orbit(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The orbit of key under the translation and the tag swap: each member's
+    sorted index tuple, mapped to the first group element (in _group order)
+    that carries key onto it."""
+    orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for g in _group(n):
+        orbit.setdefault(tuple(sorted(g[i] for i in key)), g)
+    return orbit
+
+
+def _orbit_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sorted index tuples of the orbit of key, deduplicated and in
+    lexicographic order."""
+    return sorted(_orbit(n, key))
 
 
 def orbit(tri: Triangulation) -> list[Triangulation]:

@@ -424,33 +424,60 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
 # prop45 (quotient laws)
 
 
-def _prop45_chunk(n: int, indices) -> list[str]:
+def _prop45_chunk(n: int, rep_key) -> list[str]:
+    """prop45 on the orbit of one class representative.  Its deletions are
+    keyed and tested against A(n-1) and D(n-1).  Every other member is the
+    image of the representative under a group element g, so its quiver must
+    be the representative's relabelled by g; with the edge kinds invariant
+    under the group, the membership and connectivity facts carry over.  The
+    quotient law runs on every member."""
     fails = []
-    tri = tr.Triangulation(n, indices)
-    token = tri.token()
-    q = qv.quiver_of(tri)
+    table = qv.transport_table(n)
+    reduced = qv.transport_table(n - 1)
     kinds = ed.alphabet(n).kind
-    for i, m in zip(indices, tri.edges):
+    class_d, class_a = qv.mutation_class_d(n - 1), qv.mutation_class_a(n - 1)
+    rep = tr.Triangulation(n, rep_key)
+    q = table[rep_key]
+    for i, m in zip(rep_key, rep.edges):
         kind = kinds[i]
         cut = qv.delete_vertex(q, i)
         connected = qv.is_connected(cut)
         key = qv.canonical_key(cut) if connected else None
-        in_d = key in qv.mutation_class_d(n - 1)
-        in_a = key in qv.mutation_class_a(n - 1)
+        in_d = key in class_d
+        in_a = key in class_a
+        where = f"{rep.token()} minus {m.token()}"
         if in_d != (kind == ed.CLOSE_TO_BORDER):
-            fails.append(f"{token} minus {m.token()}: D-membership {in_d}, {kind}")
+            fails.append(f"{where}: D-membership {in_d}, {kind}")
         if in_a != (kind == ed.DEGENERATE):
-            fails.append(f"{token} minus {m.token()}: A-membership {in_a}, {kind}")
+            fails.append(f"{where}: A-membership {in_a}, {kind}")
         if kind == ed.CONNECTED and connected:
-            fails.append(f"{token} minus {m.token()}: connected arc left it connected")
-        if kind == ed.CLOSE_TO_BORDER:
-            # labelled equality through the quotient's edge map; relabel
-            # keeps n, so vertices and arrows are compared
-            reduced = qv.quiver_of(tr.quotient(tri, m))
-            moved = cut.relabel(tr.quotient_map(tri, m))
-            if (moved.vertices, moved.arrows) != (reduced.vertices, reduced.arrows):
-                fails.append(f"{token} minus {m.token()}: quotient quiver differs")
+            fails.append(f"{where}: connected arc left it connected")
+    for key, g in tr._orbit(n, rep_key).items():
+        tri = tr.Triangulation(n, key)
+        member = table[key]
+        if key != rep_key and member != q.relabel({i: g[i] for i in rep_key}):
+            fails.append(f"{tri.token()}: quiver is not its representative's "
+                         f"{rep.token()} moved by the orbit map")
+        for i, m in zip(key, tri.edges):
+            if kinds[i] != ed.CLOSE_TO_BORDER:
+                continue
+            # labelled equality through the quotient's edge map
+            edge_map = tr.quotient_map(tri, m)
+            entry = reduced.get(tuple(sorted(edge_map.values())))
+            where = f"{tri.token()} minus {m.token()}"
+            if entry is None:
+                fails.append(f"{where}: quotient is not a triangulation")
+            elif tuple(sorted((edge_map[s], edge_map[t]) for s, t in member.arrows
+                              if s != i and t != i)) != entry.arrows:
+                fails.append(f"{where}: quotient quiver differs")
     return fails
+
+
+def _kind_invariance_failures(n: int) -> list[str]:
+    alpha = ed.alphabet(n)
+    return [f"{e.token()}: edge kind not {name} invariant"
+            for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma))
+            for i, e in enumerate(alpha.edges) if alpha.kind[perm[i]] != alpha.kind[i]]
 
 
 def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
@@ -458,10 +485,11 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n - 1)
     qv.mutation_class_a(n - 1)
     qv.mutation_class_d(n - 1)
-    keys = [t.key for t in tr.enumerate_all(n)]
+    reps = [cls.representative.key for cls in tr.equivalence_classes(n)]
+    results = _parallel(partial(_prop45_chunk, n), reps, jobs)
     checks = [
         ("vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate",
-         _gather(_parallel(partial(_prop45_chunk, n), keys, jobs))),
+         _gather([_kind_invariance_failures(n), *results])),
     ]
     return SuiteReport("prop45", n, checks)
 
@@ -515,15 +543,30 @@ def suite_d4(n: int = 4, jobs: int = 1) -> SuiteReport:
     if witness is not None:
         a, b = witness
         qa, qb = qv.quiver_of(a.representative), qv.quiver_of(b.representative)
-        iso, mapping = qv.is_isomorphic(qa, qb)
+        _, mapping = qv.is_isomorphic(qa, qb)
+        fails = _witness_failures(a.representative, b.representative, qa, qb, mapping)
         if mapping is not None:
             mapping = {qa.label(v): qb.label(w) for v, w in mapping.items()}
         report.checks.append(
             (f"witness: {a.representative.token()} (type {a.type}) ~/~ "
              f"{b.representative.token()} (type {b.type}); vertex map {mapping}",
-             [] if iso else ["matcher disagrees with canonical keys"]),
+             fails),
         )
     return report
+
+
+def _witness_failures(a: tr.Triangulation, b: tr.Triangulation,
+                      qa: qv.Quiver, qb: qv.Quiver, mapping) -> list[str]:
+    """The witness pair lies in two orbits, and its vertex map is a
+    bijection carrying qa's arrows exactly onto qb's."""
+    fails = []
+    if b.key in tr._orbit(a.n, a.key):
+        fails.append("representatives lie in one orbit")
+    if (mapping is None or sorted(mapping) != list(qa.vertices)
+            or sorted(mapping.values()) != list(qb.vertices)
+            or tuple(sorted((mapping[s], mapping[t]) for s, t in qa.arrows)) != qb.arrows):
+        fails.append("vertex map does not carry the arrows onto the second quiver")
+    return fails
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,41 @@ def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
 
 
 def test_prop45_keys_each_connected_deletion_once(monkeypatch):
-    # one canonical key per connected deletion, tested against both classes;
-    # the quotient law is a labelled comparison and takes no key
-    qv.mutation_class_a(5)
-    qv.mutation_class_d(5)
-    calls = []
+    # one canonical key per connected deletion of each class representative,
+    # tested against both classes; the other orbit members are checked by
+    # relabelling, and the quotient law is a labelled comparison
     canonical_key = qv.canonical_key
-    monkeypatch.setattr(qv, "canonical_key", lambda q: calls.append(q) or canonical_key(q))
+    for n, want in ((6, 316), (7, 1029)):
+        qv.mutation_class_a(n - 1)
+        qv.mutation_class_d(n - 1)
+        calls = []
+        monkeypatch.setattr(qv, "canonical_key",
+                            lambda q: calls.append(q) or canonical_key(q))
+        assert vf.suite_prop45(n).ok
+        assert len(calls) == want
+
+
+def test_prop45_alone_catches_a_bad_orbit_member():
+    table = qv.transport_table(6)
+    reps = {cls.representative.key for cls in tr.equivalence_classes(6)}
+    key = next(k for k in sorted(table) if k not in reps)
+    good = table[key]
+    table[key] = qv.mutate(good, key[0])
+    try:
+        report = vf.suite_prop45(6)
+    finally:
+        table[key] = good
+    assert not report.ok
+    ((_, fails),) = report.checks
+    assert any("moved by the orbit map" in f for f in fails)
     assert vf.suite_prop45(6).ok
-    assert len(calls) == 2676
+
+
+def test_prop45_jobs_deterministic(capsys):
+    _, serial, _ = run(capsys, "verify", "--n", "6", "--suite", "prop45")
+    _, parallel, _ = run(capsys, "verify", "--n", "6", "--suite", "prop45",
+                         "--jobs", "2")
+    assert serial == parallel and "PASS suite=prop45 n=6" in serial
 
 
 def test_mutation_classes_are_built_once(monkeypatch):

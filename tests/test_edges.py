@@ -185,6 +185,39 @@ def test_compatibility_masks_match_crossings():
                 assert bool(masks[i] >> j & 1) == (i != j and e == 0)
 
 
+def _five_lift_crossing(n, m, other):
+    """The plain-arc rule over five lifts of the other arc, unshifted: a
+    reference for the two-lift loop in the library."""
+    if m == other:
+        return 0
+    if m.is_spoke and other.is_spoke:
+        return 1 if (m.a != other.a and m.tag != other.tag) else 0
+    if m.is_spoke or other.is_spoke:
+        s, p = (m, other) if m.is_spoke else (other, m)
+        return 1 if 0 < (s.a - p.a) % n < (p.b - p.a) % n else 0
+    a, hi = m.a, m.a + (m.b - m.a) % n
+    q = (other.b - other.a) % n
+    count = 0
+    for k in (-2, -1, 0, 1, 2):
+        x = other.a + k * n
+        y = x + q
+        x_in, y_in = a < x < hi, a < y < hi
+        x_out, y_out = x < a or x > hi, y < a or y > hi
+        if (x_in and y_out) or (y_in and x_out):
+            count += 1
+    return count
+
+
+def test_crossing_table_matches_five_lifts():
+    for n in range(4, 26):
+        table = alphabet(n)
+        edges = table.edges
+        for i, m in enumerate(edges):
+            row = table.cross[i]
+            assert [row[j] for j in range(i, len(edges))] == [
+                _five_lift_crossing(n, m, other) for other in edges[i:]], (n, m.token())
+
+
 def test_import_builds_no_tables():
     # the per-n tables are built on first use, never at import
     code = "import dncat; print(dncat.edges.alphabet.cache_info().currsize)"

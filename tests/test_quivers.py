@@ -31,7 +31,7 @@ from dncat.triangulations import (
     fan,
     flip,
 )
-from dncat.verify import find_d4_witness
+from dncat.verify import _witness_failures, find_d4_witness
 
 
 def b_matrix_mutate(matrix, k):
@@ -202,6 +202,24 @@ def test_d4_witness_pairs_the_canonical_labelings():
     assert [(qa.label(v), qb.label(w)) for v, w in witness.items()] == [
         ("s:1:+", "p:1-3"), ("p:1-4", "p:4-3"), ("p:1-3", "s:3:+"), ("s:4:+", "s:3:-"),
     ]
+
+
+def test_d4_witness_check_tests_orbits_and_arrows():
+    a, b = find_d4_witness()
+    ta, tb = a.representative, b.representative
+    qa, qb = quiver_of(ta), quiver_of(tb)
+    _, witness = is_isomorphic(qa, qb)
+    assert _witness_failures(ta, tb, qa, qb, witness) == []
+    assert _witness_failures(ta, apply_tau(ta), qa, qb, witness) == [
+        "representatives lie in one orbit"]
+    # rotating the images breaks the arrows; None and a non-injective map
+    # are no witnesses at all
+    images = list(witness.values())
+    rotated = dict(zip(witness, images[1:] + images[:1]))
+    collapsed = dict.fromkeys(witness, images[0])
+    for bad in (rotated, collapsed, None):
+        assert _witness_failures(ta, tb, qa, qb, bad) == [
+            "vertex map does not carry the arrows onto the second quiver"]
 
 
 def test_canonical_key_separates():

@@ -19,7 +19,7 @@ def test_oracle_rejects_spoke_pairs():
 
 
 def test_oracle_matches_crossing_rule_exhaustively():
-    for n in range(4, 8):
+    for n in range(4, 10):
         edges = all_edges(n)
         for i, m in enumerate(edges):
             for other in edges[i:]:
