@@ -285,3 +285,10 @@ def alphabet(n: int) -> Alphabet:
     perms = [tuple(index[image(n, e)] for e in edges) for image in (tau, tau_inv, sigma)]
     return Alphabet(tuple(edges), index, tuple(cross), masks, *perms,
                     tuple(classify_edge(n, e) for e in edges))
+
+
+def _plain_index(n: int, a: int, b: int) -> int:
+    """Canonical index of the plain arc M(a, b), unchecked: the arcs come
+    first, by start vertex a and then by length (b - a) mod n + 1, exactly
+    as alphabet generates them."""
+    return (a - 1) * (n - 2) + (b - a) % n - 2

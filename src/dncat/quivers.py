@@ -56,9 +56,10 @@ class Quiver:
         return {t for s, t in self.arrows if s == v} | {s for s, t in self.arrows if t == v}
 
     def relabel(self, mapping: dict) -> "Quiver":
+        # the arrows run between the quiver's own vertices, so no check
         f = lambda v: mapping.get(v, v)
-        return Quiver.build([f(v) for v in self.vertices],
-                            [(f(s), f(t)) for s, t in self.arrows], self.n)
+        return Quiver(tuple(sorted({f(v) for v in self.vertices})),
+                      tuple(sorted((f(s), f(t)) for s, t in self.arrows)), self.n)
 
     def label(self, v):
         """Export name of vertex v: its edge token in a triangulation's
@@ -95,22 +96,22 @@ def mutate(q: Quiver, v) -> Quiver:
     cancel opposite arrow pairs maximally."""
     if v not in q.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    counts = Counter()
+    counts: dict = {}
     ins, outs = [], []
     for s, t in q.arrows:
         if s == v or t == v:
-            counts[(t, s)] += 1
+            counts[(t, s)] = counts.get((t, s), 0) + 1
             if t == v:
                 ins.append(s)
             else:
                 outs.append(t)
         else:
-            counts[(s, t)] += 1
+            counts[(s, t)] = counts.get((s, t), 0) + 1
     for u in ins:
         for w in outs:
             if u == w:
                 raise ModelInconsistencyError("2-cycle through mutation vertex")
-            counts[(u, w)] += 1
+            counts[(u, w)] = counts.get((u, w), 0) + 1
     for s, t in list(counts):
         if s < t:
             cancel = min(counts[(s, t)], counts.get((t, s), 0))
@@ -120,7 +121,7 @@ def mutate(q: Quiver, v) -> Quiver:
     arrows = []
     for pair, c in counts.items():
         arrows.extend([pair] * c)
-    return Quiver.build(q.vertices, arrows, q.n)
+    return Quiver(q.vertices, tuple(sorted(arrows)), q.n)
 
 
 def assert_cluster_quiver(q: Quiver, context: str = "") -> None:
@@ -251,43 +252,45 @@ class Decomposition:
         return arrows
 
 
-def _region_triangles(index: dict, corners: list[int], diagonals: set) -> list:
+def _region_triangles(n: int, corners: list[int], diagonals) -> list:
     """Triangles of a triangulated polygon region.  The region's corners are
     contiguous boundary vertices in ccw order and the closing side between
-    the first and last corner is an edge of the triangulation; diagonals is
-    the set of unordered corner pairs carried by the region's interior
+    the first and last corner is an edge of the triangulation; diagonals
+    holds the corner-position pairs (i, j), i < j, of the region's interior
     edges.  Each triangle is returned as its three sides, each side either
-    an edge index (by the alphabet's index map) or None for a boundary
-    segment."""
+    an edge index or None for a boundary segment.  Triangles come in the
+    preorder of the recursive split of the closing side."""
     m = len(corners)
-    index_pairs = {frozenset(p): None for p in diagonals}
+    # boundary segments (the positions -1 and m are never an apex), the
+    # closing side, the diagonals
+    adjacent = [{i - 1, i + 1} for i in range(m)]
+    adjacent[0].add(m - 1)
+    adjacent[m - 1].add(0)
+    for i, j in diagonals:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
 
     def side(i: int, j: int):
         if j == i + 1:
             return None  # boundary segment
-        return index[ed.plain(corners[i], corners[j])]
-
-    def has_edge(i: int, j: int) -> bool:
-        if j == i + 1 or (i, j) == (0, m - 1):
-            return True
-        return frozenset((corners[i], corners[j])) in index_pairs
+        return ed._plain_index(n, corners[i], corners[j])
 
     triangles = []
-
-    def split(i: int, j: int) -> None:
+    stack = [(0, m - 1)]
+    while stack:
+        i, j = stack.pop()
         if j <= i + 1:
-            return
-        for k in range(i + 1, j):
-            if has_edge(i, k) and has_edge(k, j):
-                triangles.append((side(i, k), side(k, j), side(i, j)))
-                split(i, k)
-                split(k, j)
-                return
-        raise ModelInconsistencyError(
-            f"region {corners} not triangulated between positions {i} and {j}"
-        )
-
-    split(0, m - 1)
+            continue
+        # the apex over side (i, j): unique when the region is triangulated
+        apex = [k for k in adjacent[i] if i < k < j and k in adjacent[j]]
+        if not apex:
+            raise ModelInconsistencyError(
+                f"region {corners} not triangulated between positions {i} and {j}"
+            )
+        k = min(apex)
+        triangles.append((side(i, k), side(k, j), side(i, j)))
+        stack.append((k, j))
+        stack.append((i, k))  # split first
     return triangles
 
 
@@ -299,101 +302,100 @@ def _span(n: int, a: int, b: int) -> list[int]:
 def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges."""
     n = tri.n
-    index = ed.alphabet(n).index
     kind = tr.classify_type(tri)
-    spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
-    eset = set(tri.edges)
+    edges = tri.edges
+    arcs = [(e.a, e.b) for e in edges if e.is_plain]
+    arc_set = set(arcs)
+    # the spokes close the canonical order, sorted by base and +1 before -1
+    spokes = [(i, e) for i, e in zip(tri.key, edges) if e.is_spoke]
 
     regions = []
     central = []
     spoke_cycle: tuple = ()
     junctions: tuple = ()
 
-    def add_region(a: int, b: int, junction: ed.TaggedEdge, interior: list) -> None:
+    def add_region(a: int, b: int, junction: int) -> None:
+        """The polygon region from a to b ccw, closed by the junction arc;
+        its interior edges are the arcs with both ends inside it, running
+        ccw (the junction itself only repeats the closing side)."""
         corners = _span(n, a, b)
-        diag = {frozenset((e.a, e.b)) for e in interior}
-        regions.append((tuple(corners), index[junction],
-                        tuple(_region_triangles(index, corners, diag))))
-
-    def interior_edges(a: int, b: int, exclude: set) -> list:
-        pos = {v: i for i, v in enumerate(_span(n, a, b))}
-        picked = []
-        for e in tri.plains():
-            if e in exclude:
-                continue
-            if e.a in pos and e.b in pos and pos[e.a] < pos[e.b]:
-                picked.append(e)
-        return picked
+        pos = {v: i for i, v in enumerate(corners)}
+        diagonals = []
+        for x, y in arcs:
+            i, j = pos.get(x), pos.get(y)
+            if i is not None and j is not None and i < j:
+                diagonals.append((i, j))
+        regions.append((tuple(corners), junction,
+                        tuple(_region_triangles(n, corners, diagonals))))
 
     if kind == tr.TYPE1:
-        m = next(e for e in tri.plains() if (e.b - e.a) % n == n - 1)  # length n
-        add_region(m.a, m.b, m, interior_edges(m.a, m.b, {m}))
-        for s in spokes:
-            if s.a == m.a:
+        a, b = next((x, y) for x, y in arcs if (y - x) % n == n - 1)  # length n
+        m = ed._plain_index(n, a, b)
+        add_region(a, b, m)
+        for s, e in spokes:
+            if e.a == a:
                 central.append((m, s))
-            elif s.a == m.b:
+            elif e.a == b:
                 central.append((s, m))
             else:
                 raise ModelInconsistencyError(
-                    f"type 1 spoke {s.token()} away from the long arc {m.token()}"
+                    f"type 1 spoke {e.token()} away from the long arc "
+                    f"{ed.plain(a, b).token()}"
                 )
     elif kind == tr.TYPE2:
-        a = spokes[0].a
+        a = spokes[0][1].a
         bases = [x for x in range(1, n + 1) if x != a
-                 and ed.plain(a, x) in eset and ed.plain(x, a) in eset]
+                 and (a, x) in arc_set and (x, a) in arc_set]
         if len(bases) != 1:
             raise ModelInconsistencyError(
                 f"type 2 needs one return vertex, found {bases} in {tri.token()}"
             )
         b = bases[0]
-        j_out, j_in = ed.plain(a, b), ed.plain(b, a)
-        used = {j_out, j_in}
-        add_region(a, b, j_out, interior_edges(a, b, used))
-        add_region(b, a, j_in, interior_edges(b, a, used))
-        s_plus = next(s for s in spokes if s.tag == 1)
-        s_minus = next(s for s in spokes if s.tag == -1)
+        j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
+        add_region(a, b, j_out)
+        add_region(b, a, j_in)
+        s_plus = next(s for s, e in spokes if e.tag == 1)
+        s_minus = next(s for s, e in spokes if e.tag == -1)
         central += [
             (j_out, s_plus), (s_plus, j_in),
             (j_out, s_minus), (s_minus, j_in),
             (j_in, j_out),
         ]
     elif kind == tr.TYPE3:
-        a, b = spokes[0].a, spokes[1].a
-        j_out, j_in = ed.plain(a, b), ed.plain(b, a)
-        if j_out not in eset or j_in not in eset:
+        (s_a, e_a), (s_b, e_b) = spokes
+        a, b = e_a.a, e_b.a
+        if (a, b) not in arc_set or (b, a) not in arc_set:
             raise ModelInconsistencyError(
                 f"type 3 junctions missing from {tri.token()}"
             )
-        used = {j_out, j_in}
-        add_region(a, b, j_out, interior_edges(a, b, used))
-        add_region(b, a, j_in, interior_edges(b, a, used))
-        s_a, s_b = spokes
+        j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
+        add_region(a, b, j_out)
+        add_region(b, a, j_in)
         central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
     else:
-        bases = [s.a for s in spokes]
-        t = len(bases)
+        t = len(spokes)
         gap_junctions = []
         for i in range(t):
-            a, nxt = bases[i], bases[(i + 1) % t]
-            central.append((spokes[i], spokes[(i + 1) % t]))
-            if ed.delta_length(n, a, nxt) == 2:
+            (s, e), (s_next, e_next) = spokes[i], spokes[(i + 1) % t]
+            a, nxt = e.a, e_next.a
+            central.append((s, s_next))
+            if (nxt - a) % n == 1:  # neighbor bases: no connecting arc
                 gap_junctions.append(None)
                 continue
-            j = ed.plain(a, nxt)
-            if j not in eset:
+            if (a, nxt) not in arc_set:
                 raise ModelInconsistencyError(
-                    f"connecting arc {j.token()} missing from {tri.token()}"
+                    f"connecting arc {ed.plain(a, nxt).token()} missing from "
+                    f"{tri.token()}"
                 )
-            gap_junctions.append(index[j])
-            central.append((spokes[(i + 1) % t], j))
-            central.append((j, spokes[i]))
-            add_region(a, nxt, j, interior_edges(a, nxt, {j}))
-        spoke_cycle = tuple(index[s] for s in spokes)
+            j = ed._plain_index(n, a, nxt)
+            gap_junctions.append(j)
+            central.append((s_next, j))
+            central.append((j, s))
+            add_region(a, nxt, j)
+        spoke_cycle = tuple(s for s, _ in spokes)
         junctions = tuple(gap_junctions)
 
-    return Decomposition(kind, tuple(regions),
-                         tuple((index[s], index[t]) for s, t in central),
-                         spoke_cycle, junctions)
+    return Decomposition(kind, tuple(regions), tuple(central), spoke_cycle, junctions)
 
 
 def region_arrows(triangles) -> list:
@@ -515,8 +517,8 @@ def is_isomorphic(q1: Quiver, q2: Quiver):
 def delete_vertex(q: Quiver, v) -> Quiver:
     if v not in q.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    return Quiver.build([w for w in q.vertices if w != v],
-                        [(s, t) for s, t in q.arrows if s != v and t != v], q.n)
+    return Quiver(tuple([w for w in q.vertices if w != v]),
+                  tuple([(s, t) for s, t in q.arrows if s != v and t != v]), q.n)
 
 
 def reachable(seeds, step) -> set:

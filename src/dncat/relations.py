@@ -159,11 +159,14 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     morphism-space dimension matrix of the triangulation.
     """
     zero = set(rels.zero_paths)
+    lengths = sorted({len(z) for z in zero})
     rewrites = []
     for p, alt in rels.commutativity_pairs:
         rewrites.append((p, alt))
         rewrites.append((alt, p))
-    out = {v: sorted(t for s, t in q.arrows if s == v) for v in q.vertices}
+    out = {v: [] for v in q.vertices}
+    for s, t in q.arrows:
+        out[s].append(t)
     cap = max_length if max_length is not None else 2 * len(q.vertices) + 2
 
     def closure(path: tuple) -> frozenset:
@@ -182,11 +185,11 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
         return frozenset(seen)
 
     def is_zero(cls: frozenset) -> bool:
+        # one window per offset and zero-path length, looked up in the set
         for member in cls:
-            for z in zero:
-                size = len(z)
+            for size in lengths:
                 for i in range(len(member) - size + 1):
-                    if member[i:i + size] == z:
+                    if member[i:i + size] in zero:
                         return True
         return False
 

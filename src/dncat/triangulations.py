@@ -169,6 +169,21 @@ def cluster_count_formula(n: int) -> int:
     return num // n
 
 
+def class_count_formula(n: int) -> int:
+    """Closed-form cross-check for the number of classes: the size of the
+    mutation class of D_n, (1/2n) sum over d | n of phi(n/d) C(2d, d)
+    (Buan-Torkildsen), in exact integer arithmetic."""
+    from math import comb, gcd
+
+    def phi(k: int) -> int:
+        return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+    num = sum(phi(n // d) * comb(2 * d, d) for d in range(1, n + 1) if n % d == 0)
+    if num % (2 * n):
+        raise ModelInconsistencyError(f"class count formula not integral at n={n}")
+    return num // (2 * n)
+
+
 def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], int]:
     """Flip edge index m out of the sorted index tuple key: the replacement is
     the single edge other than m compatible with every kept edge.  Returns

@@ -383,8 +383,11 @@ def _check_census(n: int) -> list[str]:
     if sum(census.values()) != tr.count_all(n):
         fails.append(f"type census {census} does not sum to {tr.count_all(n)}")
     classes = tr.class_census(n)
-    if sum(classes.values()) != len(tr.equivalence_classes(n)):
+    count = len(tr.equivalence_classes(n))
+    if sum(classes.values()) != count:
         fails.append("class census does not sum to the class count")
+    if count != tr.class_count_formula(n):
+        fails.append(f"{count} classes, but |Mut(D_{n})| = {tr.class_count_formula(n)}")
     if n == 5:
         if census != {1: 100, 2: 20, 3: 20, 4: 42}:
             fails.append(f"n=5 type census {census}")

@@ -1,14 +1,19 @@
 """Property tests of the table-based paths against the per-edge rules: the
 mask-based validation and flips against the pairwise crossing-number
 reference (the crossing loop over input pairs and the extension scan in
-canonical edge order), and the morphism-space matrix read off the crossing
-table against hom_dim."""
+canonical edge order), the morphism-space matrix read off the crossing
+table against hom_dim, and the template layer on edge indices (decompose
+and the algebra-dimension count) against its TaggedEdge formulation."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dncat import edges as ed
+from dncat import quivers as qv
+from dncat import relations as rl
+from dncat import triangulations as tr
 from dncat.errors import DncatError, ModelInconsistencyError, NotATriangulationError
 from dncat.triangulations import fan, flip, pairwise_hom_matrix, validate_triangulation
 
@@ -109,3 +114,186 @@ def test_hom_matrix_matches_hom_dim_on_random_walks(n, seed):
     for a, e_a in enumerate(tri.edges):
         for b, e_b in enumerate(tri.edges):
             assert matrix[a][b] == ed.hom_dim(n, e_a, e_b)
+
+
+# ---------------------------------------------------------------------------
+# the template layer against its TaggedEdge formulation
+
+
+def reference_region_triangles(index, corners, diagonals):
+    """Triangles of a region whose diagonals are unordered corner pairs,
+    found by the first apex in corner order, sides named through the
+    alphabet's index map."""
+    m = len(corners)
+
+    def side(i, j):
+        return None if j == i + 1 else index[ed.plain(corners[i], corners[j])]
+
+    def has_edge(i, j):
+        if j == i + 1 or (i, j) == (0, m - 1):
+            return True
+        return frozenset((corners[i], corners[j])) in diagonals
+
+    triangles = []
+
+    def split(i, j):
+        if j <= i + 1:
+            return
+        for k in range(i + 1, j):
+            if has_edge(i, k) and has_edge(k, j):
+                triangles.append((side(i, k), side(k, j), side(i, j)))
+                split(i, k)
+                split(k, j)
+                return
+        raise ModelInconsistencyError(f"region {corners} not triangulated")
+
+    split(0, m - 1)
+    return triangles
+
+
+def reference_decompose(tri):
+    """decompose on TaggedEdge objects: the interior edges of each region
+    are scanned from tri.plains() minus the junctions, and every template
+    role is an edge looked up in the alphabet's index map."""
+    n = tri.n
+    index = ed.alphabet(n).index
+    kind = tr.classify_type(tri)
+    spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
+    eset = set(tri.edges)
+    regions, central = [], []
+    spoke_cycle, junctions = (), ()
+
+    def span(a, b):
+        return [ed.wrap(n, a + t) for t in range((b - a) % n + 1)]
+
+    def add_region(a, b, junction, exclude):
+        corners = span(a, b)
+        pos = {v: i for i, v in enumerate(corners)}
+        diagonals = {frozenset((e.a, e.b)) for e in tri.plains() if e not in exclude
+                     and e.a in pos and e.b in pos and pos[e.a] < pos[e.b]}
+        regions.append((tuple(corners), index[junction],
+                        tuple(reference_region_triangles(index, corners, diagonals))))
+
+    if kind == tr.TYPE1:
+        m = next(e for e in tri.plains() if (e.b - e.a) % n == n - 1)
+        add_region(m.a, m.b, m, {m})
+        central += [(m, s) if s.a == m.a else (s, m) for s in spokes]
+    elif kind in (tr.TYPE2, tr.TYPE3):
+        if kind == tr.TYPE2:
+            a = spokes[0].a
+            b = next(x for x in range(1, n + 1) if x != a
+                     and ed.plain(a, x) in eset and ed.plain(x, a) in eset)
+        else:
+            a, b = spokes[0].a, spokes[1].a
+        j_out, j_in = ed.plain(a, b), ed.plain(b, a)
+        add_region(a, b, j_out, {j_out, j_in})
+        add_region(b, a, j_in, {j_out, j_in})
+        if kind == tr.TYPE2:
+            s_plus, s_minus = spokes
+            central += [(j_out, s_plus), (s_plus, j_in),
+                        (j_out, s_minus), (s_minus, j_in), (j_in, j_out)]
+        else:
+            s_a, s_b = spokes
+            central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
+    else:
+        t = len(spokes)
+        gaps = []
+        for i in range(t):
+            a, nxt = spokes[i].a, spokes[(i + 1) % t].a
+            central.append((spokes[i], spokes[(i + 1) % t]))
+            if ed.delta_length(n, a, nxt) == 2:
+                gaps.append(None)
+                continue
+            j = ed.plain(a, nxt)
+            assert j in eset
+            gaps.append(index[j])
+            central += [(spokes[(i + 1) % t], j), (j, spokes[i])]
+            add_region(a, nxt, j, {j})
+        spoke_cycle = tuple(index[s] for s in spokes)
+        junctions = tuple(gaps)
+    return qv.Decomposition(kind, tuple(regions),
+                            tuple((index[s], index[t]) for s, t in central),
+                            spoke_cycle, junctions)
+
+
+def test_decompose_matches_reference_on_every_triangulation():
+    for n in range(4, 8):
+        for tri in tr.enumerate_all(n):
+            assert qv.decompose(tri) == reference_decompose(tri)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(8, 30), st.integers(0, 2**32 - 1))
+def test_decompose_matches_reference_on_random_walks(n, seed):
+    rng = random.Random(seed)
+    tri = random_walk(n, rng, 3 * n)
+    for _ in range(4):
+        assert qv.decompose(tri) == reference_decompose(tri)
+        for _ in range(n):
+            tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+
+
+def test_plain_index_is_the_alphabet_order():
+    for n in range(4, 31):
+        index = ed.alphabet(n).index
+        for e in ed.all_edges(n):
+            if e.is_plain:
+                assert ed._plain_index(n, e.a, e.b) == index[e]
+
+
+def reference_path_algebra_dimension(q, rels):
+    """The dimension count comparing every zero generator at every offset
+    of every class member; returns the dimension and the number of arrows
+    of the longest path that survives the relations."""
+    zero = set(rels.zero_paths)
+    rewrites = [r for p, alt in rels.commutativity_pairs for r in ((p, alt), (alt, p))]
+    out = {v: sorted(t for s, t in q.arrows if s == v) for v in q.vertices}
+
+    def closure(path):
+        seen, stack = {path}, [path]
+        while stack:
+            cur = stack.pop()
+            for lhs, rhs in rewrites:
+                for i in range(len(cur) - len(lhs) + 1):
+                    if cur[i:i + len(lhs)] == lhs:
+                        nxt = cur[:i] + rhs + cur[i + len(lhs):]
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+        return frozenset(seen)
+
+    def is_zero(cls):
+        return any(member[i:i + len(z)] == z for member in cls for z in zero
+                   for i in range(len(member) - len(z) + 1))
+
+    total, longest = len(q.vertices), 0
+    current = [(v,) for v in q.vertices]
+    while current:
+        classes = {}
+        for path in current:
+            for t in out[path[-1]]:
+                cls = closure(path + (t,))
+                classes[min(cls)] = cls
+        current = [rep for rep, cls in classes.items() if not is_zero(cls)]
+        total += len(current)
+        longest += bool(current)
+    return total, longest
+
+
+# The count closes at the longest surviving path, which the reference
+# measures: on these walks the dimensions run from 26 (n=10) to 182 (n=29)
+# and the longest surviving path has 3 to 14 arrows, inside the default
+# length cap 2n + 2.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 30), st.integers(0, 2**32 - 1))
+def test_algebra_dimension_matches_reference_and_hom_total(n, seed):
+    tri = random_walk(n, random.Random(seed), 3 * n)
+    q = qv.direct_quiver_of(tri)
+    rels = rl.relations_of(tri)
+    dim, longest = reference_path_algebra_dimension(q, rels)
+    assert rl.path_algebra_dimension(q, rels) == dim
+    assert dim == sum(map(sum, pairwise_hom_matrix(tri)))
+    assert longest < 2 * n + 2
+    assert rl.path_algebra_dimension(q, rels, max_length=longest + 1) == dim
+    with pytest.raises(ModelInconsistencyError):
+        rl.path_algebra_dimension(q, rels, max_length=longest)

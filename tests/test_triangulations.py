@@ -1,5 +1,3 @@
-from math import comb, gcd
-
 import pytest
 
 from dncat.edges import CLOSE_TO_BORDER, classify_edge, ext_dim, plain, spoke, tau
@@ -15,6 +13,7 @@ from dncat.triangulations import (
     apply_tau,
     canonical_form,
     class_census,
+    class_count_formula,
     classify_type,
     cluster_count_formula,
     count_all,
@@ -139,13 +138,13 @@ def test_census_at_five():
 def test_class_count_matches_the_mutation_class_formula():
     # Classes correspond to the quivers of Mut(D_n), whose number is
     # (1/2n) sum_{d | n} phi(n/d) C(2d, d) (Buan-Torkildsen, arXiv:0812.2240).
-    def phi(k):
-        return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
-
     for n in range(4, 10):
-        total = sum(phi(n // d) * comb(2 * d, d) for d in range(1, n + 1) if n % d == 0)
-        assert total % (2 * n) == 0
-        assert len(equivalence_classes(n)) == total // (2 * n)
+        assert len(equivalence_classes(n)) == class_count_formula(n)
+
+
+def test_class_count_formula_values():
+    assert [class_count_formula(n) for n in range(4, 11)] == [
+        10, 26, 80, 246, 810, 2704, 9252]
 
 
 def test_class_representatives_are_canonical():
