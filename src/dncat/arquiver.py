@@ -2,10 +2,13 @@
 correspondence with tagged edges.
 
 Vertices are (i, j) with i mod n and 1 <= j <= n; the quiver is n copies of
-the base fork shape, one per slice, with crossing arrows to the next slice.
-For odd n the translation swaps the two fork columns when it steps across
-the seam i = 0, and the seam-crossing arrows into those columns swap
-accordingly (the arrow set is kept translation-stable).
+the base fork shape, one per slice.  Each arrow x -> y of a slice is paired
+with the mesh arrow y -> tau^-1 x into the next slice, so every arrow x -> y
+has its partner tau y -> x: the quiver is a stable translation quiver, the
+shape ZD_n / tau^-1[1] of the Auslander-Reiten quiver of the cluster
+category (Buan-Marsh-Reineke-Reiten-Todorov).  For odd n the translation
+swaps the two fork columns when it steps across the seam i = 0, and the
+mesh arrows into those columns follow it.
 
 The edge correspondence sends a plain arc to the column given by its length;
 the two spokes at a vertex land in the fork columns, with the assignment
@@ -140,18 +143,16 @@ def _base_arrows(n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def build_ar(n: int) -> ARQuiver:
-    """n slices of the fork shape plus crossing arrows; seam crossings into
-    the fork columns swap for odd n to keep the arrow set stable under the
-    translation."""
+    """n slices of the fork shape: each base arrow j -> l gives the arrow
+    (i, j) -> (i, l) in slice i and the mesh arrow from (i, l) to the
+    translate tau^-1 (i, j), which lies in the next slice (with the fork
+    columns swapped across the seam for odd n)."""
     ed.check_size(n)
     arrows = []
     for i in range(n):
         for j, l in _base_arrows(n):
             arrows.append((ARVertex(i, j), ARVertex(i, l)))
-            target = l
-            if n % 2 == 1 and i == n - 1 and l >= n - 1:
-                target = n if l == n - 1 else n - 1
-            arrows.append((ARVertex(i, l), ARVertex((i + 1) % n, target)))
+            arrows.append((ARVertex(i, l), tau_ar_inv(n, ARVertex(i, j))))
     arrows.sort(key=lambda a: (a[0].i, a[0].j, a[1].i, a[1].j))
     return ARQuiver(n, tuple(arrows))
 

@@ -75,34 +75,50 @@ def _sha256(path: Path) -> str:
 
 
 def write_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
+    """Write the three files of the catalog.  Each is staged under a
+    temporary name in the target directory and then moved into place with
+    os.replace, meta.json last: a write that fails before the moves leaves
+    the previous catalog as it was, and a reader never sees a file half
+    written (an interruption between the moves leaves checksums that do not
+    match, which read_catalog refuses)."""
     base = Path(directory) if directory is not None else default_dir()
     target = base / f"n={catalog.n}"
     target.mkdir(parents=True, exist_ok=True)
+    staged = []
 
-    tri_path = target / "triangulations.jsonl"
-    lines = [_dumps({"n": catalog.n, "count": len(catalog.triangulations)})]
-    lines += [_dumps({"edges": t.token()}) for t in catalog.triangulations]
-    tri_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def stage(name: str, lines: list[str]) -> Path:
+        tmp = target / f"{name}.tmp"
+        staged.append(tmp)
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return tmp
 
-    cls_path = target / "classes.jsonl"
-    lines = [_dumps({"n": catalog.n, "count": len(catalog.classes)})]
-    lines += [_dumps(payload) for payload in catalog.classes]
-    cls_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    meta = {
-        "version": VERSION,
-        "n": catalog.n,
-        "counts": {
-            "triangulations": len(catalog.triangulations),
-            "classes": len(catalog.classes),
-            "typeCensus": catalog.type_census(),
-        },
-        "checksums": {
-            "triangulations.jsonl": _sha256(tri_path),
-            "classes.jsonl": _sha256(cls_path),
-        },
-    }
-    (target / "meta.json").write_text(_dumps(meta) + "\n", encoding="utf-8")
+    try:
+        tri_path = stage("triangulations.jsonl",
+                         [_dumps({"n": catalog.n, "count": len(catalog.triangulations)})]
+                         + [_dumps({"edges": t.token()}) for t in catalog.triangulations])
+        cls_path = stage("classes.jsonl",
+                         [_dumps({"n": catalog.n, "count": len(catalog.classes)})]
+                         + [_dumps(payload) for payload in catalog.classes])
+        meta = {
+            "version": VERSION,
+            "n": catalog.n,
+            "counts": {
+                "triangulations": len(catalog.triangulations),
+                "classes": len(catalog.classes),
+                "typeCensus": catalog.type_census(),
+            },
+            "checksums": {
+                "triangulations.jsonl": _sha256(tri_path),
+                "classes.jsonl": _sha256(cls_path),
+            },
+        }
+        stage("meta.json", [_dumps(meta)])
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp in staged:
+        os.replace(tmp, tmp.with_suffix(""))
     return target
 
 
@@ -132,6 +148,9 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     target = base / f"n={n}"
     meta = _record((target / "meta.json").read_text(encoding="utf-8"), "meta.json",
                    checksums=dict)
+    if meta.get("version") != VERSION:
+        raise CatalogError(f"unknown catalog version {meta.get('version')!r} in meta.json "
+                           f"(this dncat reads {VERSION})")
     for name, recorded in meta["checksums"].items():
         actual = _sha256(target / name)
         if actual != recorded:

@@ -32,5 +32,5 @@ class ModelInconsistencyError(DncatError, RuntimeError):
 
 
 class CatalogError(DncatError, ValueError):
-    """A catalog on disk fails validation when read (checksum, header count
-    or class representative)."""
+    """A catalog on disk fails validation when read (version, checksum,
+    header count or class representative)."""

@@ -229,27 +229,39 @@ def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """A triangulation cut along its central configuration, on edge indices.
+    """A triangulation cut along its central configuration, on edge indices,
+    with the relation generators of its template.
 
-    regions: one entry per polygon region, as (corner vertices ccw, junction
-    edge, list of triangle side-triples); each triangle side is an edge or
-    None for a boundary segment.  central: template arrows between junction
-    and spoke edges.  For type 4, f/g/h carry the template roles.
+    triangles: the triangles of every polygon region, region by region, each
+    as its three sides; a side is an edge index or None for a boundary
+    segment.  central_arrows: the template arrows between junction and spoke
+    edges.  central_zero and central_comm: the template's zero paths and
+    commutativity pairs, as vertex tuples read left to right along the
+    arrows.  The regions add the length-2 subpaths of their triangle-rule
+    3-cycles; the template adds, per type:
+
+      type 1: nothing.
+      type 2: the commutativity of the two spoke routes j_out -> s -> j_in,
+              and the four length-2 zero paths through the return arrow
+              j_in -> j_out.
+      type 3: the four length-3 subpaths of the central 4-cycle.
+      type 4: per connecting arc j between spokes s_i and s_(i+1), the three
+              length-2 paths of the 3-cycle s_i -> s_(i+1) -> j -> s_i;
+              then from each spoke the path along the spoke cycle, one lap
+              long when the gap it closes carries a connecting arc and one
+              arrow shorter when that gap is a neighbor pair.
     """
 
     type: int
-    regions: tuple
+    triangles: tuple
     central_arrows: tuple
-    spoke_cycle: tuple      # type 4 only: spoke edges in ccw base order
-    junctions: tuple        # type 4 only: junction edge or None per gap
+    central_zero: tuple
+    central_comm: tuple
 
     def arrows(self) -> list:
         """The quiver's arrows: the central template plus the triangle rule
         in every region."""
-        arrows = list(self.central_arrows)
-        for _, _, triangles in self.regions:
-            arrows.extend(region_arrows(triangles))
-        return arrows
+        return list(self.central_arrows) + region_arrows(self.triangles)
 
 
 def _region_triangles(n: int, corners: list[int], diagonals) -> list:
@@ -309,12 +321,12 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     # the spokes close the canonical order, sorted by base and +1 before -1
     spokes = [(i, e) for i, e in zip(tri.key, edges) if e.is_spoke]
 
-    regions = []
+    triangles = []
     central = []
-    spoke_cycle: tuple = ()
-    junctions: tuple = ()
+    zero = []
+    comm = []
 
-    def add_region(a: int, b: int, junction: int) -> None:
+    def add_region(a: int, b: int) -> None:
         """The polygon region from a to b ccw, closed by the junction arc;
         its interior edges are the arcs with both ends inside it, running
         ccw (the junction itself only repeats the closing side)."""
@@ -325,13 +337,12 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
             i, j = pos.get(x), pos.get(y)
             if i is not None and j is not None and i < j:
                 diagonals.append((i, j))
-        regions.append((tuple(corners), junction,
-                        tuple(_region_triangles(n, corners, diagonals))))
+        triangles.extend(_region_triangles(n, corners, diagonals))
 
     if kind == tr.TYPE1:
         a, b = next((x, y) for x, y in arcs if (y - x) % n == n - 1)  # length n
         m = ed._plain_index(n, a, b)
-        add_region(a, b, m)
+        add_region(a, b)
         for s, e in spokes:
             if e.a == a:
                 central.append((m, s))
@@ -352,14 +363,19 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
             )
         b = bases[0]
         j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
-        add_region(a, b, j_out)
-        add_region(b, a, j_in)
+        add_region(a, b)
+        add_region(b, a)
         s_plus = next(s for s, e in spokes if e.tag == 1)
         s_minus = next(s for s, e in spokes if e.tag == -1)
         central += [
             (j_out, s_plus), (s_plus, j_in),
             (j_out, s_minus), (s_minus, j_in),
             (j_in, j_out),
+        ]
+        comm.append(((j_out, s_plus, j_in), (j_out, s_minus, j_in)))
+        zero += [
+            (j_in, j_out, s_plus), (s_plus, j_in, j_out),
+            (j_in, j_out, s_minus), (s_minus, j_in, j_out),
         ]
     elif kind == tr.TYPE3:
         (s_a, e_a), (s_b, e_b) = spokes
@@ -369,18 +385,22 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
                 f"type 3 junctions missing from {tri.token()}"
             )
         j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
-        add_region(a, b, j_out)
-        add_region(b, a, j_in)
+        add_region(a, b)
+        add_region(b, a)
         central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
+        zero += [
+            (j_out, s_a, j_in, s_b), (s_a, j_in, s_b, j_out),
+            (j_in, s_b, j_out, s_a), (s_b, j_out, s_a, j_in),
+        ]
     else:
         t = len(spokes)
-        gap_junctions = []
+        closed = []  # per gap: does a connecting arc close it
         for i in range(t):
             (s, e), (s_next, e_next) = spokes[i], spokes[(i + 1) % t]
             a, nxt = e.a, e_next.a
             central.append((s, s_next))
-            if (nxt - a) % n == 1:  # neighbor bases: no connecting arc
-                gap_junctions.append(None)
+            closed.append((nxt - a) % n != 1)
+            if not closed[-1]:  # neighbor bases: no connecting arc
                 continue
             if (a, nxt) not in arc_set:
                 raise ModelInconsistencyError(
@@ -388,14 +408,14 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
                     f"{tri.token()}"
                 )
             j = ed._plain_index(n, a, nxt)
-            gap_junctions.append(j)
-            central.append((s_next, j))
-            central.append((j, s))
-            add_region(a, nxt, j)
-        spoke_cycle = tuple(s for s, _ in spokes)
-        junctions = tuple(gap_junctions)
+            central += [(s_next, j), (j, s)]
+            zero += [(s, s_next, j), (s_next, j, s), (j, s, s_next)]
+            add_region(a, nxt)
+        lap = 2 * tuple(s for s, _ in spokes)
+        # the path from spoke i closes gap i-1 last
+        zero += [lap[i:i + t + closed[i - 1]] for i in range(t)]
 
-    return Decomposition(kind, tuple(regions), tuple(central), spoke_cycle, junctions)
+    return Decomposition(kind, tuple(triangles), tuple(central), tuple(zero), tuple(comm))
 
 
 def region_arrows(triangles) -> list:

@@ -2,16 +2,9 @@
 
 Paths are written left to right along the arrows, as edge-index tuples.
 Every type-A region contributes the length-2 subpaths of its triangle-rule
-3-cycles.  The central configuration adds, per type:
-
-  type 1: nothing beyond the region relations.
-  type 2: the commutativity of the two spoke routes between the junction
-          arcs, and the four length-2 zero paths through the return arrow h.
-  type 3: the four length-3 subpaths of the central 4-cycle.
-  type 4: per connecting arc, the three length-2 paths of its f g h
-          3-cycle; plus the cyclic spoke paths, one lap long when the gap
-          being closed carries a connecting arc and one arrow shorter when
-          that gap is a neighbor pair.
+3-cycles; the central configuration contributes the generators that
+quivers.decompose writes next to its template arrows (the per-type table
+is in the Decomposition docstring).
 """
 
 from __future__ import annotations
@@ -60,93 +53,25 @@ def _check_composable(arrows: set, path: tuple, universe) -> None:
             )
 
 
-def _cycle_subpaths(cycle: tuple, length: int) -> list[tuple]:
-    k = len(cycle)
-    doubled = cycle + cycle
-    return [tuple(doubled[i:i + length + 1]) for i in range(k)]
+def _cycle_subpaths(cycle: tuple) -> list[tuple]:
+    """The length-2 subpaths of a 3-cycle, one from each vertex."""
+    x, y, z = cycle
+    return [(x, y, z), (y, z, x), (z, x, y)]
 
 
 def relations_of(tri: tr.Triangulation) -> RelationSet:
-    """Generators of the relation ideal, on edge-index vertices."""
-    n = tri.n
-    universe = ed.alphabet(n).edges
+    """Generators of the relation ideal, on edge-index vertices: the region
+    relations, then the central template's generators."""
     dec = qv.decompose(tri)
-    zero: list[tuple] = []
-    comm: list[tuple] = []
+    zero = [p for cycle in qv.region_three_cycles(dec.triangles)
+            for p in _cycle_subpaths(cycle)]
+    zero += dec.central_zero
 
-    for _, _, triangles in dec.regions:
-        for cycle in qv.region_three_cycles(triangles):
-            zero.extend(_cycle_subpaths(cycle, 2))
-
-    if dec.type == tr.TYPE2:
-        (f1, f2), (g1, g2), h = _type2_roles(dec, universe)
-        comm.append(((f1[0], f1[1], f2[1]), (g1[0], g1[1], g2[1])))
-        zero.append((h[0], h[1], f1[1]))    # h f1
-        zero.append((f2[0], f2[1], h[1]))   # f2 h
-        zero.append((h[0], h[1], g1[1]))    # h g1
-        zero.append((g2[0], g2[1], h[1]))   # g2 h
-    elif dec.type == tr.TYPE3:
-        cycle = _type3_cycle(dec, universe)
-        zero.extend(_cycle_subpaths(cycle, 3))
-    elif dec.type == tr.TYPE4:
-        spokes = dec.spoke_cycle
-        t = len(spokes)
-        for i, junction in enumerate(dec.junctions):
-            if junction is None:
-                continue
-            nxt = spokes[(i + 1) % t]
-            zero.append((spokes[i], nxt, junction))      # f_i g_i
-            zero.append((nxt, junction, spokes[i]))      # g_i h_i
-            zero.append((junction, spokes[i], nxt))      # h_i f_i
-        lap = spokes + spokes
-        for i in range(t):
-            a_prev = universe[spokes[i - 1]].a
-            a_here = universe[spokes[i]].a
-            steps = t - 1 if ed.delta_length(n, a_prev, a_here) == 2 else t
-            zero.append(tuple(lap[i:i + steps + 1]))
-
+    universe = ed.alphabet(tri.n).edges
     arrows = set(dec.arrows())
-    for p in zero + [p for pair in comm for p in pair]:
+    for p in zero + [p for pair in dec.central_comm for p in pair]:
         _check_composable(arrows, p, universe)
-    return RelationSet(tuple(zero), tuple(comm), n)
-
-
-def _type2_roles(dec: qv.Decomposition, universe):
-    """Recover (f1,f2), (g1,g2), h from the central arrows: the two spoke
-    routes out of the junction arc and the return arrow between the arcs."""
-    spoke_targets = {}
-    spoke_sources = {}
-    h = None
-    for s, t in dec.central_arrows:
-        s_spoke = universe[s].is_spoke
-        t_spoke = universe[t].is_spoke
-        if not s_spoke and t_spoke:
-            spoke_targets[t] = (s, t)
-        elif s_spoke and not t_spoke:
-            spoke_sources[s] = (s, t)
-        else:
-            h = (s, t)
-    plus = next(k for k in spoke_targets if universe[k].tag == 1)
-    minus = next(k for k in spoke_targets if universe[k].tag == -1)
-    return (
-        (spoke_targets[plus], spoke_sources[plus]),
-        (spoke_targets[minus], spoke_sources[minus]),
-        h,
-    )
-
-
-def _type3_cycle(dec: qv.Decomposition, universe) -> tuple:
-    """The central 4-cycle as a vertex tuple, starting at a junction arc."""
-    arrows = dict(dec.central_arrows)
-    start = next(s for s, _ in dec.central_arrows if universe[s].is_plain)
-    cycle = [start]
-    v = arrows[start]
-    while v != start:
-        cycle.append(v)
-        v = arrows[v]
-    if len(cycle) != 4:
-        raise ModelInconsistencyError(f"central cycle of length {len(cycle)} in type 3")
-    return tuple(cycle)
+    return RelationSet(tuple(zero), dec.central_comm, tri.n)
 
 
 def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,

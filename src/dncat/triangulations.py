@@ -4,7 +4,7 @@ four structural types, and quotients."""
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -170,9 +170,11 @@ def cluster_count_formula(n: int) -> int:
 
 
 def class_count_formula(n: int) -> int:
-    """Closed-form cross-check for the number of classes: the size of the
-    mutation class of D_n, (1/2n) sum over d | n of phi(n/d) C(2d, d)
-    (Buan-Torkildsen), in exact integer arithmetic."""
+    """Closed-form cross-check for the number of classes,
+    (1/2n) sum over d | n of phi(n/d) C(2d, d) (Buan-Torkildsen), in exact
+    integer arithmetic.  For n >= 5 it is also the size of the mutation
+    class of D_n; at n = 4 the ten classes have only six quivers between
+    them (the d4 collision)."""
     from math import comb, gcd
 
     def phi(k: int) -> int:
@@ -302,9 +304,12 @@ def classify_type(tri: Triangulation) -> int:
     """The structural type: 1 with a length-n arc, else by the degenerate
     edge configuration (double / two separate spokes / three or more)."""
     n = tri.n
-    if any((e.b - e.a) % n == n - 1 for e in tri.plains()):  # length n
+    edges = tri.edges
+    # the n(n-2) arcs come first in the alphabet, so the spokes close the key
+    arcs = bisect_left(tri.key, n * (n - 2))
+    if any((e.b - e.a) % n == n - 1 for e in edges[:arcs]):  # length n
         return TYPE1
-    spokes = tri.spokes()
+    spokes = edges[arcs:]
     if len(spokes) == 2:
         if spokes[0].a == spokes[1].a:
             return TYPE2

@@ -81,8 +81,16 @@ def test_arrow_set():
     ar = build_ar(5)
     arrows = set(ar.arrows)
     assert (ARVertex(0, 1), ARVertex(0, 2)) in arrows
-    assert (ARVertex(0, 2), ARVertex(1, 2)) in arrows
+    assert (ARVertex(0, 2), ARVertex(1, 1)) in arrows  # mesh arrow to tau^-1 (0, 1)
     assert len(ar.arrows) == 2 * 4 * 5
+
+
+def test_mesh_axiom():
+    # every arrow x -> y of a stable translation quiver has its partner tau y -> x
+    for n in range(4, 17):
+        arrows = set(build_ar(n).arrows)
+        for s, t in arrows:
+            assert (tau_ar(n, t), s) in arrows, (n, s, t)
 
 
 def test_arrows_are_translation_stable():

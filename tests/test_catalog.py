@@ -1,8 +1,11 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from dncat.catalog import build_catalog, default_dir, read_catalog, write_catalog
+from dncat import catalog as cat
+from dncat.catalog import Catalog, build_catalog, default_dir, read_catalog, write_catalog
 from dncat.triangulations import count_all, equivalence_classes
 
 
@@ -53,3 +56,32 @@ def test_parallel_build_matches_serial(tmp_path):
 def test_dir_override(monkeypatch, tmp_path):
     monkeypatch.setenv("DNCAT_DIR", str(tmp_path / "somewhere"))
     assert default_dir() == tmp_path / "somewhere"
+
+
+def test_failed_write_leaves_the_old_catalog(monkeypatch, tmp_path):
+    catalog = build_catalog(4)
+    target = write_catalog(catalog, tmp_path)
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
+    write_text = Path.write_text
+
+    def disk_full_at_classes(path, *args, **kwargs):
+        if path.name.startswith("classes"):
+            raise OSError("no space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full_at_classes)
+    with pytest.raises(OSError):
+        write_catalog(Catalog(4, catalog.triangulations[:-1], catalog.classes), tmp_path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+    assert len(read_catalog(4, tmp_path).triangulations) == 50
+
+
+def test_meta_is_moved_into_place_last(monkeypatch, tmp_path):
+    moved = []
+    replace = os.replace
+    monkeypatch.setattr(cat.os, "replace",
+                        lambda src, dst: moved.append(Path(dst).name) or replace(src, dst))
+    write_catalog(build_catalog(4), tmp_path)
+    assert moved == ["triangulations.jsonl", "classes.jsonl", "meta.json"]
+

@@ -343,3 +343,10 @@ def test_catalog_show_meta_without_checksums_exits_3(capsys, tmp_path, meta):
     assert code == 3 and out == ""
     assert err == "error: meta.json must be a JSON object with checksums: dict\n"
     assert len(err.splitlines()) == 1
+
+
+def test_catalog_show_unknown_version_exits_3(capsys, tmp_path):
+    meta = '{"checksums":{},"n":4,"version":"9.0.0"}\n'
+    code, out, err = _show_with_meta(capsys, tmp_path, meta)
+    assert code == 3 and out == ""
+    assert err == "error: unknown catalog version '9.0.0' in meta.json (this dncat reads 0.1.0)\n"

@@ -153,30 +153,29 @@ def reference_region_triangles(index, corners, diagonals):
 
 def reference_decompose(tri):
     """decompose on TaggedEdge objects: the interior edges of each region
-    are scanned from tri.plains() minus the junctions, and every template
-    role is an edge looked up in the alphabet's index map."""
+    are scanned from tri.plains() minus the junctions, every template role
+    is an edge looked up in the alphabet's index map, and the type-4 laps
+    are measured by delta_length between neighboring spoke bases."""
     n = tri.n
     index = ed.alphabet(n).index
     kind = tr.classify_type(tri)
     spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
     eset = set(tri.edges)
-    regions, central = [], []
-    spoke_cycle, junctions = (), ()
+    triangles, central, zero, comm = [], [], [], []
 
     def span(a, b):
         return [ed.wrap(n, a + t) for t in range((b - a) % n + 1)]
 
-    def add_region(a, b, junction, exclude):
+    def add_region(a, b, exclude):
         corners = span(a, b)
         pos = {v: i for i, v in enumerate(corners)}
         diagonals = {frozenset((e.a, e.b)) for e in tri.plains() if e not in exclude
                      and e.a in pos and e.b in pos and pos[e.a] < pos[e.b]}
-        regions.append((tuple(corners), index[junction],
-                        tuple(reference_region_triangles(index, corners, diagonals))))
+        triangles.extend(reference_region_triangles(index, corners, diagonals))
 
     if kind == tr.TYPE1:
         m = next(e for e in tri.plains() if (e.b - e.a) % n == n - 1)
-        add_region(m.a, m.b, m, {m})
+        add_region(m.a, m.b, {m})
         central += [(m, s) if s.a == m.a else (s, m) for s in spokes]
     elif kind in (tr.TYPE2, tr.TYPE3):
         if kind == tr.TYPE2:
@@ -186,34 +185,43 @@ def reference_decompose(tri):
         else:
             a, b = spokes[0].a, spokes[1].a
         j_out, j_in = ed.plain(a, b), ed.plain(b, a)
-        add_region(a, b, j_out, {j_out, j_in})
-        add_region(b, a, j_in, {j_out, j_in})
+        add_region(a, b, {j_out, j_in})
+        add_region(b, a, {j_out, j_in})
         if kind == tr.TYPE2:
             s_plus, s_minus = spokes
             central += [(j_out, s_plus), (s_plus, j_in),
                         (j_out, s_minus), (s_minus, j_in), (j_in, j_out)]
+            comm.append(((j_out, s_plus, j_in), (j_out, s_minus, j_in)))
+            # the return arrow j_in -> j_out composed with each spoke route
+            for s in (s_plus, s_minus):
+                zero += [(j_in, j_out, s), (s, j_in, j_out)]
         else:
             s_a, s_b = spokes
             central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
+            square = [j_out, s_a, j_in, s_b]
+            zero += [tuple(square[(i + k) % 4] for k in range(4)) for i in range(4)]
     else:
         t = len(spokes)
-        gaps = []
         for i in range(t):
-            a, nxt = spokes[i].a, spokes[(i + 1) % t].a
-            central.append((spokes[i], spokes[(i + 1) % t]))
-            if ed.delta_length(n, a, nxt) == 2:
-                gaps.append(None)
+            s, s_next = spokes[i], spokes[(i + 1) % t]
+            central.append((s, s_next))
+            if ed.delta_length(n, s.a, s_next.a) == 2:
                 continue
-            j = ed.plain(a, nxt)
+            j = ed.plain(s.a, s_next.a)
             assert j in eset
-            gaps.append(index[j])
-            central += [(spokes[(i + 1) % t], j), (j, spokes[i])]
-            add_region(a, nxt, j, {j})
-        spoke_cycle = tuple(index[s] for s in spokes)
-        junctions = tuple(gaps)
-    return qv.Decomposition(kind, tuple(regions),
-                            tuple((index[s], index[t]) for s, t in central),
-                            spoke_cycle, junctions)
+            central += [(s_next, j), (j, s)]
+            zero += [(s, s_next, j), (s_next, j, s), (j, s, s_next)]
+            add_region(s.a, s_next.a, {j})
+        for i in range(t):
+            # one lap, or one arrow less when the closing gap is a neighbor pair
+            steps = t - 1 if ed.delta_length(n, spokes[i - 1].a, spokes[i].a) == 2 else t
+            zero.append(tuple(spokes[(i + k) % t] for k in range(steps + 1)))
+
+    def indices(paths):
+        return tuple(tuple(index[e] for e in path) for path in paths)
+
+    return qv.Decomposition(kind, tuple(triangles), indices(central), indices(zero),
+                            tuple(indices(pair) for pair in comm))
 
 
 def test_decompose_matches_reference_on_every_triangulation():

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from dncat.quivers import (
     linear_a_quiver,
     mutate,
     mutation_class_a,
+    mutation_class_d,
     quiver_of,
     simple_cycles,
     transport_table,
@@ -27,6 +30,7 @@ from dncat.triangulations import (
     Triangulation,
     apply_sigma,
     apply_tau,
+    class_count_formula,
     enumerate_all,
     fan,
     flip,
@@ -254,10 +258,35 @@ def test_mutation_class_membership():
         mutation_class_a(9)
 
 
+def test_mutation_class_a_sizes_match_torkildsen():
+    # Mut(A_k) is in bijection with the triangulations of a (k+3)-gon up to
+    # rotation (Torkildsen, arXiv:0801.3762): with N = k + 3 there are
+    # C_(N-2)/N, plus C_(N/2-1)/2 for even N, plus 2 C_(N/3-1)/3 when 3 | N.
+    def catalan(m):
+        return math.comb(2 * m, m) // (m + 1)
+
+    def torkildsen(k):
+        big = k + 3
+        count = Fraction(catalan(big - 2), big)
+        if big % 2 == 0:
+            count += Fraction(catalan(big // 2 - 1), 2)
+        if big % 3 == 0:
+            count += Fraction(2 * catalan(big // 3 - 1), 3)
+        return count
+
+    sizes = [len(mutation_class_a(k)) for k in range(1, 9)]
+    assert sizes == [torkildsen(k) for k in range(1, 9)] == [1, 1, 4, 6, 19, 49, 150, 442]
+
+
+def test_mutation_class_d_sizes_match_the_class_count_formula():
+    # equal from n = 5 on; at n = 4 the ten classes share six quivers (d4)
+    assert [len(mutation_class_d(k)) for k in range(5, 9)] == [
+        class_count_formula(k) for k in range(5, 9)] == [26, 80, 246, 810]
+    assert len(mutation_class_d(4)) == 6 < class_count_formula(4)
+
+
 def test_every_size_five_quiver_is_in_the_d_class():
     keys = {canonical_key(quiver_of(t)) for t in enumerate_all(5)}
-    from dncat.quivers import mutation_class_d
-
     assert keys == set(mutation_class_d(5))
 
 
