@@ -165,7 +165,22 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
         canonical, orbit = tr.canonical_form(rep)
         if canonical != rep or orbit != payload["orbitSize"]:
             raise CatalogError(f"class representative {payload['representative']} not canonical")
+    _check_counts(n, len(triangulations), classes)
     return Catalog(n, triangulations, classes)
+
+
+def _check_counts(n: int, total: int, classes: list[dict]) -> None:
+    """The counts against the closed forms: a catalog missing lines with
+    its header and checksums fixed up still fails here."""
+    want = tr.cluster_count_formula(n)
+    if total != want:
+        raise CatalogError(f"{total} triangulations, but the cluster count is {want}")
+    want = tr.class_count_formula(n)
+    if len(classes) != want:
+        raise CatalogError(f"{len(classes)} classes, but the class count is {want}")
+    orbits = sum(payload["orbitSize"] for payload in classes)
+    if orbits != total:
+        raise CatalogError(f"class orbit sizes sum to {orbits}, not {total}")
 
 
 def describe(catalog: Catalog) -> str:

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
 input data, a malformed catalog or a file that cannot be read or written.
+
+The size bound is a policy of this front end alone: the commands that
+enumerate (enumerate, classes, quiver by transport, verify, catalog build)
+refuse n above --max-n before any work, and the library takes no bound.  A
+refusal exits 3, as it raises the same UnsupportedSizeError as n < 4.
 """
 
 from __future__ import annotations
@@ -25,14 +30,20 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+DEFAULT_MAX_N = 9
 
-def _add_common(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        parser.add_argument("--n", type=int, required=True, help="polygon size")
-    parser.add_argument("--max-n", type=int, default=tr.DEFAULT_MAX_N,
-                        help="raise the enumeration bound (slow beyond 9)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for bulk checks")
+
+def _add_common(parser: argparse.ArgumentParser, bound: bool = False,
+                jobs: bool = False) -> None:
+    """--n and --out; --max-n for the commands that check the size bound
+    and --jobs for those that fork workers."""
+    parser.add_argument("--n", type=int, required=True, help="polygon size")
+    if bound:
+        parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                            help="raise the enumeration bound (slow beyond 9)")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, metavar="K",
+                            help="worker processes for bulk checks")
     parser.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
@@ -50,7 +61,7 @@ def _check_bound(args) -> None:
         raise UnsupportedSizeError(
             f"n={args.n} above the bound {args.max_n}; pass --max-n to raise it"
         )
-    if args.max_n > tr.DEFAULT_MAX_N and args.n > tr.DEFAULT_MAX_N:
+    if args.max_n > DEFAULT_MAX_N and args.n > DEFAULT_MAX_N:
         print(f"warning: enumeration at n={args.n} is exponential; "
               "this may take a long time", file=sys.stderr)
 
@@ -66,7 +77,7 @@ def cmd_edges(args) -> int:
 
 
 def _classes_output(args) -> str:
-    classes = tr.equivalence_classes(args.n, args.max_n)
+    classes = tr.equivalence_classes(args.n)
     if args.type:
         classes = tuple(c for c in classes if c.type == args.type)
     if args.count:
@@ -91,10 +102,10 @@ def cmd_enumerate(args) -> int:
         _emit(args, _classes_output(args))
         return EXIT_OK
     if args.count:
-        _emit(args, f"{tr.count_all(args.n, args.max_n)}\n")
+        _emit(args, f"{tr.count_all(args.n)}\n")
         return EXIT_OK
     rows = []
-    for t in tr.enumerate_all(args.n, args.max_n):
+    for t in tr.enumerate_all(args.n):
         rows.append(json.dumps(t.to_json(), sort_keys=True) if args.json else t.token())
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -114,7 +125,7 @@ def cmd_quiver(args) -> int:
     if not args.direct:
         _check_bound(args)  # transport walks the whole flip graph
     tri = _parse_tri(args)
-    quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri, args.max_n)
+    quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri)
     if args.dot:
         text = quiver.to_dot()
     else:
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("enumerate", help="enumerate triangulations")
-    _add_common(p)
+    _add_common(p, bound=True)
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument("--classes", action="store_true",
                    help="group by equivalence class and report the census")
@@ -202,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classes", help="list equivalence classes")
-    _add_common(p)
+    _add_common(p, bound=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--type", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("quiver", help="quiver of a triangulation")
-    _add_common(p)
+    _add_common(p, bound=True)
     p.add_argument("--edges", required=True, metavar="SPEC",
                    help="comma-separated edge tokens, e.g. p:1-3,s:1:+")
     style = p.add_mutually_exclusive_group()
@@ -243,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ar)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
+    _add_common(p, bound=True, jobs=True)
     p.add_argument("--suite", required=True, choices=vf.SUITES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="build or inspect the JSON catalog")
     p.add_argument("action", choices=("build", "show"))
-    _add_common(p)
+    _add_common(p, bound=True, jobs=True)
     p.add_argument("--dir", help="catalog directory (default: DNCAT_DIR or ./dncat_catalog)")
     p.set_defaults(func=cmd_catalog)
 

@@ -33,4 +33,4 @@ class ModelInconsistencyError(DncatError, RuntimeError):
 
 class CatalogError(DncatError, ValueError):
     """A catalog on disk fails validation when read (version, checksum,
-    header count or class representative)."""
+    header count, class representative, or a count off its closed form)."""

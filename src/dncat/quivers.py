@@ -19,8 +19,6 @@ from . import edges as ed
 from . import triangulations as tr
 from .errors import ModelInconsistencyError, UnsupportedSizeError
 
-DEFAULT_CLASS_BOUND = 8
-
 
 @dataclass(frozen=True, slots=True)
 class Quiver:
@@ -176,16 +174,11 @@ def _mutate_arrows(arrows, v: int, v2: int) -> tuple:
     return tuple(sorted(result))
 
 
-def transport_table(n: int, max_n: int = tr.DEFAULT_MAX_N) -> dict:
+@lru_cache(maxsize=None)
+def transport_table(n: int) -> dict:
     """Quivers for every triangulation, by breadth-first transport from the
     fan.  Every flip-graph edge is checked for consistency on the way, which
-    makes the result path independent by construction.  The size bound is
-    checked before the walk."""
-    return _transport_table(n, tr.count_all(n, max_n))
-
-
-@lru_cache(maxsize=None)
-def _transport_table(n: int, total: int) -> dict:
+    makes the result path independent by construction."""
     # Mutation runs on the sorted arrow tuples, one shared object per
     # distinct pair; each entry becomes a Quiver on its key once at the end.
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
@@ -207,7 +200,7 @@ def _transport_table(n: int, total: int) -> dict:
                     "transported quiver depends on the flip path at "
                     + tr.Triangulation(n, key2).token()
                 )
-    if len(table) != total:
+    if len(table) != tr.count_all(n):
         raise ModelInconsistencyError(
             f"flip graph disconnected at n={n}: reached {len(table)} triangulations"
         )
@@ -217,10 +210,10 @@ def _transport_table(n: int, total: int) -> dict:
     return table
 
 
-def quiver_of(tri: tr.Triangulation, max_n: int = tr.DEFAULT_MAX_N) -> Quiver:
+def quiver_of(tri: tr.Triangulation) -> Quiver:
     """The quiver of the cluster-tilted algebra of the triangulation, by
     mutation transport from the fan."""
-    return transport_table(tri.n, max_n)[tri.key]
+    return transport_table(tri.n)[tri.key]
 
 
 # ---------------------------------------------------------------------------
@@ -663,39 +656,49 @@ def _mutation_class_keys(seed: Quiver, check_a: bool) -> frozenset:
     return frozenset(seen)
 
 
-def mutation_class_a(k: int, bound: int = DEFAULT_CLASS_BOUND) -> frozenset:
-    if k > bound:
-        raise UnsupportedSizeError(f"k={k} above the mutation-class bound {bound}")
+@lru_cache(maxsize=None)
+def mutation_class_a(k: int) -> frozenset:
     if k < 1:
         raise UnsupportedSizeError("k must be at least 1")
-    return _mutation_class_a(k)
-
-
-@lru_cache(maxsize=None)
-def _mutation_class_a(k: int) -> frozenset:
     return _mutation_class_keys(linear_a_quiver(k), check_a=True)
 
 
-def mutation_class_d(k: int, bound: int = DEFAULT_CLASS_BOUND) -> frozenset:
-    if k > bound:
-        raise UnsupportedSizeError(f"k={k} above the mutation-class bound {bound}")
-    if k < 4:
-        raise UnsupportedSizeError("type D needs k >= 4")
-    return _mutation_class_d(k)
+def mutation_class_a_count(k: int) -> int:
+    """Closed-form size of the mutation class of A_k, in exact arithmetic.
+    Its quivers are the triangulations of an N-gon, N = k + 3, up to
+    rotation (Torkildsen, arXiv:0801.3762): C_(N-2)/N, plus C_(N/2-1)/2 for
+    even N, plus 2 C_(N/3-1)/3 when 3 divides N."""
+    from fractions import Fraction
+    from math import comb
+
+    def catalan(m: int) -> int:
+        return comb(2 * m, m) // (m + 1)
+
+    big = k + 3
+    count = Fraction(catalan(big - 2), big)
+    if big % 2 == 0:
+        count += Fraction(catalan(big // 2 - 1), 2)
+    if big % 3 == 0:
+        count += Fraction(2 * catalan(big // 3 - 1), 3)
+    if count.denominator != 1:
+        raise ModelInconsistencyError(f"type-A class count not integral at k={k}")
+    return int(count)
 
 
 @lru_cache(maxsize=None)
-def _mutation_class_d(k: int) -> frozenset:
+def mutation_class_d(k: int) -> frozenset:
+    if k < 4:
+        raise UnsupportedSizeError("type D needs k >= 4")
     return _mutation_class_keys(base_quiver_d(k), check_a=False)
 
 
-def in_mutation_class_a(q: Quiver, k: int, bound: int = DEFAULT_CLASS_BOUND) -> bool:
+def in_mutation_class_a(q: Quiver, k: int) -> bool:
     if len(q.vertices) != k:
         return False
-    return canonical_key(q) in mutation_class_a(k, bound)
+    return canonical_key(q) in mutation_class_a(k)
 
 
-def in_mutation_class_d(q: Quiver, k: int, bound: int = DEFAULT_CLASS_BOUND) -> bool:
+def in_mutation_class_d(q: Quiver, k: int) -> bool:
     if len(q.vertices) != k:
         return False
-    return canonical_key(q) in mutation_class_d(k, bound)
+    return canonical_key(q) in mutation_class_d(k)

@@ -19,8 +19,6 @@ from .errors import (
 )
 from ._maxcliques_py import maximal_cliques
 
-DEFAULT_MAX_N = 9
-
 TYPE1, TYPE2, TYPE3, TYPE4 = 1, 2, 3, 4
 
 
@@ -138,23 +136,13 @@ def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cliques)
 
 
-def _check_bound(n: int, max_n: int) -> None:
-    ed.check_size(n)
-    if n > max_n:
-        raise UnsupportedSizeError(
-            f"n={n} above the configured bound {max_n}; raise it explicitly"
-        )
-
-
-def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N):
+def enumerate_all(n: int):
     """Every triangulation exactly once, in lexicographic canonical order."""
-    _check_bound(n, max_n)
     for indices in _all_index_sets(n):
         yield Triangulation(n, indices)
 
 
-def count_all(n: int, max_n: int = DEFAULT_MAX_N) -> int:
-    _check_bound(n, max_n)
+def count_all(n: int) -> int:
     return len(_all_index_sets(n))
 
 
@@ -337,15 +325,9 @@ class TriangulationClass:
         }
 
 
-def equivalence_classes(n: int,
-                        max_n: int = DEFAULT_MAX_N) -> tuple[TriangulationClass, ...]:
-    """Orbit representatives of all triangulations, in canonical order."""
-    _check_bound(n, max_n)
-    return _equivalence_classes(n)
-
-
 @lru_cache(maxsize=None)
-def _equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
+def equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
+    """Orbit representatives of all triangulations, in canonical order."""
     # The keys come in lexicographic order, so the first key met of each
     # orbit is its minimum; the rest of the orbit is marked and skipped.
     classes = []

@@ -483,16 +483,29 @@ def _kind_invariance_failures(n: int) -> list[str]:
             for i, e in enumerate(alpha.edges) if alpha.kind[perm[i]] != alpha.kind[i]]
 
 
+def _class_size_failures(k: int) -> list[str]:
+    """The membership tests run against counted sets: |Mut(A_k)| by
+    Torkildsen's formula, and |Mut(D_k)| by the class count from k = 5 on
+    (at k = 4 the ten classes share six quivers, the d4 collision)."""
+    fails = []
+    size, want = len(qv.mutation_class_a(k)), qv.mutation_class_a_count(k)
+    if size != want:
+        fails.append(f"|Mut(A_{k})| = {size}, formula {want}")
+    size, want = len(qv.mutation_class_d(k)), tr.class_count_formula(k)
+    if k >= 5 and size != want:
+        fails.append(f"|Mut(D_{k})| = {size}, formula {want}")
+    return fails
+
+
 def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n)
     qv.transport_table(n - 1)
-    qv.mutation_class_a(n - 1)
-    qv.mutation_class_d(n - 1)
+    sizes = _class_size_failures(n - 1)  # builds both classes before forking
     reps = [cls.representative.key for cls in tr.equivalence_classes(n)]
     results = _parallel(partial(_prop45_chunk, n), reps, jobs)
     checks = [
         ("vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate",
-         _gather([_kind_invariance_failures(n), *results])),
+         _gather([sizes, _kind_invariance_failures(n), *results])),
     ]
     return SuiteReport("prop45", n, checks)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,6 @@ from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat import verify as vf
 from dncat.cli import main
-from dncat.errors import UnsupportedSizeError
 
 FAN5 = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
 ALL_SPOKES5 = "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+"
@@ -209,10 +209,24 @@ def test_prop45_jobs_deterministic(capsys):
     assert serial == parallel and "PASS suite=prop45 n=6" in serial
 
 
+@pytest.mark.parametrize("patch, want", [
+    ("mutation_class_a_count", "|Mut(A_5)| = 19, formula 20"),
+    ("class_count_formula", "|Mut(D_5)| = 26, formula 27"),
+], ids=["A", "D"])
+def test_prop45_checks_the_class_sizes(monkeypatch, patch, want):
+    module = qv if patch == "mutation_class_a_count" else tr
+    count = getattr(module, patch)
+    monkeypatch.setattr(module, patch, lambda k: count(k) + 1)
+    report = vf.suite_prop45(6)
+    assert not report.ok
+    ((_, fails),) = report.checks
+    assert fails == [want]
+
+
 def test_mutation_classes_are_built_once(monkeypatch):
     # the suite's warm-up and the membership tests share one cache entry per k
-    qv._mutation_class_a.cache_clear()
-    qv._mutation_class_d.cache_clear()
+    qv.mutation_class_a.cache_clear()
+    qv.mutation_class_d.cache_clear()
     seeds = []
     build = qv._mutation_class_keys
     monkeypatch.setattr(qv, "_mutation_class_keys",
@@ -235,6 +249,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "enumerate")[0] == 2          # missing --n
     assert run(capsys, "nonsense", "--n", "5")[0] == 2
     assert run(capsys, "verify", "--n", "5", "--suite", "bogus")[0] == 2
+    # --jobs and --max-n only where they are read
+    assert run(capsys, "edges", "--n", "5", "--jobs", "2")[0] == 2
+    assert run(capsys, "flip", "--n", "5", "--edges", FAN5, "--edge", "s:1:+",
+               "--max-n", "12")[0] == 2
 
 
 def test_max_n_bound(capsys):
@@ -272,15 +290,33 @@ def test_non_enumerating_commands_ignore_the_bound(capsys):
     assert code == 0 and out == qv.direct_quiver_of(flipped).to_dot()
 
 
-def test_quiver_bound_checked_before_the_walk(capsys, monkeypatch):
-    def no_walk(n):
-        raise AssertionError(f"flip graph walked at n={n}")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--count"],
+    ["classes"],
+    ["quiver", "--edges", "p:1-3,p:1-4,p:1-5,p:1-6,p:1-7,p:1-8,p:1-9,p:1-10,s:1:+,s:1:-"],
+    ["verify", "--suite", "crossing"],
+    ["catalog", "build"],
+], ids=lambda argv: argv[0])
+def test_bound_checked_before_enumerating(capsys, monkeypatch, tmp_path, argv):
+    # the CLI owns the size bound; a refusal is a data error (exit 3), like
+    # n < 4, and comes before any enumeration or flip-graph walk
+    def no_work(n):
+        raise AssertionError(f"enumerated at n={n}")
 
-    monkeypatch.setattr(tr, "walk_flip_graph", no_walk)
-    code, _, err = run(capsys, "quiver", "--n", "10", "--edges", tr.fan(10).token())
-    assert code == 3 and "--max-n" in err
-    with pytest.raises(UnsupportedSizeError):
-        qv.quiver_of(tr.fan(10))
+    monkeypatch.setattr(tr, "_all_index_sets", no_work)
+    monkeypatch.setattr(tr, "walk_flip_graph", no_work)
+    monkeypatch.setenv("DNCAT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--n", "10")
+    assert code == 3 and out == ""
+    assert err.startswith("error: n=10 above the bound 9") and "--max-n" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_honours_max_n(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "crossing", "--n", "10",
+                         "--max-n", "10")
+    assert code == 0 and out.endswith("PASS suite=crossing n=10\n")
+    assert err.startswith("warning: enumeration at n=10")
 
 
 def test_catalog_commands(capsys, tmp_path):
@@ -304,6 +340,35 @@ def test_catalog_show_corrupted_exits_3(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("error: checksum mismatch") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _rewrite(path, edit):
+    """Apply edit to the record lines of a catalog file, then fix up its
+    header count and its checksum in meta.json."""
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    records = edit(records)
+    header = json.dumps({**json.loads(header), "count": len(records)},
+                        sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    meta_path = path.parent / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["checksums"][path.name] = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, edit, want", [
+    ("classes.jsonl", lambda lines: lines[:-1], "9 classes, but the class count is 10"),
+    ("classes.jsonl", lambda lines: lines[:-1] + lines[:1],
+     "class orbit sizes sum to 52, not 50"),
+    ("triangulations.jsonl", lambda lines: lines[:-1],
+     "49 triangulations, but the cluster count is 50"),
+], ids=["class-dropped", "class-repeated", "triangulation-dropped"])
+def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):
+    run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
+    _rewrite(tmp_path / "n=4" / name, edit)
+    code, out, err = run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == f"error: {want}\n"
 
 
 def test_out_file(capsys, tmp_path):

@@ -1,6 +1,4 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +19,7 @@ from dncat.quivers import (
     linear_a_quiver,
     mutate,
     mutation_class_a,
+    mutation_class_a_count,
     mutation_class_d,
     quiver_of,
     simple_cycles,
@@ -255,27 +254,17 @@ def test_mutation_class_membership():
     assert in_mutation_class_d(base_quiver_d(4), 4)
     assert not in_mutation_class_d(linear_a_quiver(4), 4)
     with pytest.raises(UnsupportedSizeError):
-        mutation_class_a(9)
+        mutation_class_a(0)
+    with pytest.raises(UnsupportedSizeError):
+        mutation_class_d(3)
 
 
 def test_mutation_class_a_sizes_match_torkildsen():
     # Mut(A_k) is in bijection with the triangulations of a (k+3)-gon up to
-    # rotation (Torkildsen, arXiv:0801.3762): with N = k + 3 there are
-    # C_(N-2)/N, plus C_(N/2-1)/2 for even N, plus 2 C_(N/3-1)/3 when 3 | N.
-    def catalan(m):
-        return math.comb(2 * m, m) // (m + 1)
-
-    def torkildsen(k):
-        big = k + 3
-        count = Fraction(catalan(big - 2), big)
-        if big % 2 == 0:
-            count += Fraction(catalan(big // 2 - 1), 2)
-        if big % 3 == 0:
-            count += Fraction(2 * catalan(big // 3 - 1), 3)
-        return count
-
+    # rotation (Torkildsen, arXiv:0801.3762)
     sizes = [len(mutation_class_a(k)) for k in range(1, 9)]
-    assert sizes == [torkildsen(k) for k in range(1, 9)] == [1, 1, 4, 6, 19, 49, 150, 442]
+    assert sizes == [mutation_class_a_count(k) for k in range(1, 9)] == [
+        1, 1, 4, 6, 19, 49, 150, 442]
 
 
 def test_mutation_class_d_sizes_match_the_class_count_formula():
