@@ -664,25 +664,24 @@ def mutation_class_a(k: int) -> frozenset:
 
 
 def mutation_class_a_count(k: int) -> int:
-    """Closed-form size of the mutation class of A_k, in exact arithmetic.
-    Its quivers are the triangulations of an N-gon, N = k + 3, up to
-    rotation (Torkildsen, arXiv:0801.3762): C_(N-2)/N, plus C_(N/2-1)/2 for
-    even N, plus 2 C_(N/3-1)/3 when 3 divides N."""
-    from fractions import Fraction
+    """Closed-form size of the mutation class of A_k, in exact integer
+    arithmetic.  Its quivers are the triangulations of an N-gon, N = k + 3,
+    up to rotation (Torkildsen, arXiv:0801.3762): C_(N-2)/N, plus
+    C_(N/2-1)/2 for even N, plus 2 C_(N/3-1)/3 when 3 divides N."""
     from math import comb
 
     def catalan(m: int) -> int:
         return comb(2 * m, m) // (m + 1)
 
     big = k + 3
-    count = Fraction(catalan(big - 2), big)
+    num = 6 * catalan(big - 2)  # the count times 6N
     if big % 2 == 0:
-        count += Fraction(catalan(big // 2 - 1), 2)
+        num += 3 * big * catalan(big // 2 - 1)
     if big % 3 == 0:
-        count += Fraction(2 * catalan(big // 3 - 1), 3)
-    if count.denominator != 1:
+        num += 4 * big * catalan(big // 3 - 1)
+    if num % (6 * big):
         raise ModelInconsistencyError(f"type-A class count not integral at k={k}")
-    return int(count)
+    return num // (6 * big)
 
 
 @lru_cache(maxsize=None)
