@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 BACKEND = "python"
 
 
@@ -11,14 +9,12 @@ def maximal_cliques(masks, m: int) -> list[tuple[int, ...]]:
     """All maximal cliques of the graph whose row i has bit j set iff i~j.
 
     Bron-Kerbosch over Python integer bitsets, candidates taken in ascending
-    index order; the result is sorted lexicographically.
+    index order; the result is sorted lexicographically.  The recursion is
+    one level per clique vertex plus one, so n + 1 on the compatibility
+    graph of the n-gon, far inside the interpreter's default limit.
     """
     masks = list(masks)
     out: list[tuple[int, ...]] = []
-    limit = max(2000, 16 * m)
-    old = sys.getrecursionlimit()
-    if old < limit:
-        sys.setrecursionlimit(limit)
 
     def expand(clique: list[int], cand: int, done: int) -> None:
         if cand == 0 and done == 0:
@@ -33,9 +29,6 @@ def maximal_cliques(masks, m: int) -> list[tuple[int, ...]]:
             cand ^= low
             done |= low
 
-    try:
-        expand([], (1 << m) - 1, 0)
-    finally:
-        sys.setrecursionlimit(old)
+    expand([], (1 << m) - 1, 0)
     out.sort()
     return out

@@ -160,12 +160,20 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     triangulations = [tr.parse_triangulation(n, r["edges"]) for r in records]
     classes = _jsonl(target / "classes.jsonl", "class",
                      representative=str, orbitSize=int, type=int)
+    reps = []
     for payload in classes:
         rep = tr.parse_triangulation(n, payload["representative"])
         canonical, orbit = tr.canonical_form(rep)
         if canonical != rep or orbit != payload["orbitSize"]:
             raise CatalogError(f"class representative {payload['representative']} not canonical")
+        kind = tr.classify_type(rep)
+        if payload["type"] != kind:
+            raise CatalogError(f"class {payload['representative']} recorded as type "
+                               f"{payload['type']}, but it is of type {kind}")
+        reps.append(rep)
     _check_counts(n, len(triangulations), classes)
+    _check_order("triangulation", triangulations)
+    _check_order("class representative", reps)
     return Catalog(n, triangulations, classes)
 
 
@@ -181,6 +189,15 @@ def _check_counts(n: int, total: int, classes: list[dict]) -> None:
     orbits = sum(payload["orbitSize"] for payload in classes)
     if orbits != total:
         raise CatalogError(f"class orbit sizes sum to {orbits}, not {total}")
+
+
+def _check_order(what: str, tris: list[tr.Triangulation]) -> None:
+    """Strictly increasing keys, the order the writer emits: with the count
+    at its closed form, the records are then the full set, each once."""
+    for prev, tri in zip(tris, tris[1:]):
+        if prev.key >= tri.key:
+            raise CatalogError(f"{what}s out of canonical order: "
+                               f"{prev.token()} before {tri.token()}")
 
 
 def describe(catalog: Catalog) -> str:

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
+Exit codes: 0 success, 1 verification failure or a failed internal
+consistency check (a model bug, not bad input), 2 usage error, 3 invalid
 input data, a malformed catalog or a file that cannot be read or written.
 
 The size bound is a policy of this front end alone: the commands that
-enumerate (enumerate, classes, quiver by transport, verify, catalog build)
-refuse n above --max-n before any work, and the library takes no bound.  A
-refusal exits 3, as it raises the same UnsupportedSizeError as n < 4.
+enumerate (enumerate, classes, verify, catalog build) refuse n above
+--max-n before any work, and the library takes no bound.  A refusal exits
+3, as it raises the same UnsupportedSizeError as n < 4.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
 from . import verify as vf
-from .errors import DncatError, UnsupportedSizeError
+from .errors import DncatError, ModelInconsistencyError, UnsupportedSizeError
 from ._maxcliques_py import BACKEND
 
 EXIT_OK = 0
@@ -76,12 +77,14 @@ def cmd_edges(args) -> int:
     return EXIT_OK
 
 
-def _classes_output(args) -> str:
+def cmd_classes(args) -> int:
+    _check_bound(args)
     classes = tr.equivalence_classes(args.n)
     if args.type:
         classes = tuple(c for c in classes if c.type == args.type)
     if args.count:
-        return f"{len(classes)}\n"
+        _emit(args, f"{len(classes)}\n")
+        return EXIT_OK
     lines = []
     census: dict[int, int] = {}
     for c in classes:
@@ -93,14 +96,12 @@ def _classes_output(args) -> str:
     if not args.json:
         summary = ", ".join(f"type {k}: {v}" for k, v in sorted(census.items()))
         lines.append(f"# {len(classes)} classes ({summary})")
-    return "\n".join(lines) + "\n"
+    _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     _check_bound(args)
-    if args.classes:
-        _emit(args, _classes_output(args))
-        return EXIT_OK
     if args.count:
         _emit(args, f"{tr.count_all(args.n)}\n")
         return EXIT_OK
@@ -111,21 +112,15 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_classes(args) -> int:
-    _check_bound(args)
-    _emit(args, _classes_output(args))
-    return EXIT_OK
-
-
 def _parse_tri(args) -> tr.Triangulation:
     return tr.parse_triangulation(args.n, args.edges)
 
 
 def cmd_quiver(args) -> int:
-    if not args.direct:
-        _check_bound(args)  # transport walks the whole flip graph
+    if args.dot and args.relations:
+        args.parser.error("--relations attaches to the JSON output, not to --dot")
     tri = _parse_tri(args)
-    quiver = qv.direct_quiver_of(tri) if args.direct else qv.quiver_of(tri)
+    quiver = qv.direct_quiver_of(tri)
     if args.dot:
         text = quiver.to_dot()
     else:
@@ -156,6 +151,8 @@ def cmd_flip(args) -> int:
 
 
 def cmd_ar(args) -> int:
+    if args.tau_ranks and not args.dot:
+        args.parser.error("--tau-ranks groups the DOT output; pass --dot")
     quiver = ar.build_ar(args.n)
     if args.dot:
         _emit(args, quiver.to_dot(tau_ranks=args.tau_ranks))
@@ -174,15 +171,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 
-def cmd_catalog(args) -> int:
-    directory = args.dir or None
-    if args.action == "build":
-        _check_bound(args)
-        built = cat.build_catalog(args.n, jobs=args.jobs)
-        target = cat.write_catalog(built, directory)
-        _emit(args, f"{cat.describe(built)}\nwritten to {target}\n")
-        return EXIT_OK
-    loaded = cat.read_catalog(args.n, directory)
+def cmd_catalog_build(args) -> int:
+    _check_bound(args)
+    built = cat.build_catalog(args.n, jobs=args.jobs)
+    target = cat.write_catalog(built, args.dir or None)
+    _emit(args, f"{cat.describe(built)}\nwritten to {target}\n")
+    return EXIT_OK
+
+
+def cmd_catalog_show(args) -> int:
+    loaded = cat.read_catalog(args.n, args.dir or None)
     _emit(args, cat.describe(loaded) + "\n")
     return EXIT_OK
 
@@ -204,23 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate triangulations")
     _add_common(p, bound=True)
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--classes", action="store_true",
-                   help="group by equivalence class and report the census")
-    p.add_argument("--type", type=int, choices=(1, 2, 3, 4),
-                   help="restrict classes to one type")
-    p.add_argument("--json", action="store_true")
+    style = p.add_mutually_exclusive_group()
+    style.add_argument("--count", action="store_true", help="print only the count")
+    style.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("classes", help="list equivalence classes")
+    p = sub.add_parser("classes", help="list equivalence classes and their census")
     _add_common(p, bound=True)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--type", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--json", action="store_true")
+    style = p.add_mutually_exclusive_group()
+    style.add_argument("--count", action="store_true", help="print only the count")
+    style.add_argument("--json", action="store_true")
+    p.add_argument("--type", type=int, choices=(1, 2, 3, 4),
+                   help="restrict classes to one type")
     p.set_defaults(func=cmd_classes)
 
-    p = sub.add_parser("quiver", help="quiver of a triangulation")
-    _add_common(p, bound=True)
+    p = sub.add_parser("quiver", help="quiver of a triangulation (template construction)")
+    _add_common(p)
     p.add_argument("--edges", required=True, metavar="SPEC",
                    help="comma-separated edge tokens, e.g. p:1-3,s:1:+")
     style = p.add_mutually_exclusive_group()
@@ -228,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     style.add_argument("--json", action="store_true")
     p.add_argument("--relations", action="store_true",
                    help="attach the relation ideal to the JSON output")
-    p.add_argument("--direct", action="store_true",
-                   help="use the template construction instead of transport")
-    p.set_defaults(func=cmd_quiver)
+    p.set_defaults(func=cmd_quiver, parser=p)
 
     p = sub.add_parser("relations", help="relation ideal of a triangulation")
     _add_common(p)
@@ -251,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     style.add_argument("--json", action="store_true")
     p.add_argument("--tau-ranks", action="store_true",
                    help="group translation orbits as DOT ranks")
-    p.set_defaults(func=cmd_ar)
+    p.set_defaults(func=cmd_ar, parser=p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p, bound=True, jobs=True)
@@ -259,22 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="build or inspect the JSON catalog")
-    p.add_argument("action", choices=("build", "show"))
+    actions = p.add_subparsers(dest="action", required=True)
+    dir_help = "catalog directory (default: DNCAT_DIR or ./dncat_catalog)"
+    p = actions.add_parser("build", help="enumerate and write the catalog")
     _add_common(p, bound=True, jobs=True)
-    p.add_argument("--dir", help="catalog directory (default: DNCAT_DIR or ./dncat_catalog)")
-    p.set_defaults(func=cmd_catalog)
+    p.add_argument("--dir", help=dir_help)
+    p.set_defaults(func=cmd_catalog_build)
+    p = actions.add_parser("show", help="read, check and summarize the catalog")
+    _add_common(p)
+    p.add_argument("--dir", help=dir_help)
+    p.set_defaults(func=cmd_catalog_show)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse, and parser.error in a command
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except ModelInconsistencyError as exc:  # a failed internal check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (DncatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

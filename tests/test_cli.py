@@ -33,8 +33,7 @@ def test_enumerate_count(capsys):
 
 
 def test_enumerate_classes_type_filter(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "5", "--classes",
-                       "--type", "1", "--count")
+    code, out, _ = run(capsys, "classes", "--n", "5", "--type", "1", "--count")
     assert code == 0 and out.strip() == "15"
 
 
@@ -253,6 +252,33 @@ def test_usage_errors(capsys):
     assert run(capsys, "edges", "--n", "5", "--jobs", "2")[0] == 2
     assert run(capsys, "flip", "--n", "5", "--edges", FAN5, "--edge", "s:1:+",
                "--max-n", "12")[0] == 2
+    assert run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--max-n", "12")[0] == 2
+    assert run(capsys, "catalog", "show", "--n", "4", "--jobs", "2")[0] == 2
+    assert run(capsys, "catalog", "show", "--n", "4", "--max-n", "12")[0] == 2
+    # one path per command: classes lists classes, quiver is the template
+    assert run(capsys, "enumerate", "--n", "5", "--classes")[0] == 2
+    assert run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--direct")[0] == 2
+    # no option is silently dropped
+    assert run(capsys, "enumerate", "--n", "5", "--count", "--json")[0] == 2
+    assert run(capsys, "classes", "--n", "5", "--count", "--json")[0] == 2
+    assert run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--dot",
+               "--relations")[0] == 2
+    assert run(capsys, "ar", "--n", "5", "--tau-ranks")[0] == 2
+
+
+def test_model_inconsistency_exits_1(capsys, monkeypatch):
+    # a failed internal check is a bug, not bad input: exit 1, not 3
+    mutate_arrows = qv._mutate_arrows
+    monkeypatch.setattr(qv, "_mutate_arrows",
+                        lambda arrows, v, v2: mutate_arrows(arrows, v, v2)[1:])
+    qv.transport_table.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--suite", "transport", "--n", "5")
+    finally:
+        qv.transport_table.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_max_n_bound(capsys):
@@ -266,45 +292,45 @@ def test_max_n_reaches_classes(capsys):
     assert code == 0
     sizes = [json.loads(line)["orbitSize"] for line in out.splitlines()]
     assert sum(sizes) == tr.cluster_count_formula(10) == 136136
-    code, out, _ = run(capsys, "enumerate", "--classes", "--count",
-                       "--n", "10", "--max-n", "10")
-    assert code == 0 and int(out) == len(sizes)
 
 
-def test_non_enumerating_commands_ignore_the_bound(capsys):
-    # flip, relations and quiver --direct read one triangulation and never
-    # enumerate, so n=10 needs no --max-n
+def _forbid_enumeration(monkeypatch):
+    def no_work(n):
+        raise AssertionError(f"enumerated at n={n}")
+
+    monkeypatch.setattr(tr, "_all_index_sets", no_work)
+    monkeypatch.setattr(tr, "walk_flip_graph", no_work)
+
+
+def test_non_enumerating_commands_ignore_the_bound(capsys, monkeypatch):
+    # flip, relations and quiver read one triangulation and never enumerate,
+    # so n=10 needs no --max-n
     tri = tr.fan(10)
+    flipped, replacement = tr.flip(tri, ed.spoke(1, 1))
+    _forbid_enumeration(monkeypatch)
     code, out, _ = run(capsys, "flip", "--n", "10", "--edges", tri.token(),
                        "--edge", "s:1:+", "--json")
-    flipped, replacement = tr.flip(tri, ed.spoke(1, 1))
     assert code == 0 and json.loads(out) == {
         "replacement": replacement.token(), "triangulation": flipped.token()}
     code, out, _ = run(capsys, "relations", "--n", "10", "--edges", flipped.token())
     assert code == 0 and json.loads(out) == rl.relations_of(flipped).to_json()
-    code, out, _ = run(capsys, "quiver", "--n", "10", "--edges", flipped.token(),
-                       "--direct")
+    code, out, _ = run(capsys, "quiver", "--n", "10", "--edges", flipped.token())
     assert code == 0 and json.loads(out) == qv.direct_quiver_of(flipped).to_json()
     code, out, _ = run(capsys, "quiver", "--n", "10", "--edges", flipped.token(),
-                       "--direct", "--dot")
+                       "--dot")
     assert code == 0 and out == qv.direct_quiver_of(flipped).to_dot()
 
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--count"],
     ["classes"],
-    ["quiver", "--edges", "p:1-3,p:1-4,p:1-5,p:1-6,p:1-7,p:1-8,p:1-9,p:1-10,s:1:+,s:1:-"],
     ["verify", "--suite", "crossing"],
     ["catalog", "build"],
 ], ids=lambda argv: argv[0])
 def test_bound_checked_before_enumerating(capsys, monkeypatch, tmp_path, argv):
     # the CLI owns the size bound; a refusal is a data error (exit 3), like
     # n < 4, and comes before any enumeration or flip-graph walk
-    def no_work(n):
-        raise AssertionError(f"enumerated at n={n}")
-
-    monkeypatch.setattr(tr, "_all_index_sets", no_work)
-    monkeypatch.setattr(tr, "walk_flip_graph", no_work)
+    _forbid_enumeration(monkeypatch)
     monkeypatch.setenv("DNCAT_DIR", str(tmp_path))
     code, out, err = run(capsys, *argv, "--n", "10")
     assert code == 3 and out == ""
@@ -356,13 +382,28 @@ def _rewrite(path, edit):
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _retype_first(lines):
+    record = {**json.loads(lines[0]), "type": 2}
+    return [json.dumps(record, sort_keys=True, separators=(",", ":")), *lines[1:]]
+
+
 @pytest.mark.parametrize("name, edit, want", [
     ("classes.jsonl", lambda lines: lines[:-1], "9 classes, but the class count is 10"),
     ("classes.jsonl", lambda lines: lines[:-1] + lines[:1],
      "class orbit sizes sum to 52, not 50"),
     ("triangulations.jsonl", lambda lines: lines[:-1],
      "49 triangulations, but the cluster count is 50"),
-], ids=["class-dropped", "class-repeated", "triangulation-dropped"])
+    # the counts still hold on the three below
+    ("triangulations.jsonl", lambda lines: lines[:1] + lines[:1] + lines[2:],
+     "triangulations out of canonical order: "
+     "p:1-3,p:1-4,s:1:+,s:1:- before p:1-3,p:1-4,s:1:+,s:1:-"),
+    ("classes.jsonl", lambda lines: lines[2:3] + lines[1:],  # both of orbit size 4
+     "class representatives out of canonical order: "
+     "p:1-3,p:1-4,s:4:+,s:4:- before p:1-3,p:1-4,s:1:+,s:4:+"),
+    ("classes.jsonl", _retype_first,
+     "class p:1-3,p:1-4,s:1:+,s:1:- recorded as type 2, but it is of type 1"),
+], ids=["class-dropped", "class-repeated", "triangulation-dropped",
+        "triangulation-overwritten", "class-overwritten", "class-retyped"])
 def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):
     run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
     _rewrite(tmp_path / "n=4" / name, edit)

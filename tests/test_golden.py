@@ -27,15 +27,15 @@ CATALOG_N6 = {
 }
 
 WALK_N12 = {
-    ("quiver", "--json", "--relations", "--direct"):
+    ("quiver", "--json", "--relations"):
         "484cf1d00f36ba00d7fe1ebc25dd3123233e0d4133f455ba4ba73b89a9861f13",
-    ("quiver", "--dot", "--direct"):
+    ("quiver", "--dot"):
         "b1ce4caf4217c03cf878267fb8c0787e161f94a1ad5adf0e73d838662a4f79cc",
     ("relations",):
         "c19c67af8d4e7fde7c3093cb8bd1524786d462f1d95f342709bda2ec2a9e7535",
 }
 
-TYPED_ARGV = (("quiver", "--json", "--relations", "--direct"), ("relations",))
+TYPED_ARGV = (("quiver", "--json", "--relations"), ("relations",))
 
 # (n, type) -> the output digest of each TYPED_ARGV command, for the first
 # triangulation of that type met on the seeded walk of typed_walk(n)
