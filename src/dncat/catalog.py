@@ -1,11 +1,11 @@
-"""Persistent JSON catalog: triangulations, classes with quivers and
-relations, and a checksummed metadata header.
-
-Layout: <dir>/n=<k>/triangulations.jsonl, classes.jsonl, meta.json.  The
-directory defaults to ./dncat_catalog and can be overridden by the
-DNCAT_DIR environment variable or an explicit argument.  All serialization
-is deterministic, so a build-write-read-rewrite round trip is byte
-identical.
+"""Persistent JSON catalog, a function of n: <dir>/n=<k>/triangulations.jsonl
+(all of enumerate_all(n), so a Catalog holds only their count),
+classes.jsonl (each class with the template quiver and relations of its
+representative, what `dncat quiver` prints) and meta.json (counts and
+checksums).  The directory defaults to ./dncat_catalog and can be
+overridden by the DNCAT_DIR environment variable or an explicit argument.
+All serialization is deterministic, so a build-write-read-rewrite round
+trip is byte identical.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,38 +37,25 @@ def _dumps(obj) -> str:
 @dataclass
 class Catalog:
     n: int
-    triangulations: list[tr.Triangulation]
     classes: list[dict]  # class payloads with quiver and relations attached
+    count: int  # triangulations: all of enumerate_all(n)
 
     def type_census(self) -> dict:
-        census: dict[str, int] = {}
-        for payload in self.classes:
-            key = str(payload["type"])
-            census[key] = census.get(key, 0) + 1
-        return census
+        return dict(Counter(str(payload["type"]) for payload in self.classes))
+
+    def counts(self) -> dict:
+        return {"triangulations": self.count, "classes": len(self.classes),
+                "typeCensus": self.type_census()}
 
 
 def _class_payload(cls: tr.TriangulationClass) -> dict:
-    quiver = qv.quiver_of(cls.representative)
-    rels = rl.relations_of(cls.representative)
-    payload = cls.to_json()
-    payload["quiver"] = quiver.to_json()
-    payload["relations"] = rels.to_json()
-    return payload
+    rep = cls.representative
+    return {**cls.to_json(), "quiver": qv.direct_quiver_of(rep).to_json(),
+            "relations": rl.relations_of(rep).to_json()}
 
 
-def build_catalog(n: int, jobs: int = 1) -> Catalog:
-    triangulations = list(tr.enumerate_all(n))
-    qv.transport_table(n)  # built before forking so workers inherit it
-    classes = list(tr.equivalence_classes(n))
-    if jobs > 1:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(jobs) as pool:
-            payloads = pool.map(_class_payload, classes, chunksize=8)
-    else:
-        payloads = [_class_payload(c) for c in classes]
-    return Catalog(n, triangulations, payloads)
+def build_catalog(n: int) -> Catalog:
+    return Catalog(n, [_class_payload(c) for c in tr.equivalence_classes(n)], tr.count_all(n))
 
 
 def _sha256(path: Path) -> str:
@@ -86,33 +75,29 @@ def write_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
     target.mkdir(parents=True, exist_ok=True)
     staged = []
 
-    def stage(name: str, lines: list[str]) -> Path:
+    def stage(name: str, header: dict, records: Iterable[dict] = ()) -> Path:
         tmp = target / f"{name}.tmp"
         staged.append(tmp)
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(_dumps(header) + "\n")
+            fh.writelines(_dumps(record) + "\n" for record in records)
         return tmp
 
     try:
-        tri_path = stage("triangulations.jsonl",
-                         [_dumps({"n": catalog.n, "count": len(catalog.triangulations)})]
-                         + [_dumps({"edges": t.token()}) for t in catalog.triangulations])
-        cls_path = stage("classes.jsonl",
-                         [_dumps({"n": catalog.n, "count": len(catalog.classes)})]
-                         + [_dumps(payload) for payload in catalog.classes])
+        tri_path = stage("triangulations.jsonl", {"n": catalog.n, "count": catalog.count},
+                         ({"edges": t.token()} for t in tr.enumerate_all(catalog.n)))
+        cls_path = stage("classes.jsonl", {"n": catalog.n, "count": len(catalog.classes)},
+                         catalog.classes)
         meta = {
             "version": VERSION,
             "n": catalog.n,
-            "counts": {
-                "triangulations": len(catalog.triangulations),
-                "classes": len(catalog.classes),
-                "typeCensus": catalog.type_census(),
-            },
+            "counts": catalog.counts(),
             "checksums": {
                 "triangulations.jsonl": _sha256(tri_path),
                 "classes.jsonl": _sha256(cls_path),
             },
         }
-        stage("meta.json", [_dumps(meta)])
+        stage("meta.json", meta)
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
@@ -134,13 +119,16 @@ def _record(line: str, where: str, **fields: type) -> dict:
     raise CatalogError(f"{where} must be a JSON object with {spec}")
 
 
-def _jsonl(path: Path, what: str, **fields: type) -> list[dict]:
-    """The records after the header line, as many as the header counts."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = _record(lines[0] if lines else "", f"{path.name} header", count=int)
-    if header["count"] != len(lines) - 1:
+def _jsonl(path: Path, what: str, **fields: type) -> Iterator[dict]:
+    """The records after the header line, read one line at a time; the
+    header count is checked once the last record has been read."""
+    with path.open(encoding="utf-8") as fh:
+        header = _record(fh.readline(), f"{path.name} header", count=int)
+        count = 0
+        for count, line in enumerate(fh, 1):
+            yield _record(line, path.name, **fields)
+    if header["count"] != count:
         raise CatalogError(f"{what} count disagrees with the header")
-    return [_record(line, path.name, **fields) for line in lines[1:]]
 
 
 def read_catalog(n: int, directory: Path | None = None) -> Catalog:
@@ -151,15 +139,22 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
     if meta.get("version") != VERSION:
         raise CatalogError(f"unknown catalog version {meta.get('version')!r} in meta.json "
                            f"(this dncat reads {VERSION})")
+    if meta.get("n") != n:
+        raise CatalogError(f"meta.json is for n={meta.get('n')!r}, not n={n}")
+    if set(meta["checksums"]) != {"triangulations.jsonl", "classes.jsonl"}:
+        raise CatalogError("meta.json checksums must name triangulations.jsonl and "
+                           f"classes.jsonl, not {sorted(meta['checksums'])}")
     for name, recorded in meta["checksums"].items():
         actual = _sha256(target / name)
         if actual != recorded:
             raise CatalogError(f"checksum mismatch for {name}: {actual} != {recorded}")
 
+    # streamed through the checks: no triangulation is kept
     records = _jsonl(target / "triangulations.jsonl", "triangulation", edges=str)
-    triangulations = [tr.parse_triangulation(n, r["edges"]) for r in records]
-    classes = _jsonl(target / "classes.jsonl", "class",
-                     representative=str, orbitSize=int, type=int)
+    total = _check_order("triangulation",
+                         (tr.parse_triangulation(n, r["edges"]) for r in records))
+    classes = list(_jsonl(target / "classes.jsonl", "class",
+                          representative=str, orbitSize=int, type=int))
     reps = []
     for payload in classes:
         rep = tr.parse_triangulation(n, payload["representative"])
@@ -171,10 +166,13 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
             raise CatalogError(f"class {payload['representative']} recorded as type "
                                f"{payload['type']}, but it is of type {kind}")
         reps.append(rep)
-    _check_counts(n, len(triangulations), classes)
-    _check_order("triangulation", triangulations)
+    _check_counts(n, total, classes)
     _check_order("class representative", reps)
-    return Catalog(n, triangulations, classes)
+    catalog = Catalog(n, classes, total)
+    if meta.get("counts") != catalog.counts():
+        raise CatalogError(f"meta.json counts {_dumps(meta.get('counts'))} disagree "
+                           f"with the files: {_dumps(catalog.counts())}")
+    return catalog
 
 
 def _check_counts(n: int, total: int, classes: list[dict]) -> None:
@@ -191,18 +189,22 @@ def _check_counts(n: int, total: int, classes: list[dict]) -> None:
         raise CatalogError(f"class orbit sizes sum to {orbits}, not {total}")
 
 
-def _check_order(what: str, tris: list[tr.Triangulation]) -> None:
+def _check_order(what: str, tris: Iterable[tr.Triangulation]) -> int:
     """Strictly increasing keys, the order the writer emits: with the count
-    at its closed form, the records are then the full set, each once."""
-    for prev, tri in zip(tris, tris[1:]):
-        if prev.key >= tri.key:
+    at its closed form, the records are then the full set, each once.
+    Returns the number of records."""
+    count, prev = 0, None
+    for tri in tris:
+        if prev is not None and prev.key >= tri.key:
             raise CatalogError(f"{what}s out of canonical order: "
                                f"{prev.token()} before {tri.token()}")
+        count, prev = count + 1, tri
+    return count
 
 
 def describe(catalog: Catalog) -> str:
     census = ", ".join(f"type {k}: {v}" for k, v in sorted(catalog.type_census().items()))
     return (
-        f"n={catalog.n}: {len(catalog.triangulations)} triangulations, "
+        f"n={catalog.n}: {catalog.count} triangulations, "
         f"{len(catalog.classes)} classes ({census})"
     )

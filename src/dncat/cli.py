@@ -34,17 +34,12 @@ EXIT_DATA = 3
 DEFAULT_MAX_N = 9
 
 
-def _add_common(parser: argparse.ArgumentParser, bound: bool = False,
-                jobs: bool = False) -> None:
-    """--n and --out; --max-n for the commands that check the size bound
-    and --jobs for those that fork workers."""
+def _add_common(parser: argparse.ArgumentParser, bound: bool = False) -> None:
+    """--n and --out; --max-n for the commands that check the size bound."""
     parser.add_argument("--n", type=int, required=True, help="polygon size")
     if bound:
         parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                             help="raise the enumeration bound (slow beyond 9)")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                            help="worker processes for bulk checks")
     parser.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
@@ -173,7 +168,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog_build(args) -> int:
     _check_bound(args)
-    built = cat.build_catalog(args.n, jobs=args.jobs)
+    built = cat.build_catalog(args.n)
     target = cat.write_catalog(built, args.dir or None)
     _emit(args, f"{cat.describe(built)}\nwritten to {target}\n")
     return EXIT_OK
@@ -249,15 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ar, parser=p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p, bound=True, jobs=True)
+    _add_common(p, bound=True)
     p.add_argument("--suite", required=True, choices=vf.SUITES)
+    p.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="worker processes for bulk checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="build or inspect the JSON catalog")
     actions = p.add_subparsers(dest="action", required=True)
     dir_help = "catalog directory (default: DNCAT_DIR or ./dncat_catalog)"
     p = actions.add_parser("build", help="enumerate and write the catalog")
-    _add_common(p, bound=True, jobs=True)
+    _add_common(p, bound=True)
     p.add_argument("--dir", help=dir_help)
     p.set_defaults(func=cmd_catalog_build)
     p = actions.add_parser("show", help="read, check and summarize the catalog")

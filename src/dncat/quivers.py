@@ -1,12 +1,12 @@
 """Quivers of the cluster-tilted algebras attached to triangulations.
 
-Two independent constructions are provided.  The normative one transports
-the base quiver along flip paths from the fan, mutating at the exchanged
-vertex and carrying the vertex-to-edge labelling through every flip.  The
-oracle construction reads the quiver off the triangulation directly: the
-polygon regions cut out by the central configuration each contribute a
-type-A quiver by the triangle rule, and the central configuration itself
-contributes one of four templates.  The two must agree edge for edge.
+Two independent constructions are provided.  Transport (what `verify`
+reads) carries the base quiver along flip paths from the fan, mutating at
+the exchanged vertex and relabelling it through every flip.  The template
+(what `dncat quiver` and the catalog print) reads the quiver off the
+triangulation: each polygon region cut out by the central configuration
+contributes a type-A quiver by the triangle rule, and the central
+configuration one of four templates.  The two must agree edge for edge.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dncat.triangulations import count_all, equivalence_classes
 
 def test_build_counts():
     catalog = build_catalog(5)
-    assert len(catalog.triangulations) == count_all(5)
+    assert catalog.count == count_all(5)
     assert len(catalog.classes) == len(equivalence_classes(5))
     assert catalog.type_census() == {"1": 15, "2": 4, "3": 2, "4": 5}
 
@@ -43,16 +43,6 @@ def test_meta_contents(tmp_path):
     assert meta["checksums"]["triangulations.jsonl"].startswith("sha256:")
 
 
-def test_parallel_build_matches_serial(tmp_path):
-    serial = build_catalog(5, jobs=1)
-    parallel = build_catalog(5, jobs=2)
-    assert serial.classes == parallel.classes
-    a = write_catalog(serial, tmp_path / "a")
-    b = write_catalog(parallel, tmp_path / "b")
-    for name in ("triangulations.jsonl", "classes.jsonl", "meta.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
 def test_dir_override(monkeypatch, tmp_path):
     monkeypatch.setenv("DNCAT_DIR", str(tmp_path / "somewhere"))
     assert default_dir() == tmp_path / "somewhere"
@@ -62,19 +52,23 @@ def test_failed_write_leaves_the_old_catalog(monkeypatch, tmp_path):
     catalog = build_catalog(4)
     target = write_catalog(catalog, tmp_path)
     before = {p.name: p.read_bytes() for p in target.iterdir()}
-    write_text = Path.write_text
+    staged = {}
+    open_ = Path.open
 
-    def disk_full_at_classes(path, *args, **kwargs):
-        if path.name.startswith("classes"):
+    def disk_full_at_meta(path, *args, **kwargs):
+        if path.name.startswith("meta"):
+            staged.update((p.name, p.read_bytes()) for p in target.glob("*.tmp"))
             raise OSError("no space left on device")
-        return write_text(path, *args, **kwargs)
+        return open_(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", disk_full_at_classes)
+    monkeypatch.setattr(Path, "open", disk_full_at_meta)
     with pytest.raises(OSError):
-        write_catalog(Catalog(4, catalog.triangulations[:-1], catalog.classes), tmp_path)
+        write_catalog(Catalog(4, catalog.classes[:-1], catalog.count), tmp_path)
     monkeypatch.undo()
+    # the fault came after a staged file with new bytes, which was removed
+    assert staged["classes.jsonl.tmp"] != before["classes.jsonl"]
     assert {p.name: p.read_bytes() for p in target.iterdir()} == before
-    assert len(read_catalog(4, tmp_path).triangulations) == 50
+    assert read_catalog(4, tmp_path).count == 50
 
 
 def test_meta_is_moved_into_place_last(monkeypatch, tmp_path):

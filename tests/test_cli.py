@@ -255,6 +255,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--max-n", "12")[0] == 2
     assert run(capsys, "catalog", "show", "--n", "4", "--jobs", "2")[0] == 2
     assert run(capsys, "catalog", "show", "--n", "4", "--max-n", "12")[0] == 2
+    assert run(capsys, "catalog", "build", "--n", "4", "--jobs", "2")[0] == 2
     # one path per command: classes lists classes, quiver is the template
     assert run(capsys, "enumerate", "--n", "5", "--classes")[0] == 2
     assert run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--direct")[0] == 2
@@ -456,3 +457,41 @@ def test_catalog_show_unknown_version_exits_3(capsys, tmp_path):
     code, out, err = _show_with_meta(capsys, tmp_path, meta)
     assert code == 3 and out == ""
     assert err == "error: unknown catalog version '9.0.0' in meta.json (this dncat reads 0.1.0)\n"
+
+
+def _drop_first_quiver_arrow(lines):
+    # a class line that has lost one quiver arrow and all its zero paths
+    record = json.loads(lines[0])
+    record["quiver"]["arrows"] = record["quiver"]["arrows"][1:]
+    record["relations"]["zeroPaths"] = []
+    return [json.dumps(record, sort_keys=True, separators=(",", ":")), *lines[1:]]
+
+
+@pytest.mark.parametrize("meta, edit, want", [
+    ({"n": 5}, None, "meta.json is for n=5, not n=4"),
+    ({"checksums": {}}, _drop_first_quiver_arrow,
+     "meta.json checksums must name triangulations.jsonl and classes.jsonl, not []"),
+    ({"checksums": {"classes.jsonl": None}}, None,
+     "meta.json checksums must name triangulations.jsonl and classes.jsonl, "
+     "not ['classes.jsonl']"),
+    ({"counts": {"triangulations": 7, "classes": 1, "typeCensus": {"9": 1}}}, None,
+     'meta.json counts {"classes":1,"triangulations":7,"typeCensus":{"9":1}} disagree '
+     'with the files: {"classes":10,"triangulations":50,'
+     '"typeCensus":{"1":6,"2":1,"3":1,"4":2}}'),
+    ({"counts": None}, None,
+     'meta.json counts null disagree with the files: {"classes":10,"triangulations":50,'
+     '"typeCensus":{"1":6,"2":1,"3":1,"4":2}}'),
+], ids=["n", "no-checksums", "one-checksum", "counts", "no-counts"])
+def test_catalog_show_checks_the_meta(capsys, tmp_path, meta, edit, want):
+    # every field of meta.json is read; none of them can be rewritten away
+    run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
+    if edit is not None:
+        victim = tmp_path / "n=4" / "classes.jsonl"
+        header, *records = victim.read_text(encoding="utf-8").splitlines()
+        victim.write_text("\n".join([header, *edit(records)]) + "\n", encoding="utf-8")
+    meta_path = tmp_path / "n=4" / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **meta}),
+                         encoding="utf-8")
+    code, out, err = run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == f"error: {want}\n"

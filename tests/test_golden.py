@@ -1,29 +1,75 @@
 """Byte-identity guard: digests of the user-facing outputs, pinned so that a
 refactor of the internals cannot change what the CLI prints or writes.
 
-The verify n=5 digest equals the one the benchmark harness gates on
-(`perfbench/run.py`, DIGESTS["verify n=5"]).  The n=12 digests pin the
-export order past one-digit labels, where token-string order (p:1-10 before
-p:1-3) and canonical edge order differ.  The n=20 and n=30 digests pin the
-template quiver and the relations of one walk triangulation of each of the
-four types, past the range where whole tables can be built.
+The verify n=5 digest and the n=5 and n=8 catalog digests equal the ones
+the benchmark harness gates on (`perfbench/run.py`, DIGESTS).  The n=12
+digests pin the export order past one-digit labels, where token-string
+order (p:1-10 before p:1-3) and canonical edge order differ.  The n=20
+and n=30 digests pin the template quiver and the relations of one walk
+triangulation of each of the four types, past the range where whole
+tables can be built.
 """
 
 import hashlib
 import random
 
+import pytest
+
+from dncat import quivers as qv
 from dncat import triangulations as tr
 from dncat.cli import main
 
 VERIFY_ALL_N5 = "763af4bbc75872bac501a55fc8a135823a429b35c1ff32442fa533154f9c3cfd"
 
-CATALOG_N6 = {
-    "triangulations.jsonl":
-        "5df5de664d9d97d0fa751dd923d95e37419d8bba122be6259731f027e6f5c1f4",
-    "classes.jsonl":
-        "333d8a0846e326008dddb4e52a7adfb7348ccc0d34d31d621e6460811498ffdb",
-    "meta.json":
-        "11e3cfaeb63b4b3d1044cf586364cb47a357a12f4cb13c5e9bfb4eef8d863af6",
+CATALOG = {
+    4: {
+        "triangulations.jsonl":
+            "6a3fea451c95bca6a6044fa4369c37f4e2acd22af68398943b92504b5c6ceb73",
+        "classes.jsonl":
+            "655407a9094d98758cc2dd416b7be6d06ffffa55777cb2736c2dddace29955b3",
+        "meta.json":
+            "88d3aa6d7dd2afeec380bb1655d63d02db197d19239fd8e357d9db1527528be9",
+    },
+    5: {
+        "triangulations.jsonl":
+            "175f91a8b59d59fb0cdb8f0932f0a98f53f1af9422e2eb588886af5b1aeb655b",
+        "classes.jsonl":
+            "742ce206c385d982ce0e189f4f4a1b930fff34b0077c77d5d9d33186aca3ebc1",
+        "meta.json":
+            "88352836c27e35d97a0fcf3638d37eadc5449650cfd3f00ee4bae6a84edf03ff",
+    },
+    6: {
+        "triangulations.jsonl":
+            "5df5de664d9d97d0fa751dd923d95e37419d8bba122be6259731f027e6f5c1f4",
+        "classes.jsonl":
+            "333d8a0846e326008dddb4e52a7adfb7348ccc0d34d31d621e6460811498ffdb",
+        "meta.json":
+            "11e3cfaeb63b4b3d1044cf586364cb47a357a12f4cb13c5e9bfb4eef8d863af6",
+    },
+    7: {
+        "triangulations.jsonl":
+            "bc96b839f1b22b115c6075691ee5e5ac0c6d193cf71e56f848b5a60ad9af07c4",
+        "classes.jsonl":
+            "7d31b4e2312675ee4a396be3ac8eeff95a985c12d9d25e312561bf2c48df0211",
+        "meta.json":
+            "bb03809df75df231589b1a9110d7fe3807bd0e6971608e6b4cffd757925ccf18",
+    },
+    8: {
+        "triangulations.jsonl":
+            "f2c26038d610b16668c1498a333cbad850e9a05de3e4e1a70a419df5f895e5b8",
+        "classes.jsonl":
+            "86abcb5b5d08049b86adcf7973bbce9958c5e1708a1c26a63ccf6be43456bc50",
+        "meta.json":
+            "b4fd4a21ece21c6a904949afb80066e53a4446d427ad2a3c6825f4d93edfff30",
+    },
+}
+
+CATALOG_SHOW = {
+    4: "b5443febf9fadd7441e59b949cdf5814bfecdc3c9e40bc485b41ab4837bd3633",
+    5: "b7be86f9369b387ccdf56408a3f3f49348488aa9488976d232b09aad6a0f25b3",
+    6: "59fe14b44bbcf8e69fa129a438c468b419313470aec18b6b2d61c60e6c0cedc8",
+    7: "f76590c8110f3a63ef8ef4b078347243bbbec60e798c43de34a57490beef6e20",
+    8: "4c1505847fe22156f38482718f7aad67b5e53a4765ff607e1237e136a9d89feb",
 }
 
 WALK_N12 = {
@@ -70,12 +116,30 @@ def test_verify_all_n5_output(capsys):
     assert _sha256(out.encode("utf-8")) == VERIFY_ALL_N5
 
 
-def test_catalog_n6_files(capsys, tmp_path):
+def _catalog_digests(tmp_path, n: int) -> dict:
+    target = tmp_path / f"n={n}"
+    return {name: _sha256((target / name).read_bytes()) for name in CATALOG[n]}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG))
+def test_catalog_files_and_show(capsys, tmp_path, n):
+    assert main(["catalog", "build", "--n", str(n), "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _catalog_digests(tmp_path, n) == CATALOG[n]
+    assert main(["catalog", "show", "--n", str(n), "--dir", str(tmp_path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == CATALOG_SHOW[n]
+
+
+def test_catalog_n6_files(capsys, monkeypatch, tmp_path):
+    # the catalog is read off the template: no transport table, no walk
+    def no_walk(n):
+        raise AssertionError(f"walked the flip graph at n={n}")
+
+    monkeypatch.setattr(qv, "transport_table", no_walk)
+    monkeypatch.setattr(tr, "walk_flip_graph", no_walk)
     assert main(["catalog", "build", "--n", "6", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    target = tmp_path / "n=6"
-    digests = {name: _sha256((target / name).read_bytes()) for name in CATALOG_N6}
-    assert digests == CATALOG_N6
+    assert _catalog_digests(tmp_path, 6) == CATALOG[6]
 
 
 def test_export_order_n12(capsys):

@@ -7,6 +7,7 @@ from dncat.edges import alphabet, edge_index, plain, spoke
 from dncat.errors import UnsupportedSizeError
 from dncat.quivers import (
     Quiver,
+    _mutate_arrows,
     base_quiver,
     base_quiver_d,
     canonical_key,
@@ -138,6 +139,37 @@ def test_direct_equals_transport():
         table = transport_table(n)
         for tri in enumerate_all(n):
             assert direct_quiver_of(tri) == table[tri.key]
+
+
+def quiver_along(n, walk):
+    """Mutate the fan's quiver along a flip sequence (the edge index flipped
+    at each step), with no table: the triangulation and its transported
+    quiver after every flip."""
+    edges, index = alphabet(n).edges, alphabet(n).index
+    tri, arrows = fan(n), base_quiver(n).arrows
+    steps = []
+    for m in walk:
+        tri, replacement = flip(tri, edges[m])
+        arrows = _mutate_arrows(arrows, m, index[replacement])
+        steps.append((tri, Quiver(tri.key, arrows, n)))
+    return steps
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(10, 30), st.integers(0, 2**32 - 1))
+def test_template_equals_transport_on_random_walks(n, seed):
+    # past the sizes where transport tables can be built
+    rng = random.Random(seed)
+    tri, walk, back = fan(n), [], []
+    for _ in range(2 * n):
+        m = tri.key[rng.randrange(n)]
+        tri, replacement = flip(tri, alphabet(n).edges[m])
+        walk.append(m)
+        back.append(alphabet(n).index[replacement])
+    steps = quiver_along(n, walk + back[::-1])
+    for tri, q in steps[:len(walk)]:
+        assert direct_quiver_of(tri) == q
+    assert steps[-1] == (fan(n), base_quiver(n))
 
 
 def test_direct_type_two_shape():
