@@ -49,9 +49,12 @@ class Catalog:
 
 
 def _class_payload(cls: tr.TriangulationClass) -> dict:
+    # the quiver and the relations read off one decomposition: the same
+    # as direct_quiver_of and relations_of
     rep = cls.representative
-    return {**cls.to_json(), "quiver": qv.direct_quiver_of(rep).to_json(),
-            "relations": rl.relations_of(rep).to_json()}
+    dec = qv.decompose(rep)
+    return {**cls.to_json(), "quiver": qv._template_quiver(rep, dec).to_json(),
+            "relations": rl._template_relations(rep, dec).to_json()}
 
 
 def build_catalog(n: int) -> Catalog:

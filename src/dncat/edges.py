@@ -251,12 +251,15 @@ def compatibility_masks(n: int) -> tuple[int, ...]:
 @dataclass(frozen=True, slots=True)
 class Alphabet:
     """The per-n edge tables on canonical edge indices: the edges in order,
-    the index of each edge, the crossing numbers as one bytes row per edge,
+    the index of each edge, the token of each edge (tokens) and the index of
+    each token (by_token), the crossing numbers as one bytes row per edge,
     the compatibility masks, the translation, its inverse and the tag swap
     as index permutations, and classify_edge of each edge."""
 
     edges: tuple[TaggedEdge, ...]
     index: dict[TaggedEdge, int]
+    tokens: tuple[str, ...]
+    by_token: dict[str, int]
     cross: tuple[bytes, ...]
     masks: tuple[int, ...]
     tau: tuple[int, ...]
@@ -282,9 +285,10 @@ def alphabet(n: int) -> Alphabet:
     masks = tuple(sum(1 << j for j, c in enumerate(row) if c == 0 and j != i)
                   for i, row in enumerate(cross))
     index = {e: i for i, e in enumerate(edges)}
+    tokens = tuple(e.token() for e in edges)
     perms = [tuple(index[image(n, e)] for e in edges) for image in (tau, tau_inv, sigma)]
-    return Alphabet(tuple(edges), index, tuple(cross), masks, *perms,
-                    tuple(classify_edge(n, e) for e in edges))
+    return Alphabet(tuple(edges), index, tokens, {t: i for i, t in enumerate(tokens)},
+                    tuple(cross), masks, *perms, tuple(classify_edge(n, e) for e in edges))
 
 
 def _plain_index(n: int, a: int, b: int) -> int:

@@ -62,14 +62,14 @@ class Quiver:
     def label(self, v):
         """Export name of vertex v: its edge token in a triangulation's
         quiver, v itself in an abstract shape."""
-        return v if self.n is None else ed.alphabet(self.n).edges[v].token()
+        return v if self.n is None else ed.alphabet(self.n).tokens[v]
 
     def to_json(self) -> dict:
         """Vertices and arrows by name, sorted by name.  A triangulation's
         quiver names its vertices by edge token, so p:1-10 sorts before
         p:1-3."""
-        universe = None if self.n is None else ed.alphabet(self.n).edges
-        name = {v: v if universe is None else universe[v].token() for v in self.vertices}
+        tokens = None if self.n is None else ed.alphabet(self.n).tokens
+        name = {v: v if tokens is None else tokens[v] for v in self.vertices}
         return {"vertices": sorted(name.values()),
                 "arrows": [list(a) for a in
                            sorted((name[s], name[t]) for s, t in self.arrows)]}
@@ -434,7 +434,12 @@ def region_three_cycles(triangles) -> list:
 
 def direct_quiver_of(tri: tr.Triangulation) -> Quiver:
     """Template assembly of the quiver, independent of mutation transport."""
-    q = Quiver.build(tri.key, decompose(tri).arrows(), tri.n)
+    return _template_quiver(tri, decompose(tri))
+
+
+def _template_quiver(tri: tr.Triangulation, dec: Decomposition) -> Quiver:
+    """The quiver of tri read off its decomposition dec."""
+    q = Quiver.build(tri.key, dec.arrows(), tri.n)
     assert_cluster_quiver(q, "direct at")
     return q
 

@@ -31,10 +31,10 @@ class RelationSet:
 
     def to_json(self) -> dict:
         """Paths by vertex name: edge tokens for a triangulation."""
-        universe = None if self.n is None else ed.alphabet(self.n).edges
+        tokens = None if self.n is None else ed.alphabet(self.n).tokens
 
         def names(path: tuple) -> list:
-            return list(path) if universe is None else [universe[v].token() for v in path]
+            return list(path) if tokens is None else [tokens[v] for v in path]
 
         return {
             "zeroPaths": [names(p) for p in self.zero_paths],
@@ -44,12 +44,12 @@ class RelationSet:
         }
 
 
-def _check_composable(arrows: set, path: tuple, universe) -> None:
+def _check_composable(arrows: set, path: tuple, tokens) -> None:
     for s, t in zip(path, path[1:]):
         if (s, t) not in arrows:
             raise ModelInconsistencyError(
-                f"relation path {tuple(universe[v].token() for v in path)} not "
-                f"composable: missing arrow {universe[s].token()}->{universe[t].token()}"
+                f"relation path {tuple(tokens[v] for v in path)} not "
+                f"composable: missing arrow {tokens[s]}->{tokens[t]}"
             )
 
 
@@ -62,15 +62,20 @@ def _cycle_subpaths(cycle: tuple) -> list[tuple]:
 def relations_of(tri: tr.Triangulation) -> RelationSet:
     """Generators of the relation ideal, on edge-index vertices: the region
     relations, then the central template's generators."""
-    dec = qv.decompose(tri)
+    return _template_relations(tri, qv.decompose(tri))
+
+
+def _template_relations(tri: tr.Triangulation, dec: qv.Decomposition) -> RelationSet:
+    """The relation generators of tri read off its decomposition dec, each
+    checked composable along the template's arrows."""
     zero = [p for cycle in qv.region_three_cycles(dec.triangles)
             for p in _cycle_subpaths(cycle)]
     zero += dec.central_zero
 
-    universe = ed.alphabet(tri.n).edges
+    tokens = ed.alphabet(tri.n).tokens
     arrows = set(dec.arrows())
     for p in zero + [p for pair in dec.central_comm for p in pair]:
-        _check_composable(arrows, p, universe)
+        _check_composable(arrows, p, tokens)
     return RelationSet(tuple(zero), dec.central_comm, tri.n)
 
 

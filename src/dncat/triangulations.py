@@ -35,10 +35,7 @@ class Triangulation:
     def from_edges(cls, n: int, items) -> "Triangulation":
         """Validating constructor; raises NotATriangulationError with a
         witness when the set is not a triangulation."""
-        items = tuple(items)
-        validate_triangulation(n, items)
-        index = ed.alphabet(n).index
-        return cls(n, tuple(sorted(index[e] for e in items)))
+        return cls(n, _checked_key(n, _edge_indices(n, tuple(items))))
 
     @property
     def edges(self) -> tuple[TaggedEdge, ...]:
@@ -47,7 +44,8 @@ class Triangulation:
         return tuple(universe[i] for i in self.key)
 
     def token(self) -> str:
-        return ",".join(e.token() for e in self.edges)
+        tokens = ed.alphabet(self.n).tokens
+        return ",".join([tokens[i] for i in self.key])
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [e.to_json() for e in self.edges]}
@@ -70,48 +68,70 @@ def fan(n: int) -> Triangulation:
 
 
 def parse_triangulation(n: int, text: str) -> Triangulation:
-    """Parse a comma-separated token list and validate it."""
-    items = [ed.parse_edge(tok) for tok in text.split(",") if tok.strip()]
-    return Triangulation.from_edges(n, items)
+    """Parse a comma-separated token list and validate it.  When every
+    token is canonical (an entry of the alphabet's tokens) each maps
+    straight to its edge index.  Otherwise (another spelling, a malformed
+    or blank token, a vertex out of range, a short arc, n below the
+    minimum) every non-blank token is parsed by parse_edge and then checked
+    by check_edge, in input order.  The duplicate, crossing and maximality
+    checks then run on the indices either way, as for from_edges."""
+    tokens = text.split(",")
+    by_token = ed.alphabet(n).by_token if n >= ed.MIN_N else {}
+    keys = list(map(by_token.get, tokens))
+    if None in keys:
+        keys = _edge_indices(n, [ed.parse_edge(tok) for tok in tokens if tok.strip()])
+    return Triangulation(n, _checked_key(n, keys))
 
 
 def validate_triangulation(n: int, items) -> None:
     """Raise NotATriangulationError with a witness unless the set is a
     triangulation.  Maximality and the size-n criterion are both evaluated
     and must agree."""
-    items = tuple(items)
+    _checked_key(n, _edge_indices(n, tuple(items)))
+
+
+def _edge_indices(n: int, items) -> list[int]:
+    """The canonical index of each edge, every edge checked first."""
     for e in items:
         ed.check_edge(n, e)
-    if len(set(items)) != len(items):
+    index = ed.alphabet(n).index
+    return [index[e] for e in items]
+
+
+def _checked_key(n: int, keys: list[int]) -> tuple[int, ...]:
+    """The sorted key of a set of edge indices, given in input order, after
+    the duplicate, crossing and maximality checks."""
+    if len(set(keys)) != len(keys):
         raise NotATriangulationError("duplicate edges in set")
     alpha = ed.alphabet(n)
-    masks = alpha.masks
-    keys = [alpha.index[e] for e in items]
-    # distinct edges cross exactly when their compatibility bit is clear;
-    # pairs are tested in input order, so the first crossing pair is the
-    # witness
+    masks, tokens = alpha.masks, alpha.tokens
+    members = 0
+    for a in keys:
+        members |= 1 << a
+    # distinct edges cross exactly when their compatibility bit is clear.
+    # Pairs are tested in input order, so the first crossing pair is the
+    # witness: the first member whose row misses another member crosses
+    # only later ones (crossing is symmetric), the first of them is its
+    # partner.  common collects the edges compatible with every member;
+    # the lowest is the first extension in canonical order.
+    common = (1 << len(masks)) - 1
     for i, a in enumerate(keys):
         row = masks[a]
-        for j in range(i + 1, len(keys)):
-            if not row >> keys[j] & 1:
-                raise NotATriangulationError(
-                    f"edges cross: {items[i].token()} x {items[j].token()}"
-                )
-    # edges compatible with every member; the lowest is the first extension
-    # in canonical order
-    common = (1 << len(masks)) - 1
-    for a in keys:
-        common &= masks[a]
+        if members & ~row != 1 << a:
+            b = next(b for b in keys[i + 1:] if not row >> b & 1)
+            raise NotATriangulationError(f"edges cross: {tokens[a]} x {tokens[b]}")
+        common &= row
     maximal = common == 0
-    if maximal != (len(items) == n):
+    if maximal != (len(keys) == n):
         raise ModelInconsistencyError(
-            f"maximality ({maximal}) and size-n ({len(items)}=={n}) checks disagree"
+            f"maximality ({maximal}) and size-n ({len(keys)}=={n}) checks disagree"
         )
     if not maximal:
-        witness = alpha.edges[(common & -common).bit_length() - 1]
+        witness = tokens[(common & -common).bit_length() - 1]
         raise NotATriangulationError(
-            f"set is not maximal: {witness.token()} is compatible with all members"
+            f"set is not maximal: {witness} is compatible with all members"
         )
+    return tuple(sorted(keys))
 
 
 def is_triangulation(n: int, items) -> bool:
@@ -189,10 +209,10 @@ def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], 
         found = []
         while cand:
             low = cand & -cand
-            found.append(alpha.edges[low.bit_length() - 1].token())
+            found.append(alpha.tokens[low.bit_length() - 1])
             cand ^= low
         raise ModelInconsistencyError(
-            f"flip of {alpha.edges[m].token()} has {len(found)} replacements {found}; "
+            f"flip of {alpha.tokens[m]} has {len(found)} replacements {found}; "
             "expected 1"
         )
     m2 = cand.bit_length() - 1

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dncat import catalog as cat
+from dncat import quivers as qv
 from dncat.catalog import Catalog, build_catalog, default_dir, read_catalog, write_catalog
 from dncat.triangulations import count_all, equivalence_classes
 
@@ -14,6 +15,17 @@ def test_build_counts():
     assert catalog.count == count_all(5)
     assert len(catalog.classes) == len(equivalence_classes(5))
     assert catalog.type_census() == {"1": 15, "2": 4, "3": 2, "4": 5}
+
+
+def test_build_decomposes_each_class_once(monkeypatch):
+    # the quiver and the relations of a class are read off one decomposition
+    calls = []
+    decompose = qv.decompose
+    monkeypatch.setattr(qv, "decompose", lambda tri: calls.append(tri) or decompose(tri))
+    catalog = build_catalog(6)
+    classes = equivalence_classes(6)
+    assert len(catalog.classes) == len(calls) == len(classes) == 80
+    assert calls == [c.representative for c in classes]
 
 
 def test_round_trip_is_byte_identical(tmp_path):

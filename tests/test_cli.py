@@ -403,8 +403,20 @@ def _retype_first(lines):
      "p:1-3,p:1-4,s:4:+,s:4:- before p:1-3,p:1-4,s:1:+,s:4:+"),
     ("classes.jsonl", _retype_first,
      "class p:1-3,p:1-4,s:1:+,s:1:- recorded as type 2, but it is of type 1"),
+    # a triangulation line that is not a triangulation
+    ("triangulations.jsonl",
+     lambda lines: ['{"edges":"p:1-3,p:2-4,s:1:+,s:1:-"}', *lines[1:]],
+     "edges cross: p:1-3 x p:2-4"),
+    ("triangulations.jsonl",
+     lambda lines: ['{"edges":"p:1-3,p:1-3,s:1:+,s:1:-"}', *lines[1:]],
+     "duplicate edges in set"),
+    ("triangulations.jsonl",
+     lambda lines: ['{"edges":"p:1-3,zz,s:1:+,s:1:-"}', *lines[1:]],
+     "malformed edge token 'zz'"),
 ], ids=["class-dropped", "class-repeated", "triangulation-dropped",
-        "triangulation-overwritten", "class-overwritten", "class-retyped"])
+        "triangulation-overwritten", "class-overwritten", "class-retyped",
+        "triangulation-crossing", "triangulation-repeated-edge",
+        "triangulation-malformed"])
 def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):
     run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
     _rewrite(tmp_path / "n=4" / name, edit)

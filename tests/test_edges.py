@@ -175,6 +175,9 @@ def test_compatibility_masks_match_crossings():
         assert table.edges == edges and table.masks == masks
         for i, m in enumerate(edges):
             assert table.index[m] == i
+            assert table.tokens[i] == m.token()
+            assert table.by_token[table.tokens[i]] == i
+            assert parse_edge(table.tokens[i]) == m
             assert edges[table.tau[i]] == tau(n, m)
             assert edges[table.tau_inv[i]] == tau_inv(n, m)
             assert edges[table.sigma[i]] == sigma(n, m)

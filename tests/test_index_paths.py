@@ -1,14 +1,15 @@
 """Property tests of the table-based paths against the per-edge rules: the
 mask-based validation and flips against the pairwise crossing-number
 reference (the crossing loop over input pairs and the extension scan in
-canonical edge order), the morphism-space matrix read off the crossing
-table against hom_dim, and the template layer on edge indices (decompose
-and the algebra-dimension count) against its TaggedEdge formulation."""
+canonical edge order), the token-table parser against parse_edge per
+token, the morphism-space matrix read off the crossing table against
+hom_dim, and the template layer on edge indices (decompose and the
+algebra-dimension count) against its TaggedEdge formulation."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dncat import edges as ed
 from dncat import quivers as qv
@@ -88,6 +89,62 @@ def edge_lists(draw):
 def test_validation_matches_reference(case):
     n, items = case
     assert outcome(validate_triangulation, n, items) == outcome(reference_validate, n, items)
+
+
+def reference_parse(n, text):
+    return tr.Triangulation.from_edges(
+        n, [ed.parse_edge(tok) for tok in text.split(",") if tok.strip()])
+
+
+# other spellings of one token: surrounding spaces, a leading zero on the
+# first vertex, a doubled (or trailing) comma
+RESPELLINGS = [lambda tok: f" {tok} ", lambda tok: tok[:2] + "0" + tok[2:],
+               lambda tok: tok + ","]
+
+
+def stray_tokens(n):
+    """Blank, malformed, out-of-range and short-arc tokens, and two
+    canonical ones, at size n."""
+    return [" ", "zz", "s:1:*", "p:1", "p:1-2", f"p:1-{n + 1}", "s:0:+",
+            f"s:{n}:+", f"p:{n}-2"]
+
+
+@st.composite
+def token_texts(draw):
+    """The token string of an edge_lists() case, with a few tokens
+    respelled or stray tokens inserted; now and then read at n = 3, below
+    the minimal size."""
+    n, items = draw(edge_lists())
+    tokens = [e.token() for e in items]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        if i < len(tokens) and draw(st.booleans()):
+            tokens[i] = draw(st.sampled_from(RESPELLINGS))(tokens[i])
+        else:
+            tokens.insert(i, draw(st.sampled_from(stray_tokens(n))))
+    if draw(st.integers(0, 9)) == 9:
+        n = 3
+    return n, ",".join(tokens)
+
+
+def parse_outcome(parse, n, text):
+    try:
+        return parse(n, text).key
+    except DncatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(token_texts())
+@example((3, "zz,p:1-3"))
+@example((3, ""))
+@example((4, ""))
+@example((4, "p:1-3,p:2-4,s:1:+,s:1:-"))
+@example((4, "p:2-4,p:1-3,s:1:+,s:1:-"))
+@example((4, "s:1:-,p:1-4,s:1:+,p:1-3"))
+def test_parse_matches_reference(case):
+    n, text = case
+    assert parse_outcome(tr.parse_triangulation, n, text) == parse_outcome(reference_parse, n, text)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
