@@ -4,7 +4,7 @@ relations of the associated cluster-tilted algebras, and the translation
 quiver model with its edge correspondence."""
 
 from .arquiver import ARQuiver, ARVertex, build_ar, phi, phi_inv, sigma_ar, tau_ar
-from .catalog import Catalog, VERSION, build_catalog, read_catalog, write_catalog
+from .catalog import Catalog, VERSION, read_catalog, write_catalog
 from .edges import (
     TaggedEdge,
     all_edges,
@@ -57,7 +57,7 @@ __version__ = VERSION
 __all__ = [
     "ARQuiver", "ARVertex", "BACKEND", "Catalog", "Quiver", "RelationSet",
     "TaggedEdge", "Triangulation", "TriangulationClass", "VERSION",
-    "all_edges", "base_quiver", "build_ar", "build_catalog", "canonical_form",
+    "all_edges", "base_quiver", "build_ar", "canonical_form",
     "canonical_key", "classify_edge", "classify_type", "cluster_count_formula",
     "connected_components", "count_all", "crossing_number", "delete_vertex",
     "delta_length", "direct_quiver_of", "enumerate_all", "equivalence_classes",

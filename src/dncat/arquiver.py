@@ -44,13 +44,6 @@ def check_ar_vertex(n: int, v: ARVertex) -> None:
         raise InvalidVertexError(f"{v.token()} outside Z_{n} x 1..{n}")
 
 
-def parse_ar_vertex(token: str) -> ARVertex:
-    head, i, j = token.split(":")
-    if head != "t":
-        raise ValueError(f"malformed vertex token {token!r}")
-    return ARVertex(int(i), int(j))
-
-
 def tau_ar(n: int, v: ARVertex) -> ARVertex:
     """Quiver translation: step one slice clockwise; for odd n the two fork
     columns swap when stepping across the seam i = 0."""

@@ -1,11 +1,10 @@
 """Persistent JSON catalog, a function of n: <dir>/n=<k>/triangulations.jsonl
-(all of enumerate_all(n), so a Catalog holds only their count),
-classes.jsonl (each class with the template quiver and relations of its
-representative, what `dncat quiver` prints) and meta.json (counts and
-checksums).  The directory defaults to ./dncat_catalog and can be
-overridden by the DNCAT_DIR environment variable or an explicit argument.
-All serialization is deterministic, so a build-write-read-rewrite round
-trip is byte identical.
+(all of enumerate_all(n)), classes.jsonl (each class with the template
+quiver and relations of its representative, what `dncat quiver` prints) and
+meta.json (counts and checksums).  The files are the only copy of the
+records, each written and read in one streaming pass; a Catalog holds what
+meta.json counts.  The directory defaults to ./dncat_catalog, overridden by
+DNCAT_DIR or an explicit argument.  Two writes are byte identical.
 """
 
 from __future__ import annotations
@@ -34,18 +33,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Catalog:
     n: int
-    classes: list[dict]  # class payloads with quiver and relations attached
     count: int  # triangulations: all of enumerate_all(n)
-
-    def type_census(self) -> dict:
-        return dict(Counter(str(payload["type"]) for payload in self.classes))
+    census: dict[str, int]  # classes per type, keyed by the type as a string
 
     def counts(self) -> dict:
-        return {"triangulations": self.count, "classes": len(self.classes),
-                "typeCensus": self.type_census()}
+        return {"triangulations": self.count, "classes": sum(self.census.values()),
+                "typeCensus": self.census}
 
 
 def _class_payload(cls: tr.TriangulationClass) -> dict:
@@ -57,43 +53,44 @@ def _class_payload(cls: tr.TriangulationClass) -> dict:
             "relations": rl._template_relations(rep, dec).to_json()}
 
 
-def build_catalog(n: int) -> Catalog:
-    return Catalog(n, [_class_payload(c) for c in tr.equivalence_classes(n)], tr.count_all(n))
-
-
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):  # no file is held whole
+            digest.update(chunk)
+    return f"sha256:{digest.hexdigest()}"
 
 
-def write_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
-    """Write the three files of the catalog.  Each is staged under a
-    temporary name in the target directory and then moved into place with
-    os.replace, meta.json last: a write that fails before the moves leaves
-    the previous catalog as it was, and a reader never sees a file half
-    written (an interruption between the moves leaves checksums that do not
-    match, which read_catalog refuses)."""
+def write_catalog(n: int, directory: Path | None = None) -> tuple[Path, Catalog]:
+    """Write the three files of the catalog, one class payload alive at a
+    time, and return their directory and counts.  Each file is staged under
+    a temporary name and moved into place with os.replace, meta.json last:
+    a write that fails before the moves leaves the previous catalog as it
+    was, and a reader never sees a file half written (an interruption
+    between the moves leaves checksums that do not match)."""
+    classes = tr.equivalence_classes(n)
+    catalog = Catalog(n, tr.count_all(n), dict(Counter(str(c.type) for c in classes)))
     base = Path(directory) if directory is not None else default_dir()
-    target = base / f"n={catalog.n}"
+    target = base / f"n={n}"
     target.mkdir(parents=True, exist_ok=True)
     staged = []
 
-    def stage(name: str, header: dict, records: Iterable[dict] = ()) -> Path:
+    def stage(name: str, header: dict, lines: Iterable[str] = ()) -> Path:
         tmp = target / f"{name}.tmp"
         staged.append(tmp)
         with tmp.open("w", encoding="utf-8") as fh:
             fh.write(_dumps(header) + "\n")
-            fh.writelines(_dumps(record) + "\n" for record in records)
+            fh.writelines(lines)
         return tmp
 
     try:
-        tri_path = stage("triangulations.jsonl", {"n": catalog.n, "count": catalog.count},
-                         ({"edges": t.token()} for t in tr.enumerate_all(catalog.n)))
-        cls_path = stage("classes.jsonl", {"n": catalog.n, "count": len(catalog.classes)},
-                         catalog.classes)
+        tri_path = stage("triangulations.jsonl", {"n": n, "count": catalog.count},
+                         (_dumps({"edges": t.token()}) + "\n" for t in tr.enumerate_all(n)))
+        cls_path = stage("classes.jsonl", {"n": n, "count": len(classes)},
+                         (_dumps(_class_payload(c)) + "\n" for c in classes))
         meta = {
             "version": VERSION,
-            "n": catalog.n,
+            "n": n,
             "counts": catalog.counts(),
             "checksums": {
                 "triangulations.jsonl": _sha256(tri_path),
@@ -107,7 +104,7 @@ def write_catalog(catalog: Catalog, directory: Path | None = None) -> Path:
         raise
     for tmp in staged:
         os.replace(tmp, tmp.with_suffix(""))
-    return target
+    return target, catalog
 
 
 def _record(line: str, where: str, **fields: type) -> dict:
@@ -122,11 +119,13 @@ def _record(line: str, where: str, **fields: type) -> dict:
     raise CatalogError(f"{where} must be a JSON object with {spec}")
 
 
-def _jsonl(path: Path, what: str, **fields: type) -> Iterator[dict]:
+def _jsonl(path: Path, n: int, what: str, **fields: type) -> Iterator[dict]:
     """The records after the header line, read one line at a time; the
-    header count is checked once the last record has been read."""
+    header n is checked first, the count once the last record is read."""
     with path.open(encoding="utf-8") as fh:
         header = _record(fh.readline(), f"{path.name} header", count=int)
+        if type(header.get("n")) is not int or header["n"] != n:
+            raise CatalogError(f"{path.name} header is for n={header.get('n')!r}, not n={n}")
         count = 0
         for count, line in enumerate(fh, 1):
             yield _record(line, path.name, **fields)
@@ -152,14 +151,14 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
         if actual != recorded:
             raise CatalogError(f"checksum mismatch for {name}: {actual} != {recorded}")
 
-    # streamed through the checks: no triangulation is kept
-    records = _jsonl(target / "triangulations.jsonl", "triangulation", edges=str)
+    # both files streamed through the checks: of the records, only the class
+    # representatives are kept, for the order check after the counts
+    records = _jsonl(target / "triangulations.jsonl", n, "triangulation", edges=str)
     total = _check_order("triangulation",
                          (tr.parse_triangulation(n, r["edges"]) for r in records))
-    classes = list(_jsonl(target / "classes.jsonl", "class",
-                          representative=str, orbitSize=int, type=int))
-    reps = []
-    for payload in classes:
+    reps, census, orbits = [], Counter(), 0
+    for payload in _jsonl(target / "classes.jsonl", n, "class",
+                          representative=str, orbitSize=int, type=int):
         rep = tr.parse_triangulation(n, payload["representative"])
         canonical, orbit = tr.canonical_form(rep)
         if canonical != rep or orbit != payload["orbitSize"]:
@@ -169,25 +168,26 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
             raise CatalogError(f"class {payload['representative']} recorded as type "
                                f"{payload['type']}, but it is of type {kind}")
         reps.append(rep)
-    _check_counts(n, total, classes)
+        census[str(kind)] += 1
+        orbits += payload["orbitSize"]
+    _check_counts(n, total, len(reps), orbits)
     _check_order("class representative", reps)
-    catalog = Catalog(n, classes, total)
+    catalog = Catalog(n, total, dict(census))
     if meta.get("counts") != catalog.counts():
         raise CatalogError(f"meta.json counts {_dumps(meta.get('counts'))} disagree "
                            f"with the files: {_dumps(catalog.counts())}")
     return catalog
 
 
-def _check_counts(n: int, total: int, classes: list[dict]) -> None:
+def _check_counts(n: int, total: int, classes: int, orbits: int) -> None:
     """The counts against the closed forms: a catalog missing lines with
     its header and checksums fixed up still fails here."""
     want = tr.cluster_count_formula(n)
     if total != want:
         raise CatalogError(f"{total} triangulations, but the cluster count is {want}")
     want = tr.class_count_formula(n)
-    if len(classes) != want:
-        raise CatalogError(f"{len(classes)} classes, but the class count is {want}")
-    orbits = sum(payload["orbitSize"] for payload in classes)
+    if classes != want:
+        raise CatalogError(f"{classes} classes, but the class count is {want}")
     if orbits != total:
         raise CatalogError(f"class orbit sizes sum to {orbits}, not {total}")
 
@@ -206,8 +206,8 @@ def _check_order(what: str, tris: Iterable[tr.Triangulation]) -> int:
 
 
 def describe(catalog: Catalog) -> str:
-    census = ", ".join(f"type {k}: {v}" for k, v in sorted(catalog.type_census().items()))
+    census = ", ".join(f"type {k}: {v}" for k, v in sorted(catalog.census.items()))
     return (
         f"n={catalog.n}: {catalog.count} triangulations, "
-        f"{len(catalog.classes)} classes ({census})"
+        f"{catalog.counts()['classes']} classes ({census})"
     )

@@ -157,6 +157,8 @@ def cmd_ar(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        args.parser.error(f"--jobs must be at least 1, not {args.jobs}")
     _check_bound(args)
     reports = vf.run_suite(args.suite, args.n, jobs=args.jobs)
     lines = []
@@ -168,8 +170,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog_build(args) -> int:
     _check_bound(args)
-    built = cat.build_catalog(args.n)
-    target = cat.write_catalog(built, args.dir or None)
+    target, built = cat.write_catalog(args.n, args.dir or None)
     _emit(args, f"{cat.describe(built)}\nwritten to {target}\n")
     return EXIT_OK
 
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, bound=True)
     p.add_argument("--suite", required=True, choices=vf.SUITES)
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="worker processes for bulk checks")
-    p.set_defaults(func=cmd_verify)
+                   help="worker processes for bulk checks (at most one per core)")
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("catalog", help="build or inspect the JSON catalog")
     actions = p.add_subparsers(dest="action", required=True)

@@ -233,15 +233,6 @@ def parse_edge(token: str) -> TaggedEdge:
     raise InvalidEdgeError(f"malformed edge token {token!r}")
 
 
-def edge_from_json(obj: dict) -> TaggedEdge:
-    kind = obj.get("kind")
-    if kind == "plain":
-        return plain(int(obj["a"]), int(obj["b"]))
-    if kind == "spoke":
-        return spoke(int(obj["a"]), int(obj["tag"]))
-    raise InvalidEdgeError(f"unknown edge kind {kind!r}")
-
-
 def compatibility_masks(n: int) -> tuple[int, ...]:
     """Bitset row per edge index: bit j set iff edge j is distinct from and
     non-crossing with edge i."""

@@ -83,13 +83,6 @@ def parse_triangulation(n: int, text: str) -> Triangulation:
     return Triangulation(n, _checked_key(n, keys))
 
 
-def validate_triangulation(n: int, items) -> None:
-    """Raise NotATriangulationError with a witness unless the set is a
-    triangulation.  Maximality and the size-n criterion are both evaluated
-    and must agree."""
-    _checked_key(n, _edge_indices(n, tuple(items)))
-
-
 def _edge_indices(n: int, items) -> list[int]:
     """The canonical index of each edge, every edge checked first."""
     for e in items:
@@ -136,9 +129,9 @@ def _checked_key(n: int, keys: list[int]) -> tuple[int, ...]:
 
 def is_triangulation(n: int, items) -> bool:
     """True iff the set is pairwise non-crossing and maximal (see
-    validate_triangulation)."""
+    Triangulation.from_edges)."""
     try:
-        validate_triangulation(n, items)
+        Triangulation.from_edges(n, items)
     except NotATriangulationError:
         return False
     return True

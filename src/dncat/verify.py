@@ -8,6 +8,7 @@ prop47, d4, all.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -43,7 +44,9 @@ class SuiteReport:
 
 
 def _parallel(fn, items, jobs: int):
+    """fn over items, in order, on at most one worker process per core."""
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]
     from multiprocessing import get_context

@@ -6,7 +6,6 @@ import pytest
 from dncat.arquiver import (
     ARVertex,
     build_ar,
-    parse_ar_vertex,
     phi,
     phi_inv,
     sigma_ar,
@@ -117,7 +116,6 @@ def test_degree_profile_uniform_per_column():
 
 def test_tokens_and_dot():
     assert ARVertex(2, 3).token() == "t:2:3"
-    assert parse_ar_vertex("t:2:3") == ARVertex(2, 3)
     dot = build_ar(5).to_dot(tau_ranks=True)
     assert '"t:0:1" -> "t:0:2"' in dot
     assert "rank=same" in dot

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +159,41 @@ def test_verify_jobs_deterministic(capsys):
     _, parallel, _ = run(capsys, "verify", "--n", "5", "--suite", "types",
                          "--jobs", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--n", "5", "--suite", "types", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: --jobs must be at least 1, not {jobs}\n")
+
+
+def test_parallel_starts_at_most_one_worker_per_core(monkeypatch):
+    # a fake pool records the worker count and maps in this process
+    workers = []
+
+    class Pool:
+        def __init__(self, processes):
+            workers.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    items = list(range(-8, 0))
+    assert vf._parallel(abs, items, 10**6) == [abs(x) for x in items]
+    assert vf._parallel(abs, items, 2) == [abs(x) for x in items]
+    assert workers == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert vf._parallel(abs, items, 10**6) == [abs(x) for x in items]
+    assert workers == [3, 2]
 
 
 def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
@@ -369,12 +406,12 @@ def test_catalog_show_corrupted_exits_3(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def _rewrite(path, edit):
-    """Apply edit to the record lines of a catalog file, then fix up its
-    header count and its checksum in meta.json."""
+def _rewrite(path, edit, **fields):
+    """Apply edit to the record lines of a catalog file and fields to its
+    header, then fix up its header count and its checksum in meta.json."""
     header, *records = path.read_text(encoding="utf-8").splitlines()
     records = edit(records)
-    header = json.dumps({**json.loads(header), "count": len(records)},
+    header = json.dumps({**json.loads(header), **fields, "count": len(records)},
                         sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
     meta_path = path.parent / "meta.json"
@@ -423,6 +460,19 @@ def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):
     code, out, err = run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
     assert code == 3 and out == ""
     assert err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("name, n", [
+    ("triangulations.jsonl", 7), ("classes.jsonl", 7), ("classes.jsonl", "4"),
+    ("triangulations.jsonl", None),
+], ids=["triangulations", "classes", "classes-string", "triangulations-null"])
+def test_catalog_show_checks_the_header_n(capsys, tmp_path, name, n):
+    # a record file of another size, with its checksum fixed up
+    run(capsys, "catalog", "build", "--n", "4", "--dir", str(tmp_path))
+    _rewrite(tmp_path / "n=4" / name, lambda lines: lines, n=n)
+    code, out, err = run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == f"error: {name} header is for n={n!r}, not n=4\n"
 
 
 def test_out_file(capsys, tmp_path):

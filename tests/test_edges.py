@@ -13,7 +13,6 @@ from dncat.edges import (
     compatibility_masks,
     crossing_number,
     delta_length,
-    edge_from_json,
     edge_index,
     ext_dim,
     hom_dim,
@@ -148,7 +147,6 @@ def test_tokens_round_trip():
     for n in (4, 7):
         for e in all_edges(n):
             assert parse_edge(e.token()) == e
-            assert edge_from_json(e.to_json()) == e
     assert parse_edge("p:1-3") == plain(1, 3)
     assert parse_edge("s:2:-") == spoke(2, -1)
     with pytest.raises(InvalidEdgeError):

@@ -16,7 +16,7 @@ from dncat import quivers as qv
 from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat.errors import DncatError, ModelInconsistencyError, NotATriangulationError
-from dncat.triangulations import fan, flip, pairwise_hom_matrix, validate_triangulation
+from dncat.triangulations import Triangulation, fan, flip, pairwise_hom_matrix
 
 
 def reference_validate(n, items):
@@ -88,7 +88,7 @@ def edge_lists(draw):
 @given(edge_lists())
 def test_validation_matches_reference(case):
     n, items = case
-    assert outcome(validate_triangulation, n, items) == outcome(reference_validate, n, items)
+    assert outcome(Triangulation.from_edges, n, items) == outcome(reference_validate, n, items)
 
 
 def reference_parse(n, text):
