@@ -167,6 +167,11 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
         if payload["type"] != kind:
             raise CatalogError(f"class {payload['representative']} recorded as type "
                                f"{payload['type']}, but it is of type {kind}")
+        template = _class_payload(tr.TriangulationClass(rep, orbit, kind))
+        for field in ("quiver", "relations"):
+            if payload.get(field) != template[field]:
+                raise CatalogError(f"class {payload['representative']} has a {field} "
+                                   "field unlike its template's")
         reps.append(rep)
         census[str(kind)] += 1
         orbits += payload["orbitSize"]

@@ -33,5 +33,5 @@ class ModelInconsistencyError(DncatError, RuntimeError):
 
 class CatalogError(DncatError, ValueError):
     """A catalog on disk fails validation when read (version, checksum,
-    header count, class representative or type, a count off its closed
-    form, or records out of canonical order)."""
+    header count, class representative, type or template payload, a count
+    off its closed form, or records out of canonical order)."""

@@ -6,7 +6,8 @@ the exchanged vertex and relabelling it through every flip.  The template
 (what `dncat quiver` and the catalog print) reads the quiver off the
 triangulation: each polygon region cut out by the central configuration
 contributes a type-A quiver by the triangle rule, and the central
-configuration one of four templates.  The two must agree edge for edge.
+configuration one of four templates, a region's triangles found from its
+arcs alone.  The two must agree edge for edge.
 """
 
 from __future__ import annotations
@@ -225,13 +226,14 @@ class Decomposition:
     """A triangulation cut along its central configuration, on edge indices,
     with the relation generators of its template.
 
-    triangles: the triangles of every polygon region, region by region, each
-    as its three sides; a side is an edge index or None for a boundary
-    segment.  central_arrows: the template arrows between junction and spoke
-    edges.  central_zero and central_comm: the template's zero paths and
-    commutativity pairs, as vertex tuples read left to right along the
-    arrows.  The regions add the length-2 subpaths of their triangle-rule
-    3-cycles; the template adds, per type:
+    triangles: the triangles of every polygon region, region by region, in
+    the preorder of the split under each closing arc, each as its three
+    sides (x -> k, k -> y, x -> y around its apex k); a side is an edge
+    index or None for a boundary segment.  central_arrows: the template
+    arrows between junction and spoke edges.  central_zero and central_comm:
+    the template's zero paths and commutativity pairs, as vertex tuples read
+    left to right along the arrows.  The regions add the length-2 subpaths
+    of their triangle-rule 3-cycles; the template adds, per type:
 
       type 1: nothing.
       type 2: the commutativity of the two spoke routes j_out -> s -> j_in,
@@ -257,80 +259,44 @@ class Decomposition:
         return list(self.central_arrows) + region_arrows(self.triangles)
 
 
-def _region_triangles(n: int, corners: list[int], diagonals) -> list:
-    """Triangles of a triangulated polygon region.  The region's corners are
-    contiguous boundary vertices in ccw order and the closing side between
-    the first and last corner is an edge of the triangulation; diagonals
-    holds the corner-position pairs (i, j), i < j, of the region's interior
-    edges.  Each triangle is returned as its three sides, each side either
-    an edge index or None for a boundary segment.  Triangles come in the
-    preorder of the recursive split of the closing side."""
-    m = len(corners)
-    # boundary segments (the positions -1 and m are never an apex), the
-    # closing side, the diagonals
-    adjacent = [{i - 1, i + 1} for i in range(m)]
-    adjacent[0].add(m - 1)
-    adjacent[m - 1].add(0)
-    for i, j in diagonals:
-        adjacent[i].add(j)
-        adjacent[j].add(i)
-
-    def side(i: int, j: int):
-        if j == i + 1:
-            return None  # boundary segment
-        return ed._plain_index(n, corners[i], corners[j])
-
-    triangles = []
-    stack = [(0, m - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j <= i + 1:
-            continue
-        # the apex over side (i, j): unique when the region is triangulated
-        apex = [k for k in adjacent[i] if i < k < j and k in adjacent[j]]
-        if not apex:
-            raise ModelInconsistencyError(
-                f"region {corners} not triangulated between positions {i} and {j}"
-            )
-        k = min(apex)
-        triangles.append((side(i, k), side(k, j), side(i, j)))
-        stack.append((k, j))
-        stack.append((i, k))  # split first
-    return triangles
-
-
-def _span(n: int, a: int, b: int) -> list[int]:
-    """Boundary vertices from a to b inclusive, counterclockwise."""
-    return [ed.wrap(n, a + t) for t in range((b - a) % n + 1)]
-
-
 def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges."""
     n = tri.n
     kind = tr.classify_type(tri)
-    edges = tri.edges
-    arcs = [(e.a, e.b) for e in edges if e.is_plain]
-    arc_set = set(arcs)
+    arcs = {(e.a, e.b) for e in tri.edges if e.is_plain}
     # the spokes close the canonical order, sorted by base and +1 before -1
-    spokes = [(i, e) for i, e in zip(tri.key, edges) if e.is_spoke]
+    spokes = [(i, e) for i, e in zip(tri.key, tri.edges) if e.is_spoke]
 
     triangles = []
     central = []
     zero = []
     comm = []
 
+    def side(x: int, y: int):
+        return None if (y - x) % n == 1 else ed._plain_index(n, x, y)
+
     def add_region(a: int, b: int) -> None:
-        """The polygon region from a to b ccw, closed by the junction arc;
-        its interior edges are the arcs with both ends inside it, running
-        ccw (the junction itself only repeats the closing side)."""
-        corners = _span(n, a, b)
-        pos = {v: i for i, v in enumerate(corners)}
-        diagonals = []
-        for x, y in arcs:
-            i, j = pos.get(x), pos.get(y)
-            if i is not None and j is not None and i < j:
-                diagonals.append((i, j))
-        triangles.extend(_region_triangles(n, corners, diagonals))
+        """The triangles of the polygon region from a to b ccw, closed by the
+        arc (a, b).  Each side x -> y that is not a boundary segment must be
+        an arc; the triangle on it has its apex k at the farthest vertex
+        inside (x, y) that an arc joins to x, or at x + 1 when none does."""
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            length = (y - x) % n
+            if length == 1:
+                continue  # a boundary segment
+            if (x, y) not in arcs:
+                raise ModelInconsistencyError(
+                    f"{ed.plain(x, y).token()} missing from the region closed by "
+                    f"{ed.plain(a, b).token()} in {tri.token()}"
+                )
+            d = next((d for d in range(length - 1, 1, -1)
+                      if (x, ed.wrap(n, x + d)) in arcs), 1)
+            k = ed.wrap(n, x + d)
+            triangles.append((side(x, k), side(k, y), side(x, y)))
+            stack.append((k, y))
+            stack.append((x, k))  # split first
 
     if kind == tr.TYPE1:
         a, b = next((x, y) for x, y in arcs if (y - x) % n == n - 1)  # length n
@@ -349,7 +315,7 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     elif kind == tr.TYPE2:
         a = spokes[0][1].a
         bases = [x for x in range(1, n + 1) if x != a
-                 and (a, x) in arc_set and (x, a) in arc_set]
+                 and (a, x) in arcs and (x, a) in arcs]
         if len(bases) != 1:
             raise ModelInconsistencyError(
                 f"type 2 needs one return vertex, found {bases} in {tri.token()}"
@@ -373,10 +339,6 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     elif kind == tr.TYPE3:
         (s_a, e_a), (s_b, e_b) = spokes
         a, b = e_a.a, e_b.a
-        if (a, b) not in arc_set or (b, a) not in arc_set:
-            raise ModelInconsistencyError(
-                f"type 3 junctions missing from {tri.token()}"
-            )
         j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
         add_region(a, b)
         add_region(b, a)
@@ -395,11 +357,6 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
             closed.append((nxt - a) % n != 1)
             if not closed[-1]:  # neighbor bases: no connecting arc
                 continue
-            if (a, nxt) not in arc_set:
-                raise ModelInconsistencyError(
-                    f"connecting arc {ed.plain(a, nxt).token()} missing from "
-                    f"{tri.token()}"
-                )
             j = ed._plain_index(n, a, nxt)
             central += [(s_next, j), (j, s)]
             zero += [(s, s_next, j), (s_next, j, s), (j, s, s_next)]

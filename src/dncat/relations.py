@@ -85,8 +85,10 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
 
     Paths are grouped into classes under the commutativity rewrites; a class
     vanishes when any member contains a zero generator as a contiguous
-    subpath.  Used as an oracle: the dimension must equal the total of the
-    morphism-space dimension matrix of the triangulation.
+    subpath.  A class whose members differ in length is counted and
+    extended once, at the first length where it appears.  Used as an
+    oracle: the dimension must equal the total of the morphism-space
+    dimension matrix of the triangulation.
     """
     zero = set(rels.zero_paths)
     lengths = sorted({len(z) for z in zero})
@@ -125,6 +127,7 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
 
     total = len(q.vertices)
     current = [(v,) for v in q.vertices]
+    seen = set()  # class keys of every length so far
     for _ in range(cap):
         extended = []
         for path in current:
@@ -134,7 +137,9 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
         for path in extended:
             cls = closure(path)
             classes[min(cls)] = cls
-        alive = [rep for rep, cls in classes.items() if not is_zero(cls)]
+        alive = [rep for rep, cls in classes.items()
+                 if rep not in seen and not is_zero(cls)]
+        seen.update(classes)
         if not alive:
             return total
         total += len(alive)

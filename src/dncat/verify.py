@@ -16,6 +16,7 @@ from . import edges as ed
 from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
+from .errors import UnsupportedSizeError
 from .staple import staple_crossing_number
 
 SUITES = ("crossing", "flip", "transport", "types", "prop45", "prop47", "d4", "all")
@@ -501,6 +502,10 @@ def _class_size_failures(k: int) -> list[str]:
 
 
 def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
+    if n < 5:
+        raise UnsupportedSizeError(
+            f"prop45 needs n >= 5, as it deletes a vertex into size n-1; got n={n}"
+        )
     qv.transport_table(n)
     qv.transport_table(n - 1)
     sizes = _class_size_failures(n - 1)  # builds both classes before forking

@@ -139,6 +139,13 @@ def test_verify_failure_exits_1_with_counterexample(capsys):
     assert "FAIL" in out and "share a quiver" in out
 
 
+def test_verify_prop45_names_its_own_bound(capsys):
+    # prop45 deletes a vertex into size n-1: the refusal names n=4, not n=3
+    code, out, err = run(capsys, "verify", "--n", "4", "--suite", "prop45")
+    assert code == 3 and out == ""
+    assert err == "error: prop45 needs n >= 5, as it deletes a vertex into size n-1; got n=4\n"
+
+
 def test_verify_all_suite(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "all")
     assert code == 0
@@ -425,6 +432,17 @@ def _retype_first(lines):
     return [json.dumps(record, sort_keys=True, separators=(",", ":")), *lines[1:]]
 
 
+def _dropping(i, field, entry):
+    """An edit that drops the first item of record[field][entry] on record
+    line i."""
+    def edit(lines):
+        record = json.loads(lines[i])
+        del record[field][entry][0]
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return [*lines[:i], line, *lines[i + 1:]]
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, want", [
     ("classes.jsonl", lambda lines: lines[:-1], "9 classes, but the class count is 10"),
     ("classes.jsonl", lambda lines: lines[:-1] + lines[:1],
@@ -440,6 +458,13 @@ def _retype_first(lines):
      "p:1-3,p:1-4,s:4:+,s:4:- before p:1-3,p:1-4,s:1:+,s:4:+"),
     ("classes.jsonl", _retype_first,
      "class p:1-3,p:1-4,s:1:+,s:1:- recorded as type 2, but it is of type 1"),
+    # a class payload that is not its template (record 3 is of type 2)
+    ("classes.jsonl", _dropping(0, "quiver", "arrows"),
+     "class p:1-3,p:1-4,s:1:+,s:1:- has a quiver field unlike its template's"),
+    ("classes.jsonl", _dropping(3, "relations", "zeroPaths"),
+     "class p:1-3,p:3-1,s:1:+,s:1:- has a relations field unlike its template's"),
+    ("classes.jsonl", _dropping(3, "relations", "commutativityPairs"),
+     "class p:1-3,p:3-1,s:1:+,s:1:- has a relations field unlike its template's"),
     # a triangulation line that is not a triangulation
     ("triangulations.jsonl",
      lambda lines: ['{"edges":"p:1-3,p:2-4,s:1:+,s:1:-"}', *lines[1:]],
@@ -452,6 +477,7 @@ def _retype_first(lines):
      "malformed edge token 'zz'"),
 ], ids=["class-dropped", "class-repeated", "triangulation-dropped",
         "triangulation-overwritten", "class-overwritten", "class-retyped",
+        "class-arrow-dropped", "class-zero-path-dropped", "class-pair-dropped",
         "triangulation-crossing", "triangulation-repeated-edge",
         "triangulation-malformed"])
 def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):

@@ -362,3 +362,12 @@ def test_algebra_dimension_matches_reference_and_hom_total(n, seed):
     assert rl.path_algebra_dimension(q, rels, max_length=longest + 1) == dim
     with pytest.raises(ModelInconsistencyError):
         rl.path_algebra_dimension(q, rels, max_length=longest)
+
+
+def test_decompose_refuses_an_untriangulated_region():
+    # the fan at n=6 without p:1-4 leaves the square 1, 3, 4, 5 untriangulated
+    key = tuple(i for i in fan(6).key if i != ed._plain_index(6, 1, 4))
+    with pytest.raises(ModelInconsistencyError,
+                       match="p:3-5 missing from the region closed by p:1-6 in "
+                             r"p:1-3,p:1-5,p:1-6,s:1:\+,s:1:-"):
+        qv.decompose(Triangulation(6, key))

@@ -1,7 +1,7 @@
 from dncat import quivers as qv
 from dncat.edges import plain, spoke
 from dncat.quivers import direct_quiver_of
-from dncat.relations import path_algebra_dimension, relations_of
+from dncat.relations import RelationSet, path_algebra_dimension, relations_of
 from dncat.triangulations import (
     Triangulation,
     classify_type,
@@ -98,3 +98,11 @@ def test_algebra_dimension_matches_hom_total():
             assert dim == sum(map(sum, pairwise_hom_matrix(tri))), (
                 tri.token(), classify_type(tri),
             )
+
+
+def test_dimension_counts_a_class_once_across_lengths():
+    # 1 -> 2 -> 4 commutes with 1 -> 3 -> 5 -> 4: 5 vertices, 5 arrows, the
+    # paths 1-3-5 and 3-5-4 and one class of paths from 1 to 4
+    q = qv.Quiver.build(range(1, 6), [(1, 2), (2, 4), (1, 3), (3, 5), (5, 4)])
+    rels = RelationSet(commutativity_pairs=(((1, 2, 4), (1, 3, 5, 4)),))
+    assert path_algebra_dimension(q, rels) == 13
