@@ -159,6 +159,8 @@ def cmd_ar(args) -> int:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         args.parser.error(f"--jobs must be at least 1, not {args.jobs}")
+    if args.suite == "d4" and args.n != 4:
+        args.parser.error(f"the d4 suite is the witness at n=4 only; pass --n 4, not {args.n}")
     _check_bound(args)
     reports = vf.run_suite(args.suite, args.n, jobs=args.jobs)
     lines = []

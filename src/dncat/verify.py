@@ -4,6 +4,31 @@ Every suite returns a report of (check name, failure list) pairs; failures
 are formatted strings sorted so the smallest counterexample under canonical
 order comes first.  Suites: crossing, flip, transport, types, prop45,
 prop47, d4, all.
+
+The translation tau and the tag swap sigma carry a triangulation T to the
+members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
+isomorphic.  So the costly per-triangulation checks run once per class, at
+its representative, and reach every other member through a law that the
+same suite checks, each suite sound when run alone:
+
+- flip, uniqueness and involution: at the representatives.  A flip reads
+  only the compatibility rows, and the alphabet laws (below) make each row
+  tau- and sigma-equivariant, so flip(g.T, g.m) = g.flip(T, m).
+- transport, mutation against the table: at the representatives.  The
+  symmetry check gives quiver_of(g.T) = g.quiver_of(T) on every member,
+  the alphabet laws move the flip, and mutation commutes with relabelling.
+- types, local structure: at the representatives.  On every member the
+  quiver must be the representative's moved by g; the alphabet laws keep
+  the edge kinds and the inside of each connected arc.
+- types, dimension count: at the representatives.  On every member the
+  quiver and the relation generators (each commutativity pair unordered)
+  must be the representative's moved by g, and the count is compared with
+  the member's own hom total.
+
+The alphabet laws are checked once per n (_alphabet_law_failures); a
+broken law is a failure of every check it carries.  The type templates,
+direct template == transport, relations_of, flip-graph connectivity and
+prop45's quotient law run on every member.
 """
 
 from __future__ import annotations
@@ -62,6 +87,50 @@ def _gather(results) -> list[str]:
     for r in results:
         failures.extend(r)
     return sorted(failures)
+
+
+def _class_keys(n: int) -> list[tuple[int, ...]]:
+    return [cls.representative.key for cls in tr.equivalence_classes(n)]
+
+
+def _moved(g: tuple[int, ...], key: tuple[int, ...]) -> dict[int, int]:
+    """The vertex map of the group element g on the quiver of key."""
+    return {i: g[i] for i in key}
+
+
+# ---------------------------------------------------------------------------
+# laws carrying a check along an orbit
+
+
+def _inside(n: int, m: ed.TaggedEdge, e: ed.TaggedEdge) -> bool:
+    """True iff e is a plain arc inside the plain arc m: both its ends lie,
+    in order, on the boundary path from m's start to m's end."""
+    if e.is_spoke:
+        return False
+    start, end = (e.a - m.a) % n, (e.b - m.a) % n
+    return start < end <= (m.b - m.a) % n
+
+
+def _alphabet_law_failures(n: int) -> list[str]:
+    """The translation and the tag swap preserve each compatibility row
+    (bit j of row i is bit g(j) of row g(i)), each edge kind, and the arcs
+    inside each connected arc."""
+    alpha = ed.alphabet(n)
+    edges, masks, kind = alpha.edges, alpha.masks, alpha.kind
+    fails = []
+    for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
+        for i, m in enumerate(edges):
+            row = masks[i]
+            image = sum(1 << perm[j] for j in range(len(edges)) if row >> j & 1)
+            if masks[perm[i]] != image:
+                fails.append(f"{m.token()}: compatibility row not {name} equivariant")
+            if kind[perm[i]] != kind[i]:
+                fails.append(f"{m.token()}: edge kind not {name} invariant")
+            if kind[i] == ed.CONNECTED and any(
+                    _inside(n, m, e) != _inside(n, edges[perm[i]], edges[perm[j]])
+                    for j, e in enumerate(edges)):
+                fails.append(f"{m.token()}: inner arcs not {name} equivariant")
+    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +246,12 @@ def _check_flip_connected(n: int) -> list[str]:
 
 
 def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
-    keys = [t.key for t in tr.enumerate_all(n)]
-    results = _parallel(partial(_flip_chunk, n), keys, jobs)
+    # at the class representatives; the compatibility-row law moves each
+    # flip to the other orbit members
+    results = _parallel(partial(_flip_chunk, n), _class_keys(n), jobs)
     checks = [
         ("every edge of every triangulation flips uniquely and involutively",
-         _gather(results)),
+         _gather([_alphabet_law_failures(n), *results])),
         ("flip graph is connected from the fan", _check_flip_connected(n)),
     ]
     return SuiteReport("flip", n, checks)
@@ -192,22 +262,25 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 
 
 def _check_commutation(n: int) -> list[str]:
-    """Mutate every quiver of the transport table at every flip with the
-    public `mutate` and compare with the table's entry for the flipped
-    triangulation.  The table itself is built by the separate mutation on
-    arrow tuples inside `quivers`, so this cross-checks two independent
-    implementations of the mutation rule."""
+    """Mutate the quiver of every class representative at every flip with
+    the public `mutate` and compare with the transport table's entry for the
+    flipped triangulation.  The table itself is built by the separate
+    mutation on arrow tuples inside `quivers`, so this cross-checks two
+    independent implementations of the mutation rule.  A member g.T of the
+    class has the quiver g.quiver_of(T) (the symmetry check) and the flips
+    g.flip(T, m) (the alphabet laws, checked here), and mutation commutes
+    with relabelling, so the comparison at T holds at g.T."""
     fails = []
     table = qv.transport_table(n)
     universe = ed.alphabet(n).edges
-    for key in sorted(table):
+    for key in _class_keys(n):
         q = table[key]
         for m in key:
             key2, m2 = tr._flip_index(n, key, m)
             if qv.mutate(q, m).relabel({m: m2}) != table[key2]:
                 fails.append(f"{tr.Triangulation(n, key).token()} "
                              f"at {universe[m].token()}: mutation != flip")
-    return fails
+    return fails + _alphabet_law_failures(n)
 
 
 def _direct_chunk(n: int, indices) -> list[str]:
@@ -264,12 +337,53 @@ def _type_predicates(tri: tr.Triangulation) -> tuple[bool, bool, bool, bool]:
     return p1, p2, p3, p4
 
 
-def _types_chunk(n: int, indices) -> tuple[list[str], list[str], list[str]]:
-    """Failures of the type templates, local structure and relation dimension."""
-    tri = tr.Triangulation(n, indices)
-    q = qv.quiver_of(tri)
-    return (_template_failures(tri), _local_structure_failures(tri, q),
-            _relations_failures(tri, q))
+def _types_chunk(n: int, rep_key) -> tuple[list[str], list[str], list[str]]:
+    """Failures of the type templates, local structure and relation
+    dimension on the orbit of one class representative.  The templates and
+    relations_of run on every member; the local structure and the dimension
+    count run at the representative and carry to each member g.T, whose
+    quiver and relations must be the representative's moved by g."""
+    table = qv.transport_table(n)
+    rep = tr.Triangulation(n, rep_key)
+    q = table[rep_key]
+    local = _local_structure_failures(n, rep_key, q)
+    templates, dims = [], []
+    rels = dim = None
+    for key, g in tr._orbit(n, rep_key).items():  # the representative first
+        tri = tr.Triangulation(n, key)
+        token = tri.token()
+        templates.extend(_template_failures(tri))
+        if key != rep_key and table[key] != q.relabel(_moved(g, rep_key)):
+            fail = (f"{token}: quiver is not its representative's "
+                    f"{rep.token()} moved by the orbit map")
+            local.append(fail)
+            dims.append(fail)
+        try:
+            member = rl.relations_of(tri)
+        except Exception as exc:  # noqa: BLE001
+            dims.append(f"{token}: {exc}")
+            continue
+        if key == rep_key:
+            rels, dim = member, rl.path_algebra_dimension(q, member)
+        elif rels is None:
+            continue  # the representative's own failure is recorded
+        elif _generators(member) != _generators(rels, g):
+            dims.append(f"{token}: relations are not its representative's "
+                        f"{rep.token()} moved by the orbit map")
+        expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
+        if dim != expected:
+            dims.append(f"{token}: algebra dimension {dim} != hom total {expected}")
+    return templates, local, dims
+
+
+def _generators(rels: rl.RelationSet, g=None) -> tuple[frozenset, frozenset]:
+    """The zero paths and the commutativity pairs, each pair unordered, as
+    sets of vertex tuples moved by the group element g (if given)."""
+    def move(path: tuple) -> tuple:
+        return path if g is None else tuple(g[v] for v in path)
+
+    return (frozenset(map(move, rels.zero_paths)),
+            frozenset(frozenset(map(move, pair)) for pair in rels.commutativity_pairs))
 
 
 def _template_failures(tri: tr.Triangulation) -> list[str]:
@@ -324,10 +438,13 @@ def _template_failures(tri: tr.Triangulation) -> list[str]:
     return fails
 
 
-def _local_structure_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
+def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
+    """The local structure of the quiver q of the triangulation key, on
+    edge indices."""
     fails = []
-    token = tri.token()
-    kinds = ed.alphabet(tri.n).kind
+    alpha = ed.alphabet(n)
+    edges, kinds = alpha.edges, alpha.kind
+    token = tr.Triangulation(n, key).token()
     try:
         qv.assert_cluster_quiver(q)
     except Exception as exc:  # noqa: BLE001
@@ -335,12 +452,12 @@ def _local_structure_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
     if not qv.is_connected(q):
         fails.append(f"{token}: quiver disconnected")
 
-    members = tuple(zip(tri.key, tri.edges))
-    for m, e in members:
+    for m in key:
         kind = kinds[m]
-        vm = e.token()
+        vm = alpha.tokens[m]
         if kind == ed.CONNECTED:
-            inner, outer = _partition_sides(tri.n, members, e)
+            inner = {i for i in key if i != m and _inside(n, edges[m], edges[i])}
+            outer = set(key) - inner - {m}
             for s, t in q.arrows:
                 if (s in inner and t in outer) or (s in outer and t in inner):
                     fails.append(f"{token}: arrow across {vm} between "
@@ -364,23 +481,6 @@ def _local_structure_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
     return fails
 
 
-def _partition_sides(n: int, members, m) -> tuple[set, set]:
-    """Edge indices of the triangulation, given as (index, edge) members,
-    inside the arc m and outside it."""
-    span = (m.b - m.a) % n
-    inner, outer = set(), set()
-    for i, e in members:
-        if e == m:
-            continue
-        if e.is_plain:
-            pa, pb = (e.a - m.a) % n, (e.b - m.a) % n
-            if pa < pb <= span:
-                inner.add(i)
-                continue
-        outer.add(i)
-    return inner, outer
-
-
 def _check_census(n: int) -> list[str]:
     fails = []
     census = tr.type_census(n)
@@ -400,28 +500,14 @@ def _check_census(n: int) -> list[str]:
     return fails
 
 
-def _relations_failures(tri: tr.Triangulation, q: qv.Quiver) -> list[str]:
-    """q is the transported quiver, checked against the template by the
-    transport suite."""
-    try:
-        rels = rl.relations_of(tri)
-    except Exception as exc:  # noqa: BLE001
-        return [f"{tri.token()}: {exc}"]
-    dim = rl.path_algebra_dimension(q, rels)
-    expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
-    if dim != expected:
-        return [f"{tri.token()}: algebra dimension {dim} != hom total {expected}"]
-    return []
-
-
 def suite_types(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n)  # built before forking so workers inherit it
-    keys = [t.key for t in tr.enumerate_all(n)]
-    templates, local, dims = zip(*_parallel(partial(_types_chunk, n), keys, jobs))
+    templates, local, dims = zip(*_parallel(partial(_types_chunk, n), _class_keys(n), jobs))
     checks = [
         ("each triangulation matches exactly one type template", _gather(templates)),
         ("type and class censuses are consistent", _check_census(n)),
-        ("separation, region-neighbor, and border-vertex structure", _gather(local)),
+        ("separation, region-neighbor, and border-vertex structure",
+         _gather([_alphabet_law_failures(n), *local])),
         ("relation ideals give the morphism-space dimensions", _gather(dims)),
     ]
     return SuiteReport("types", n, checks)
@@ -462,7 +548,7 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
     for key, g in tr._orbit(n, rep_key).items():
         tri = tr.Triangulation(n, key)
         member = table[key]
-        if key != rep_key and member != q.relabel({i: g[i] for i in rep_key}):
+        if key != rep_key and member != q.relabel(_moved(g, rep_key)):
             fails.append(f"{tri.token()}: quiver is not its representative's "
                          f"{rep.token()} moved by the orbit map")
         for i, m in zip(key, tri.edges):
@@ -478,13 +564,6 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
                               if s != i and t != i)) != entry.arrows:
                 fails.append(f"{where}: quotient quiver differs")
     return fails
-
-
-def _kind_invariance_failures(n: int) -> list[str]:
-    alpha = ed.alphabet(n)
-    return [f"{e.token()}: edge kind not {name} invariant"
-            for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma))
-            for i, e in enumerate(alpha.edges) if alpha.kind[perm[i]] != alpha.kind[i]]
 
 
 def _class_size_failures(k: int) -> list[str]:
@@ -509,11 +588,10 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     qv.transport_table(n)
     qv.transport_table(n - 1)
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
-    reps = [cls.representative.key for cls in tr.equivalence_classes(n)]
-    results = _parallel(partial(_prop45_chunk, n), reps, jobs)
+    results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
     checks = [
         ("vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate",
-         _gather([sizes, _kind_invariance_failures(n), *results])),
+         _gather([sizes, _alphabet_law_failures(n), *results])),
     ]
     return SuiteReport("prop45", n, checks)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -243,6 +244,107 @@ def test_prop45_alone_catches_a_bad_orbit_member():
     ((_, fails),) = report.checks
     assert any("moved by the orbit map" in f for f in fails)
     assert vf.suite_prop45(6).ok
+
+
+def _non_representative(n, accept=lambda key: True):
+    reps = {cls.representative.key for cls in tr.equivalence_classes(n)}
+    return next(k for k in sorted(qv.transport_table(n)) if k not in reps and accept(k))
+
+
+def _failing_checks(report):
+    return {name for name, fails in report.checks if fails}
+
+
+def test_transport_and_types_alone_catch_a_bad_orbit_member():
+    # the commutation and local-structure checks run at the class
+    # representatives; a member whose quiver has one vertex cut off must
+    # still fail both suites
+    table = qv.transport_table(6)
+    key = _non_representative(6)
+    good = table[key]
+    table[key] = qv.Quiver(good.vertices, tuple(a for a in good.arrows if key[0] not in a), 6)
+    try:
+        transport, types = vf.suite_transport(6), vf.suite_types(6)
+    finally:
+        table[key] = good
+    assert not transport.ok
+    assert "separation, region-neighbor, and border-vertex structure" in _failing_checks(types)
+    assert vf.suite_transport(6).ok and vf.suite_types(6).ok
+
+
+def test_types_alone_catches_a_dropped_generator(monkeypatch):
+    # the dimension count runs at the class representatives; one member
+    # losing a zero path whose loss changes its dimension must still fail
+    relations_of = rl.relations_of
+
+    def dropped(key):
+        rels = relations_of(tr.Triangulation(6, key))
+        return rl.RelationSet(rels.zero_paths[1:], rels.commutativity_pairs, rels.n)
+
+    def visible(key):
+        q = qv.transport_table(6)[key]
+        rels = relations_of(tr.Triangulation(6, key))
+        return (rels.zero_paths and rl.path_algebra_dimension(q, dropped(key))
+                != rl.path_algebra_dimension(q, rels))
+
+    key = _non_representative(6, visible)
+    monkeypatch.setattr(rl, "relations_of",
+                        lambda tri: dropped(key) if tri.key == key else relations_of(tri))
+    report = vf.suite_types(6)
+    assert _failing_checks(report) == {"relation ideals give the morphism-space dimensions"}
+
+
+def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
+    # flips run at the class representatives, and the compatibility rows
+    # carry them to the orbits; a row with one bit cleared must fail
+    tr.count_all(6)  # enumerated from the true rows
+    alphabet = ed.alphabet
+    alpha = alphabet(6)
+    i = next(i for i, e in enumerate(alpha.edges) if e.is_spoke)
+    row = alpha.masks[i]
+    masks = list(alpha.masks)
+    masks[i] = row & (row - 1)  # clears the lowest set bit
+    bad = dataclasses.replace(alpha, masks=tuple(masks))
+    monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
+    code, out, _ = run(capsys, "verify", "--suite", "flip", "--n", "6")
+    assert code == 1 and "PASS" not in out
+
+
+def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
+    alphabet = ed.alphabet
+    alpha = alphabet(6)
+    assert vf._alphabet_law_failures(6) == []
+    index = alpha.index
+    spoke = index[ed.spoke(1, 1)]
+    masks = list(alpha.masks)
+    masks[spoke] &= masks[spoke] - 1
+    kinds = list(alpha.kind)
+    kinds[index[ed.plain(1, 3)]] = ed.CONNECTED
+    tau = list(alpha.tau)  # two connected arcs of different lengths swapped
+    x, y = index[ed.plain(1, 4)], index[ed.plain(1, 5)]
+    tau[x], tau[y] = tau[y], tau[x]
+    for edit, want in ((dict(masks=tuple(masks)), "s:1:+: compatibility row not"),
+                       (dict(kind=tuple(kinds)), "p:1-3: edge kind not"),
+                       (dict(tau=tuple(tau)), "p:1-4: inner arcs not translation")):
+        bad = dataclasses.replace(alpha, **edit)
+        monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
+        assert any(f.startswith(want) for f in vf._alphabet_law_failures(6))
+
+
+def test_verify_all_jobs_deterministic(capsys):
+    _, serial, _ = run(capsys, "verify", "--n", "6", "--suite", "all")
+    _, parallel, _ = run(capsys, "verify", "--n", "6", "--suite", "all", "--jobs", "2")
+    assert serial == parallel and serial.count("PASS suite=") == 7
+
+
+@pytest.mark.parametrize("n", ["3", "5", "100"])
+def test_verify_d4_is_the_n4_witness_only(capsys, n):
+    code, out, err = run(capsys, "verify", "--suite", "d4", "--n", n)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: the d4 suite is the witness at n=4 only; "
+                        f"pass --n 4, not {n}\n")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "5")
+    assert code == 0 and "PASS suite=d4 n=4" in out
 
 
 def test_prop45_jobs_deterministic(capsys):

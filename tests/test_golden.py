@@ -2,7 +2,9 @@
 refactor of the internals cannot change what the CLI prints or writes.
 
 The verify n=5 digest and the n=5 and n=8 catalog digests equal the ones
-the benchmark harness gates on (`perfbench/run.py`, DIGESTS).  The n=12
+the benchmark harness gates on (`perfbench/run.py`, DIGESTS).  The verify
+digests at n=4, 5 and 6 pin the suites' output while the costly checks run
+once per translation/tag-swap class and reach the other members by laws.  The n=12
 digests pin the export order past one-digit labels, where token-string
 order (p:1-10 before p:1-3) and canonical edge order differ.  The n=20
 and n=30 digests pin the template quiver and the relations of one walk
@@ -19,7 +21,11 @@ from dncat import quivers as qv
 from dncat import triangulations as tr
 from dncat.cli import main
 
-VERIFY_ALL_N5 = "763af4bbc75872bac501a55fc8a135823a429b35c1ff32442fa533154f9c3cfd"
+VERIFY_ALL = {
+    4: "28d06bc4f5ad6460f75347fc7ea949c50dcf22d21bc1af6dd436f4dea52ef9c8",
+    5: "763af4bbc75872bac501a55fc8a135823a429b35c1ff32442fa533154f9c3cfd",
+    6: "0a51044e438fc2785eb0c69ad2256b42bff938a673d54b6c915901dbfd400ce8",
+}
 
 CATALOG = {
     4: {
@@ -109,11 +115,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_verify_all_n5_output(capsys):
-    code = main(["verify", "--suite", "all", "--n", "5"])
+def _verify_all_digest(capsys, n: int) -> str:
+    code = main(["verify", "--suite", "all", "--n", str(n)])
     out = capsys.readouterr().out
     assert code == 0
-    assert _sha256(out.encode("utf-8")) == VERIFY_ALL_N5
+    return _sha256(out.encode("utf-8"))
+
+
+def test_verify_all_n5_output(capsys):
+    assert _verify_all_digest(capsys, 5) == VERIFY_ALL[5]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_verify_all_output(capsys, n):
+    assert _verify_all_digest(capsys, n) == VERIFY_ALL[n]
 
 
 def _catalog_digests(tmp_path, n: int) -> dict:

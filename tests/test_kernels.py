@@ -1,3 +1,5 @@
+from hypothesis import example, given, settings, strategies as st
+
 import dncat
 from dncat._maxcliques_py import maximal_cliques
 from dncat.edges import compatibility_masks
@@ -23,3 +25,39 @@ def test_cliques_equal_flip_bfs_set():
         reached = [key for key, _ in walk_flip_graph(n)]
         assert len(reached) == len(set(reached))
         assert set(cliques) == set(reached)
+
+
+def brute_force_maximal_cliques(masks, m):
+    """Every vertex subset that is a clique and that no vertex extends, as
+    sorted tuples in lexicographic order."""
+    def clique(s):
+        return all(s & ~(1 << v) & ~masks[v] == 0 for v in range(m) if s >> v & 1)
+
+    def extendable(s):
+        return any(not s >> u & 1 and s & ~masks[u] == 0 for u in range(m))
+
+    found = [s for s in range(1, 1 << m) if clique(s) and not extendable(s)]
+    return sorted(tuple(v for v in range(m) if s >> v & 1) for s in found)
+
+
+def graphs():
+    """(m, one bool per vertex pair i < j in lexicographic order)."""
+    return st.integers(1, 10).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.booleans(), min_size=m * (m - 1) // 2,
+                             max_size=m * (m - 1) // 2)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(graphs())
+@example((10, [False] * 45))  # ten isolated vertices
+@example((10, [True] * 45))  # the complete graph
+@example((4, [True, True, False, True, False, False]))  # triangle plus an isolated vertex
+def test_maximal_cliques_match_brute_force(graph):
+    m, present = graph
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    masks = [0] * m
+    for (i, j), edge in zip(pairs, present):
+        if edge:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    assert maximal_cliques(masks, m) == brute_force_maximal_cliques(masks, m)

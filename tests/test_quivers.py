@@ -229,6 +229,22 @@ def test_isomorphism_witness_on_relabelled_walk_quivers(n, seed):
         assert is_isomorphic(renamed, mutate(q, v)) == (False, None)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(5, 12), st.integers(0, 2**32 - 1))
+def test_mutation_commutes_with_relabelling_on_walk_quivers(n, seed):
+    # the law that carries verify's commutation check from a class
+    # representative to its orbit: mutate(pi.Q, pi(v)) == pi.mutate(Q, v)
+    # for a renaming pi of the vertices into the edge indices
+    rng = random.Random(seed)
+    tri = fan(n)
+    for _ in range(3 * n):
+        tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+    q = direct_quiver_of(tri)
+    pi = dict(zip(q.vertices, rng.sample(range(n * n), n)))
+    for v in q.vertices:
+        assert mutate(q.relabel(pi), pi[v]) == mutate(q, v).relabel(pi)
+
+
 def test_d4_witness_pairs_the_canonical_labelings():
     a, b = find_d4_witness()
     qa, qb = quiver_of(a.representative), quiver_of(b.representative)
