@@ -179,9 +179,14 @@ def _mutate_arrows(arrows, v: int, v2: int) -> tuple:
 def transport_table(n: int) -> dict:
     """Quivers for every triangulation, by breadth-first transport from the
     fan.  Every flip-graph edge is checked for consistency on the way, which
-    makes the result path independent by construction."""
+    makes the result path independent by construction.  Each edge is
+    mutated once, from the end the walk pops first: mutation is an
+    involution, and verify's transport suite compares the public mutate
+    with the table at every flip, in both directions."""
     # Mutation runs on the sorted arrow tuples, one shared object per
-    # distinct pair; each entry becomes a Quiver on its key once at the end.
+    # distinct pair.  An entry becomes a Quiver on its key when the walk
+    # pops it, so a Quiver entry marks a triangulation whose flips have all
+    # been mutated from its end.
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     def intern(arrows) -> tuple:
@@ -191,9 +196,13 @@ def transport_table(n: int) -> dict:
     table = {base.vertices: intern(base.arrows)}
     for key, flips in tr.walk_flip_graph(n):
         arrows = table[key]
+        table[key] = Quiver(key, arrows, n)
+        assert_cluster_quiver(table[key], "transport to")
         for m, key2, m2 in flips:
-            arrows2 = _mutate_arrows(arrows, m, m2)
             known = table.get(key2)
+            if isinstance(known, Quiver):
+                continue
+            arrows2 = _mutate_arrows(arrows, m, m2)
             if known is None:
                 table[key2] = intern(arrows2)
             elif known != arrows2:
@@ -205,9 +214,6 @@ def transport_table(n: int) -> dict:
         raise ModelInconsistencyError(
             f"flip graph disconnected at n={n}: reached {len(table)} triangulations"
         )
-    for key, arrows in table.items():
-        table[key] = Quiver(key, arrows, n)
-        assert_cluster_quiver(table[key], "transport to")
     return table
 
 
@@ -264,6 +270,13 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     n = tri.n
     kind = tr.classify_type(tri)
     arcs = {(e.a, e.b) for e in tri.edges if e.is_plain}
+    # per vertex x, the boundary steps (y - x) mod n of the arcs x -> y,
+    # longest first
+    reach = {x: [] for x in range(1, n + 1)}
+    for x, y in arcs:
+        reach[x].append((y - x) % n)
+    for steps in reach.values():
+        steps.sort(reverse=True)
     # the spokes close the canonical order, sorted by base and +1 before -1
     spokes = [(i, e) for i, e in zip(tri.key, tri.edges) if e.is_spoke]
 
@@ -291,8 +304,7 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
                     f"{ed.plain(x, y).token()} missing from the region closed by "
                     f"{ed.plain(a, b).token()} in {tri.token()}"
                 )
-            d = next((d for d in range(length - 1, 1, -1)
-                      if (x, ed.wrap(n, x + d)) in arcs), 1)
+            d = next((d for d in reach[x] if d < length), 1)
             k = ed.wrap(n, x + d)
             triangles.append((side(x, k), side(k, y), side(x, y)))
             stack.append((k, y))
@@ -406,7 +418,12 @@ def _template_quiver(tri: tr.Triangulation, dec: Decomposition) -> Quiver:
 
 
 def _refine_colors(n_verts: int, adj_out, adj_in, colors):
-    while True:
+    """Refine the colors 0..k-1 by the colors of each vertex's out- and
+    in-neighbors until no class splits.  A new color sorts by the old one
+    first, so a round that splits nothing returns the colors unchanged,
+    and a round that leaves every class a singleton is the last."""
+    count = len(set(colors))
+    while count < n_verts:
         sig = [
             (colors[v],
              tuple(sorted(colors[w] for w in adj_out[v])),
@@ -414,10 +431,11 @@ def _refine_colors(n_verts: int, adj_out, adj_in, colors):
             for v in range(n_verts)
         ]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
+        if len(palette) == count:
             return colors
-        colors = new
+        colors = [palette[s] for s in sig]
+        count = len(palette)
+    return colors
 
 
 def _index_graph(q: Quiver):

@@ -229,15 +229,35 @@ def walk_flip_graph(n: int):
     Yields each reachable triangulation once as (key, flips), where key is
     its sorted edge-index tuple and flips holds one (m, key2, m2) per edge
     index m of key: flipping m gives the triangulation key2, with
-    replacement m2.  Only the keys seen and the queue are held."""
+    replacement m2.  Only the keys seen and the queue are held.
+
+    The n replacements of a key come from one pass over its rows: the
+    replacement of m is the AND of the rows before m (a prefix) and after m
+    (a suffix), as in _flip_index, which reports a row giving no or two
+    replacements."""
+    alpha = ed.alphabet(n)
+    masks = alpha.masks
+    full = (1 << len(masks)) - 1
     key = fan(n).key
     seen = {key}
     queue = deque([key])
     while queue:
         key = queue.popleft()
+        rows = [masks[i] for i in key]
+        suffix = [full] * (n + 1)
+        for k in range(n - 1, 0, -1):
+            suffix[k] = suffix[k + 1] & rows[k]
+        prefix = full
         flips = []
-        for m in key:
-            key2, m2 = _flip_index(n, key, m)
+        for k, m in enumerate(key):
+            cand = prefix & suffix[k + 1] & ~(1 << m)
+            prefix &= rows[k]
+            if cand == 0 or cand & (cand - 1):
+                _flip_index(n, key, m)  # raises, naming the replacements
+            m2 = cand.bit_length() - 1
+            kept = key[:k] + key[k + 1:]
+            at = bisect_left(kept, m2)
+            key2 = kept[:at] + (m2,) + kept[at:]
             if key2 not in seen:
                 seen.add(key2)
                 queue.append(key2)
@@ -390,20 +410,34 @@ def quotient_map(tri: Triangulation, m: TaggedEdge) -> dict[int, int]:
         raise InvalidQuotientError(f"{m.token()} is not close to the border")
     if n - 1 < ed.MIN_N:
         raise UnsupportedSizeError(f"quotient would leave n={n - 1} < {ed.MIN_N}")
-    dropped = ed.wrap(n, m.a + 1)
+    row = _quotient_rows(n)[i]
+    edge_map = {j: row[j] for j in tri.key if j != i}
+    if None in edge_map.values():
+        raise ModelInconsistencyError(
+            f"edge at deleted vertex {ed.wrap(n, m.a + 1)} survived the quotient"
+        )
+    return edge_map
 
-    def relabel(v: int) -> int:
-        if v == dropped:
-            raise ModelInconsistencyError(
-                f"edge at deleted vertex {dropped} survived the quotient"
-            )
-        return v - 1 if v > dropped else v
 
-    # every other edge avoids the dropped vertex, and an arc over it keeps
-    # at least three boundary vertices, so its image is an edge at n - 1
+@lru_cache(maxsize=None)
+def _quotient_rows(n: int) -> dict[int, tuple]:
+    """Per close-to-border arc index i, M(a, a+2): the index at n - 1 of
+    every edge once boundary vertex a+1 is deleted and the labels above it
+    move down, or None for an edge at a+1 or one whose image is no edge.
+    In a triangulation holding M(a, a+2), every other edge avoids a+1, and
+    an arc over it keeps at least three boundary vertices."""
+    alpha = ed.alphabet(n)
     index = ed.alphabet(n - 1).index
-    return {j: index[TaggedEdge(relabel(e.a), relabel(e.b), e.tag)]
-            for j, e in zip(tri.key, tri.edges) if j != i}
+    rows = {}
+    for i, m in enumerate(alpha.edges):
+        if alpha.kind[i] != ed.CLOSE_TO_BORDER:
+            continue
+        dropped = ed.wrap(n, m.a + 1)
+        rows[i] = tuple(
+            None if dropped in (e.a, e.b) else index.get(TaggedEdge(
+                e.a - (e.a > dropped), e.b - (e.b > dropped), e.tag))
+            for e in alpha.edges)
+    return rows
 
 
 def pairwise_hom_matrix(tri: Triangulation) -> list[list[int]]:

@@ -17,6 +17,7 @@ from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat import verify as vf
 from dncat.cli import main
+from dncat.errors import UnsupportedSizeError
 
 FAN5 = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
 ALL_SPOKES5 = "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+"
@@ -306,8 +307,18 @@ def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
     masks[i] = row & (row - 1)  # clears the lowest set bit
     bad = dataclasses.replace(alpha, masks=tuple(masks))
     monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
-    code, out, _ = run(capsys, "verify", "--suite", "flip", "--n", "6")
-    assert code == 1 and "PASS" not in out
+    code, out, err = run(capsys, "verify", "--suite", "flip", "--n", "6")
+    assert code == 1 and "PASS" not in out and "error:" not in err
+    # both checks report their failures: the flip back of p:1-3 and the
+    # walk meet the row with no replacement, and the row law names it
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL every edge of every triangulation flips "
+                               "uniquely and involutively: ")
+    assert lines[1].startswith("FAIL flip graph is connected from the fan: 1 failure(s); "
+                               "smallest: walk from the fan stopped: flip of p:2-4 has "
+                               "0 replacements")
+    flips = vf.suite_flip(6).checks[0][1]
+    assert "s:1:+: compatibility row not translation equivariant" in flips
 
 
 def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
@@ -345,6 +356,14 @@ def test_verify_d4_is_the_n4_witness_only(capsys, n):
                         f"pass --n 4, not {n}\n")
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "5")
     assert code == 0 and "PASS suite=d4 n=4" in out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_run_suite_d4_refuses_other_sizes(n):
+    # the library refuses as the CLI does; all still runs d4 at n = 4
+    with pytest.raises(UnsupportedSizeError, match=f"n=4 only; got n={n}$"):
+        vf.run_suite("d4", n)
+    assert [r.n for r in vf.run_suite("d4", 4)] == [4]
 
 
 def test_prop45_jobs_deterministic(capsys):

@@ -1,9 +1,9 @@
 """Byte-identity guard: digests of the user-facing outputs, pinned so that a
 refactor of the internals cannot change what the CLI prints or writes.
 
-The verify n=5 digest and the n=5 and n=8 catalog digests equal the ones
-the benchmark harness gates on (`perfbench/run.py`, DIGESTS).  The verify
-digests at n=4, 5 and 6 pin the suites' output while the costly checks run
+The verify n=5 and n=7 digests and the n=5 and n=8 catalog digests equal
+the ones the benchmark harness gates on (`perfbench/run.py`, DIGESTS).  The
+verify digests at n=4..7 pin the suites' output while the costly checks run
 once per translation/tag-swap class and reach the other members by laws.  The n=12
 digests pin the export order past one-digit labels, where token-string
 order (p:1-10 before p:1-3) and canonical edge order differ.  The n=20
@@ -25,6 +25,7 @@ VERIFY_ALL = {
     4: "28d06bc4f5ad6460f75347fc7ea949c50dcf22d21bc1af6dd436f4dea52ef9c8",
     5: "763af4bbc75872bac501a55fc8a135823a429b35c1ff32442fa533154f9c3cfd",
     6: "0a51044e438fc2785eb0c69ad2256b42bff938a673d54b6c915901dbfd400ce8",
+    7: "e6797cfe545bca94b047b8282495872df934f321edee8f26b9fc6f257ef8a650",
 }
 
 CATALOG = {
@@ -126,7 +127,7 @@ def test_verify_all_n5_output(capsys):
     assert _verify_all_digest(capsys, 5) == VERIFY_ALL[5]
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 7])
 def test_verify_all_output(capsys, n):
     assert _verify_all_digest(capsys, n) == VERIFY_ALL[n]
 

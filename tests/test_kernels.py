@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 import dncat
 from dncat._maxcliques_py import maximal_cliques
 from dncat.edges import compatibility_masks
-from dncat.triangulations import walk_flip_graph
+from dncat.triangulations import _flip_index, fan, walk_flip_graph
 
 
 def test_backend_selected():
@@ -25,6 +25,28 @@ def test_cliques_equal_flip_bfs_set():
         reached = [key for key, _ in walk_flip_graph(n)]
         assert len(reached) == len(set(reached))
         assert set(cliques) == set(reached)
+
+
+def reference_walk(n):
+    """The flip-graph walk with every replacement found by _flip_index on
+    its own, one AND of n - 1 rows per flip."""
+    key = fan(n).key
+    seen, queue, out = {key}, [key], []
+    for key in queue:
+        flips = []
+        for m in key:
+            key2, m2 = _flip_index(n, key, m)
+            if key2 not in seen:
+                seen.add(key2)
+                queue.append(key2)
+            flips.append((m, key2, m2))
+        out.append((key, flips))
+    return out
+
+
+def test_one_pass_walk_equals_the_per_flip_walk():
+    for n in (4, 5, 6, 7, 8):
+        assert list(walk_flip_graph(n)) == reference_walk(n)
 
 
 def brute_force_maximal_cliques(masks, m):

@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dncat import quivers as qv
 from dncat.edges import alphabet, edge_index, plain, spoke
-from dncat.errors import UnsupportedSizeError
+from dncat.errors import ModelInconsistencyError, UnsupportedSizeError
 from dncat.quivers import (
     Quiver,
+    _canonical_labeling,
+    _index_graph,
     _mutate_arrows,
     base_quiver,
     base_quiver_d,
@@ -32,8 +35,10 @@ from dncat.triangulations import (
     apply_tau,
     class_count_formula,
     enumerate_all,
+    equivalence_classes,
     fan,
     flip,
+    walk_flip_graph,
 )
 from dncat.verify import _witness_failures, find_d4_witness
 
@@ -132,6 +137,29 @@ def test_flip_mutation_commutation():
                 i, i2 = edge_index(n, m), edge_index(n, m2)
                 moved = mutate(q, i).relabel({i: i2})
                 assert moved == table[tri2.key]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_transport_catches_one_corrupted_flip_edge(monkeypatch, n):
+    # the table mutates each flip edge once, from the end the walk pops
+    # first; a mutation that returns the opposite quiver on one edge, in
+    # both directions, must still break path independence, whether the
+    # edge first reaches a triangulation or closes a cycle
+    flips = sorted({tuple(sorted([(key, m), (key2, m2)]))
+                    for key, out in walk_flip_graph(n) for m, key2, m2 in out})
+    for (key, m), (key2, m2) in flips[::len(flips) // 12]:
+        bad = {(key, m, m2), (key2, m2, m)}
+
+        def corrupt(arrows, v, v2, bad=bad):
+            out = _mutate_arrows(arrows, v, v2)
+            vertices = tuple(sorted({x for a in arrows for x in a}))
+            if (vertices, v, v2) in bad:
+                out = tuple(sorted((t, s) for s, t in out))
+            return out
+
+        monkeypatch.setattr(qv, "_mutate_arrows", corrupt)
+        with pytest.raises(ModelInconsistencyError, match="depends on the flip path"):
+            transport_table.__wrapped__(n)
 
 
 def test_direct_equals_transport():
@@ -243,6 +271,71 @@ def test_mutation_commutes_with_relabelling_on_walk_quivers(n, seed):
     pi = dict(zip(q.vertices, rng.sample(range(n * n), n)))
     for v in q.vertices:
         assert mutate(q.relabel(pi), pi[v]) == mutate(q, v).relabel(pi)
+
+
+def reference_refine_colors(n_verts, adj_out, adj_in, colors):
+    """Color refinement run until a round changes no color."""
+    while True:
+        sig = [
+            (colors[v],
+             tuple(sorted(colors[w] for w in adj_out[v])),
+             tuple(sorted(colors[w] for w in adj_in[v])))
+            for v in range(n_verts)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical_labeling(q):
+    """Individualization-refinement over reference_refine_colors: the
+    minimal sorted arrow list and the vertex order that produces it."""
+    n_verts = len(q.vertices)
+    idx, adj_out, adj_in = _index_graph(q)
+    arrow_pairs = [(idx[s], idx[t]) for s, t in q.arrows]
+    best = [None, None]
+
+    def search(colors):
+        classes = {}
+        for v in range(n_verts):
+            classes.setdefault(colors[v], []).append(v)
+        split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
+        if split is None:
+            cand = tuple(sorted((colors[s], colors[t]) for s, t in arrow_pairs))
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+                best[1] = sorted(range(n_verts), key=lambda v: colors[v])
+            return
+        for v in classes[split]:
+            new = list(colors)
+            new[v] = -1
+            palette = {c: i for i, c in enumerate(sorted(set(new)))}
+            search(reference_refine_colors(n_verts, adj_out, adj_in,
+                                           [palette[c] for c in new]))
+
+    search(reference_refine_colors(n_verts, adj_out, adj_in, [0] * n_verts))
+    return (n_verts, best[0]), [q.vertices[v] for v in best[1]]
+
+
+def test_canonical_labeling_equals_the_reference():
+    # the key and the vertex order, on seeded flip-walk quivers and on the
+    # vertex deletions that prop45 keys at n = 7
+    quivers = []
+    for n in range(5, 21):
+        rng = random.Random(n)
+        tri = fan(n)
+        for step in range(4 * n):
+            tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+            if step % n == 0:
+                quivers.append(direct_quiver_of(tri))
+    table = transport_table(7)
+    for cls in equivalence_classes(7):
+        q = table[cls.representative.key]
+        quivers.extend(delete_vertex(q, v) for v in q.vertices)
+    for q in quivers:
+        assert _canonical_labeling(q) == reference_canonical_labeling(q)
 
 
 def test_d4_witness_pairs_the_canonical_labelings():

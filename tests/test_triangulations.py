@@ -1,7 +1,19 @@
 import pytest
 
-from dncat.edges import CLOSE_TO_BORDER, classify_edge, ext_dim, plain, spoke, tau
+from dncat.edges import (
+    CLOSE_TO_BORDER,
+    TaggedEdge,
+    alphabet,
+    classify_edge,
+    edge_index,
+    ext_dim,
+    plain,
+    spoke,
+    tau,
+    wrap,
+)
 from dncat.errors import (
+    InvalidEdgeError,
     InvalidQuotientError,
     NotATriangulationError,
     UnsupportedSizeError,
@@ -9,6 +21,7 @@ from dncat.errors import (
 from dncat.quivers import delete_vertex, quiver_of
 from dncat.triangulations import (
     Triangulation,
+    _quotient_rows,
     apply_sigma,
     apply_tau,
     canonical_form,
@@ -194,6 +207,29 @@ def test_quotient_map_carries_the_cut_quiver_onto_the_quotient_quiver():
                 assert (moved.vertices, moved.arrows) == (expected.vertices, expected.arrows)
                 checked += 1
     assert checked == 6046
+
+
+def test_quotient_rows_equal_the_edge_relabel():
+    # per close-to-border arc M(a, a+2): every edge not at a+1, relabelled
+    # down past it, and checked as an edge of the (n-1)-gon
+    for n in range(5, 11):
+        edges = alphabet(n).edges
+        rows = _quotient_rows(n)
+        assert sorted(rows) == [i for i, e in enumerate(edges)
+                                if classify_edge(n, e) == CLOSE_TO_BORDER]
+        for i, row in rows.items():
+            dropped = wrap(n, edges[i].a + 1)
+            want = []
+            for e in edges:
+                if dropped in (e.a, e.b):
+                    want.append(None)
+                    continue
+                a, b = (v if v < dropped else v - 1 for v in (e.a, e.b))
+                try:
+                    want.append(edge_index(n - 1, TaggedEdge(a, b, e.tag)))
+                except InvalidEdgeError:  # an arc over a+1 left too short
+                    want.append(None)
+            assert row == tuple(want)
 
 
 def test_quotient_wraparound_labels():
