@@ -100,13 +100,6 @@ def check_edge(n: int, e: TaggedEdge) -> None:
             )
 
 
-def edge_length(n: int, e: TaggedEdge) -> int:
-    """Length of a plain edge; spokes have length 1 by convention."""
-    if e.is_spoke:
-        return 1
-    return delta_length(n, e.a, e.b)
-
-
 def classify_edge(n: int, e: TaggedEdge) -> str:
     check_edge(n, e)
     if e.is_spoke:

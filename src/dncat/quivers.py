@@ -269,7 +269,7 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges."""
     n = tri.n
     kind = tr.classify_type(tri)
-    arcs = {(e.a, e.b) for e in tri.edges if e.is_plain}
+    arcs = {(e.a, e.b) for e in tri.plains()}
     # per vertex x, the boundary steps (y - x) mod n of the arcs x -> y,
     # longest first
     reach = {x: [] for x in range(1, n + 1)}
@@ -277,8 +277,8 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
         reach[x].append((y - x) % n)
     for steps in reach.values():
         steps.sort(reverse=True)
-    # the spokes close the canonical order, sorted by base and +1 before -1
-    spokes = [(i, e) for i, e in zip(tri.key, tri.edges) if e.is_spoke]
+    # the spokes close the key, sorted by base and +1 before -1
+    spokes = list(zip(tri.key[len(arcs):], tri.spokes()))
 
     triangles = []
     central = []

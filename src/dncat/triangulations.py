@@ -50,11 +50,15 @@ class Triangulation:
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [e.to_json() for e in self.edges]}
 
-    def spokes(self) -> tuple[TaggedEdge, ...]:
-        return tuple(e for e in self.edges if e.is_spoke)
-
     def plains(self) -> tuple[TaggedEdge, ...]:
-        return tuple(e for e in self.edges if e.is_plain)
+        """The arcs: the n(n-2) arcs open the alphabet, so the key below n(n-2)."""
+        universe, key = ed.alphabet(self.n).edges, self.key
+        return tuple([universe[i] for i in key[:bisect_left(key, self.n * (self.n - 2))]])
+
+    def spokes(self) -> tuple[TaggedEdge, ...]:
+        """The spokes, by base and +1 before -1: the key from n(n-2) on."""
+        universe, key = ed.alphabet(self.n).edges, self.key
+        return tuple([universe[i] for i in key[bisect_left(key, self.n * (self.n - 2)):]])
 
     def __repr__(self) -> str:
         return f"Triangulation[n={self.n}: {self.token()}]"
@@ -325,16 +329,11 @@ def classify_type(tri: Triangulation) -> int:
     """The structural type: 1 with a length-n arc, else by the degenerate
     edge configuration (double / two separate spokes / three or more)."""
     n = tri.n
-    edges = tri.edges
-    # the n(n-2) arcs come first in the alphabet, so the spokes close the key
-    arcs = bisect_left(tri.key, n * (n - 2))
-    if any((e.b - e.a) % n == n - 1 for e in edges[:arcs]):  # length n
+    if any((e.b - e.a) % n == n - 1 for e in tri.plains()):  # length n
         return TYPE1
-    spokes = edges[arcs:]
+    spokes = tri.spokes()
     if len(spokes) == 2:
-        if spokes[0].a == spokes[1].a:
-            return TYPE2
-        return TYPE3
+        return TYPE2 if spokes[0].a == spokes[1].a else TYPE3
     if len(spokes) >= 3:
         return TYPE4
     raise ModelInconsistencyError(

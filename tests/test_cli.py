@@ -321,6 +321,62 @@ def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
     assert "s:1:+: compatibility row not translation equivariant" in flips
 
 
+def test_crossing_alone_catches_a_short_maximal_set(capsys, monkeypatch):
+    # a kernel that drops one vertex from one clique stops the enumeration;
+    # both checks on the enumeration report it, and the suite still prints
+    kernel = tr.maximal_cliques
+
+    def short(masks, m):
+        cliques = kernel(masks, m)
+        return [cliques[0][1:]] + cliques[1:]
+
+    tr._all_index_sets.cache_clear()
+    monkeypatch.setattr(tr, "maximal_cliques", short)
+    try:
+        code, out, err = run(capsys, "verify", "--suite", "crossing", "--n", "5")
+    finally:
+        tr._all_index_sets.cache_clear()
+    assert code == 1 and "PASS" not in out and "error:" not in err
+    stopped = ("1 failure(s); smallest: enumeration stopped: "
+               "maximal non-crossing set of size 4 at n=5")
+    assert out.splitlines() == [
+        "ok   crossing symmetry, range, translation and tag-swap invariance",
+        "ok   staple arrangement oracle agreement",
+        f"FAIL every maximal non-crossing set has n edges: {stopped}",
+        f"FAIL triangulation count matches the cluster-count formula: {stopped}",
+        "FAIL suite=crossing n=5",
+    ]
+
+
+def _trusted(n, text):
+    """A key from tokens through the trusted constructor, unvalidated."""
+    by_token = ed.alphabet(n).by_token
+    return tr.Triangulation(n, tuple(sorted(by_token[t] for t in text.split(","))))
+
+
+def test_template_checks_pass_every_triangulation():
+    assert [f for t in tr.enumerate_all(6) for f in vf._template_failures(t)] == []
+
+
+@pytest.mark.parametrize("text, want", [
+    ("p:1-3,p:3-5,s:1:+,s:3:+,s:5:+", "missing connecting arc p:5-1"),
+    ("p:1-4,p:4-1,s:1:+,s:4:-", "mixed spoke tags without a double"),
+    ("p:1-3,s:1:+,s:2:+", "non-double spoke pair is a pairing"),
+    ("p:1-4,s:1:+,s:1:-", "double without its return arcs"),
+])
+def test_template_checks_fail_on_a_broken_clause(text, want):
+    # each key breaks one clause of the templates
+    assert f"{text}: {want}" in vf._template_failures(_trusted(6, text))
+
+
+def test_template_checks_catch_a_wrong_classifier(monkeypatch):
+    tri = tr.fan(6)
+    assert vf._template_failures(tri) == []
+    monkeypatch.setattr(tr, "classify_type", lambda t: tr.TYPE4)
+    assert vf._template_failures(tri) == [
+        f"{tri.token()}: classifier disagrees with the predicates"]
+
+
 def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
     alphabet = ed.alphabet
     alpha = alphabet(6)

@@ -3,8 +3,9 @@ mask-based validation and flips against the pairwise crossing-number
 reference (the crossing loop over input pairs and the extension scan in
 canonical edge order), the token-table parser against parse_edge per
 token, the morphism-space matrix read off the crossing table against
-hom_dim, and the template layer on edge indices (decompose and the
-algebra-dimension count) against its TaggedEdge formulation."""
+hom_dim, and the template layer on edge indices (the arc/spoke split of a
+key, classify_type, decompose and the algebra-dimension count) against its
+TaggedEdge formulation."""
 
 import random
 
@@ -208,15 +209,53 @@ def reference_region_triangles(index, corners, diagonals):
     return triangles
 
 
+def reference_split(tri):
+    """The arcs and the spokes of tri, each filtered from tri.edges."""
+    return (tuple(e for e in tri.edges if e.is_plain),
+            tuple(e for e in tri.edges if e.is_spoke))
+
+
+def reference_classify_type(tri):
+    """classify_type on the filtered split, with arc lengths by delta_length."""
+    plains, spokes = reference_split(tri)
+    if any(ed.delta_length(tri.n, e.a, e.b) == tri.n for e in plains):
+        return tr.TYPE1
+    if len(spokes) == 2:
+        return tr.TYPE2 if spokes[0].a == spokes[1].a else tr.TYPE3
+    assert len(spokes) >= 3
+    return tr.TYPE4
+
+
+def test_split_and_type_match_reference_on_every_triangulation():
+    for n in range(4, 9):
+        for tri in tr.enumerate_all(n):
+            assert (tri.plains(), tri.spokes()) == reference_split(tri)
+            assert tr.classify_type(tri) == reference_classify_type(tri)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 30), st.integers(0, 2**32 - 1))
+def test_split_and_type_match_reference_on_random_walks(n, seed):
+    rng = random.Random(seed)
+    tri = random_walk(n, rng, 3 * n)
+    for _ in range(4):
+        assert (tri.plains(), tri.spokes()) == reference_split(tri)
+        assert tr.classify_type(tri) == reference_classify_type(tri)
+        for _ in range(n):
+            tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+
+
 def reference_decompose(tri):
-    """decompose on TaggedEdge objects: the interior edges of each region
-    are scanned from tri.plains() minus the junctions, every template role
-    is an edge looked up in the alphabet's index map, and the type-4 laps
-    are measured by delta_length between neighboring spoke bases."""
+    """decompose on TaggedEdge objects: the arcs and spokes are filtered
+    from tri.edges, the interior edges of each region are scanned from the
+    arcs minus the junctions, every template role is an edge looked up in
+    the alphabet's index map, and the type-4 laps are measured by
+    delta_length between neighboring spoke bases."""
     n = tri.n
     index = ed.alphabet(n).index
-    kind = tr.classify_type(tri)
-    spokes = sorted(tri.spokes(), key=lambda s: (s.a, -s.tag))
+    kind = reference_classify_type(tri)
+    plains, spokes = reference_split(tri)
+    spokes = sorted(spokes, key=lambda s: (s.a, -s.tag))
     eset = set(tri.edges)
     triangles, central, zero, comm = [], [], [], []
 
@@ -226,12 +265,12 @@ def reference_decompose(tri):
     def add_region(a, b, exclude):
         corners = span(a, b)
         pos = {v: i for i, v in enumerate(corners)}
-        diagonals = {frozenset((e.a, e.b)) for e in tri.plains() if e not in exclude
+        diagonals = {frozenset((e.a, e.b)) for e in plains if e not in exclude
                      and e.a in pos and e.b in pos and pos[e.a] < pos[e.b]}
         triangles.extend(reference_region_triangles(index, corners, diagonals))
 
     if kind == tr.TYPE1:
-        m = next(e for e in tri.plains() if (e.b - e.a) % n == n - 1)
+        m = next(e for e in plains if (e.b - e.a) % n == n - 1)
         add_region(m.a, m.b, {m})
         central += [(m, s) if s.a == m.a else (s, m) for s in spokes]
     elif kind in (tr.TYPE2, tr.TYPE3):
