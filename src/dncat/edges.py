@@ -238,7 +238,11 @@ class Alphabet:
     the index of each edge, the token of each edge (tokens) and the index of
     each token (by_token), the crossing numbers as one bytes row per edge,
     the compatibility masks, the translation, its inverse and the tag swap
-    as index permutations, and classify_edge of each edge."""
+    as index permutations, and classify_edge of each edge.
+
+    Only the n rows of the edges at vertex 1 come from the crossing rule;
+    every other crossing row is a translate of one of them, and each mask
+    is read off its crossing row (see alphabet)."""
 
     edges: tuple[TaggedEdge, ...]
     index: dict[TaggedEdge, int]
@@ -252,27 +256,60 @@ class Alphabet:
     kind: tuple[str, ...]
 
 
+# bytes.translate table: crossing number 0 -> "1", any other -> "0"
+_FREE = b"1" + b"0" * 255
+
+
 @lru_cache(maxsize=None)
 def alphabet(n: int) -> Alphabet:
     """The edge tables of the n-gon, built on first use.  The edges are
-    generated in canonical order.  They come from the alphabet itself, so
-    the crossing rule runs unchecked, once per unordered pair (the crossing
-    number is symmetric)."""
+    generated in canonical order, and the permutations and kinds come from
+    the index formulas.  The crossing rule runs unchecked on the rows of
+    the n edges at vertex 1 (n - 2 arcs and 2 spokes), n**3 calls.  Every
+    other row is translated: the crossing number is tau-invariant, so
+    cross[j][k] = cross[tau j][tau k], and row j is row tau(j) permuted by
+    tau, a few bytes slices per row.  Mask row i sets bit j where row i
+    reads 0, with bit i cleared.  verify's crossing suite compares every
+    entry of both tables with the rule."""
     check_size(n)
+    arcs = n * (n - 2)
     edges = [plain(a, wrap(n, a + length - 1))
              for a in range(1, n + 1) for length in range(3, n + 1)]
     edges += [spoke(a, tag) for a in range(1, n + 1) for tag in (1, -1)]
-    cross = []
-    for i, m in enumerate(edges):
-        # row i starts with column i of the rows above
-        cross.append(bytes([row[i] for row in cross] + [_crossing(n, m, e) for e in edges[i:]]))
-    masks = tuple(sum(1 << j for j, c in enumerate(row) if c == 0 and j != i)
-                  for i, row in enumerate(cross))
     index = {e: i for i, e in enumerate(edges)}
     tokens = tuple(e.token() for e in edges)
-    perms = [tuple(index[image(n, e)] for e in edges) for image in (tau, tau_inv, sigma)]
+
+    def moved(step: int, e: TaggedEdge) -> int:
+        # the index of e turned by step vertices; tau, tau^-1 and sigma
+        # (step -1, 1, 0) all swap spoke tags
+        if e.a == e.b:
+            return arcs + 2 * (wrap(n, e.a + step) - 1) + (e.tag == 1)
+        return _plain_index(n, wrap(n, e.a + step), wrap(n, e.b + step))
+
+    tau_, tau_inv_, sigma_ = (tuple(moved(step, e) for e in edges) for step in (-1, 1, 0))
+    kind = ((CLOSE_TO_BORDER,) + (CONNECTED,) * (n - 3)) * n + (DEGENERATE,) * (2 * n)
+
+    back = arcs - (n - 2)
+
+    def turn(row: bytes) -> bytes:
+        # entry k moves from entry tau(k): the arcs turn back one start
+        # vertex (n - 2 places), the spokes one vertex (2 places), and each
+        # spoke pair swaps its tags
+        ring = row[-2:] + row[arcs:-2]
+        spokes = bytearray(2 * n)
+        spokes[0::2], spokes[1::2] = ring[1::2], ring[0::2]
+        return row[back:arcs] + row[:back] + spokes
+
+    cross = [b""] * len(edges)
+    for i in (*range(n - 2), arcs, arcs + 1):  # the edges at vertex 1
+        cross[i] = bytes([_crossing(n, edges[i], e) for e in edges])
+    for i in range(len(edges)):  # tau(i) < i off vertex 1, so its row is built
+        if not cross[i]:
+            cross[i] = turn(cross[tau_[i]])
+    masks = tuple(int(row.translate(_FREE)[::-1], 2) & ~(1 << i)
+                  for i, row in enumerate(cross))
     return Alphabet(tuple(edges), index, tokens, {t: i for i, t in enumerate(tokens)},
-                    tuple(cross), masks, *perms, tuple(classify_edge(n, e) for e in edges))
+                    tuple(cross), masks, tau_, tau_inv_, sigma_, kind)
 
 
 def _plain_index(n: int, a: int, b: int) -> int:

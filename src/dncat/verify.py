@@ -3,7 +3,9 @@
 Every suite returns a report of (check name, failure list) pairs; failures
 are formatted strings sorted so the smallest counterexample under canonical
 order comes first.  Suites: crossing, flip, transport, types, prop45,
-prop47, d4, all.
+prop47, d4, all.  Each suite asks for the enumeration once, up front; when
+the clique kernel's size guard refuses it, every check that needs it
+fails with "enumeration stopped: ..." instead of running.
 
 The translation tau and the tag swap sigma carry a triangulation T to the
 members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
@@ -27,6 +29,12 @@ same suite checks, each suite sound when run alone:
   quiver and the relation generators (each commutativity pair unordered)
   must be the representative's moved by g, and the count is compared with
   the member's own hom total.
+
+The per-n crossing and mask tables are built by translation from the rows
+at vertex 1, not by the crossing rule pair by pair.  The crossing suite's
+first check compares every entry of both tables with the rule at each
+pair it visits, and that pair comparison is what ties the tables (and so
+every suite that reads them) to the rule.
 
 The alphabet laws are checked once per n (_alphabet_law_failures); a
 broken law is a failure of every check it carries.  The type templates,
@@ -146,16 +154,33 @@ def _alphabet_law_failures(n: int) -> list[str]:
 
 
 def _check_crossing_axioms(n: int) -> list[str]:
+    """The rule's symmetry, range and invariances, and both per-n tables
+    against the rule at every ordered pair: entry (i, j) of the crossing
+    table and bit j of mask row i."""
     fails = []
-    universe = ed.all_edges(n)
-    for m in universe:
-        if ed.crossing_number(n, m, m) != 0:
-            fails.append(f"e({m.token()},{m.token()}) != 0")
+    alpha = ed.alphabet(n)
+    universe, tokens, cross, masks = alpha.edges, alpha.tokens, alpha.cross, alpha.masks
+
+    def check_tables(i: int, j: int, e: int) -> None:
+        if cross[i][j] != e:
+            fails.append(f"table e({tokens[i]},{tokens[j]}) = {cross[i][j]}, rule {e}")
+        if bool(masks[i] >> j & 1) != (i != j and e == 0):
+            fails.append(f"mask bit at {tokens[i]},{tokens[j]} disagrees with the rule")
+
     for i, m in enumerate(universe):
-        for other in universe[i + 1:]:
+        e = ed.crossing_number(n, m, m)
+        if e != 0:
+            fails.append(f"e({m.token()},{m.token()}) != 0")
+        check_tables(i, i, e)
+    for i, m in enumerate(universe):
+        for j in range(i + 1, len(universe)):
+            other = universe[j]
             e = ed.crossing_number(n, m, other)
+            back = ed.crossing_number(n, other, m)
+            check_tables(i, j, e)
+            check_tables(j, i, back)
             pair = f"{m.token()},{other.token()}"
-            if e != ed.crossing_number(n, other, m):
+            if e != back:
                 fails.append(f"asymmetric at {pair}")
             if e not in (0, 1, 2):
                 fails.append(f"e({pair}) = {e} out of range")
@@ -192,8 +217,6 @@ def _check_maximal_sizes(n: int) -> list[str]:
     fails = []
     masks = ed.alphabet(n).masks
     for tri in tr.enumerate_all(n):
-        if len(tri.key) != n:
-            fails.append(f"{tri.token()}: {len(tri.key)} edges")
         member_bits = 0
         inter = (1 << len(masks)) - 1
         for i in tri.key:
@@ -212,12 +235,26 @@ def _check_count_formula(n: int) -> list[str]:
     return []
 
 
+def _enumeration_stopped(*sizes: int) -> list[str]:
+    """[] when the enumeration runs at each of the sizes, else the one
+    failure that every check needing it reports instead of running: the
+    clique kernel's size guard refused a maximal set.  A suite asks once,
+    up front, so a broken kernel gives FAIL lines and not a bare error."""
+    for k in sizes:
+        try:
+            tr.count_all(k)
+        except ModelInconsistencyError as exc:
+            return [f"enumeration stopped: {exc}"]
+    return []
+
+
+def _stopped_report(suite: str, n: int, names, stopped: list[str]) -> SuiteReport:
+    return SuiteReport(suite, n, [(name, stopped) for name in names])
+
+
 def suite_crossing(n: int) -> SuiteReport:
-    stopped = []
-    try:  # one enumeration for both checks on it; a refused one fails both
-        tr.count_all(n)
-    except ModelInconsistencyError as exc:
-        stopped = [f"enumeration stopped: {exc}"]
+    # one enumeration for the last two checks; a refused one fails both
+    stopped = _enumeration_stopped(n)
     checks = [
         ("crossing symmetry, range, translation and tag-swap invariance",
          _check_crossing_axioms(n)),
@@ -263,15 +300,16 @@ def _check_flip_connected(n: int) -> list[str]:
 
 
 def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
+    names = ("every edge of every triangulation flips uniquely and involutively",
+             "flip graph is connected from the fan")
+    stopped = _enumeration_stopped(n)
+    if stopped:
+        return _stopped_report("flip", n, names, stopped)
     # at the class representatives; the compatibility-row law moves each
     # flip to the other orbit members
     results = _parallel(partial(_flip_chunk, n), _class_keys(n), jobs)
-    checks = [
-        ("every edge of every triangulation flips uniquely and involutively",
-         _gather([_alphabet_law_failures(n), *results])),
-        ("flip graph is connected from the fan", _check_flip_connected(n)),
-    ]
-    return SuiteReport("flip", n, checks)
+    return SuiteReport("flip", n, list(zip(names, [
+        _gather([_alphabet_law_failures(n), *results]), _check_flip_connected(n)])))
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +362,18 @@ def _check_symmetry_invariance(n: int) -> list[str]:
 
 
 def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
+    names = ("mutation commutes with every flip (path independence)",
+             "direct template equals mutation transport",
+             "quivers are translation and tag-swap equivariant")
+    stopped = _enumeration_stopped(n)
+    if stopped:
+        return _stopped_report("transport", n, names, stopped)
     # building the table already fails loudly on any path dependence
     qv.transport_table(n)
     keys = [t.key for t in tr.enumerate_all(n)]
     direct_results = _parallel(partial(_direct_chunk, n), keys, jobs)
-    checks = [
-        ("mutation commutes with every flip (path independence)",
-         _check_commutation(n)),
-        ("direct template equals mutation transport", _gather(direct_results)),
-        ("quivers are translation and tag-swap equivariant",
-         _check_symmetry_invariance(n)),
-    ]
-    return SuiteReport("transport", n, checks)
+    return SuiteReport("transport", n, list(zip(names, [
+        _check_commutation(n), _gather(direct_results), _check_symmetry_invariance(n)])))
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +556,18 @@ def _check_census(n: int) -> list[str]:
 
 
 def suite_types(n: int, jobs: int = 1) -> SuiteReport:
+    names = ("each triangulation matches exactly one type template",
+             "type and class censuses are consistent",
+             "separation, region-neighbor, and border-vertex structure",
+             "relation ideals give the morphism-space dimensions")
+    stopped = _enumeration_stopped(n)
+    if stopped:
+        return _stopped_report("types", n, names, stopped)
     qv.transport_table(n)  # built before forking so workers inherit it
     templates, local, dims = zip(*_parallel(partial(_types_chunk, n), _class_keys(n), jobs))
-    checks = [
-        ("each triangulation matches exactly one type template", _gather(templates)),
-        ("type and class censuses are consistent", _check_census(n)),
-        ("separation, region-neighbor, and border-vertex structure",
-         _gather([_alphabet_law_failures(n), *local])),
-        ("relation ideals give the morphism-space dimensions", _gather(dims)),
-    ]
-    return SuiteReport("types", n, checks)
+    return SuiteReport("types", n, list(zip(names, [
+        _gather(templates), _check_census(n),
+        _gather([_alphabet_law_failures(n), *local]), _gather(dims)])))
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +642,16 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
         raise UnsupportedSizeError(
             f"prop45 needs n >= 5, as it deletes a vertex into size n-1; got n={n}"
         )
+    name = "vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate"
+    stopped = _enumeration_stopped(n, n - 1)
+    if stopped:
+        return _stopped_report("prop45", n, [name], stopped)
     qv.transport_table(n)
     qv.transport_table(n - 1)
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
     results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
-    checks = [
-        ("vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate",
-         _gather([sizes, _alphabet_law_failures(n), *results])),
-    ]
-    return SuiteReport("prop45", n, checks)
+    return SuiteReport("prop45", n, [
+        (name, _gather([sizes, _alphabet_law_failures(n), *results]))])
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +669,10 @@ def _classes_by_quiver(n: int) -> dict:
 
 
 def suite_prop47(n: int) -> SuiteReport:
+    stopped = _enumeration_stopped(n)
+    if stopped:
+        return _stopped_report(
+            "prop47", n, ["classes map bijectively onto quiver iso-classes"], stopped)
     by_key = _classes_by_quiver(n)
     fails = [f"distinct classes share a quiver: "
              f"{' vs '.join(c.representative.token() for c in group[:2])}"
@@ -654,13 +699,15 @@ def find_d4_witness():
 def suite_d4(n: int = 4) -> SuiteReport:
     if n != 4:
         raise UnsupportedSizeError(f"the d4 suite is the witness at n=4 only; got n={n}")
+    name = "inequivalent triangulations with isomorphic quivers exist at n=4"
+    stopped = _enumeration_stopped(4)
+    if stopped:
+        return _stopped_report("d4", 4, [name], stopped)
     fails = []
     witness = find_d4_witness()
     if witness is None:
         fails.append("no pair of inequivalent size-4 triangulations shares a quiver")
-    checks = [("inequivalent triangulations with isomorphic quivers exist at n=4",
-               fails)]
-    report = SuiteReport("d4", 4, checks)
+    report = SuiteReport("d4", 4, [(name, fails)])
     if witness is not None:
         a, b = witness
         qa, qb = qv.quiver_of(a.representative), qv.quiver_of(b.representative)

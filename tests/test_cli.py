@@ -321,9 +321,11 @@ def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
     assert "s:1:+: compatibility row not translation equivariant" in flips
 
 
-def test_crossing_alone_catches_a_short_maximal_set(capsys, monkeypatch):
-    # a kernel that drops one vertex from one clique stops the enumeration;
-    # both checks on the enumeration report it, and the suite still prints
+@pytest.fixture
+def short_kernel(monkeypatch):
+    """A clique kernel that drops one vertex from the first clique, so the
+    enumeration stops at every n; the enumeration cache is cleared around
+    it, and the suites' other caches are bypassed by their up-front ask."""
     kernel = tr.maximal_cliques
 
     def short(masks, m):
@@ -332,10 +334,15 @@ def test_crossing_alone_catches_a_short_maximal_set(capsys, monkeypatch):
 
     tr._all_index_sets.cache_clear()
     monkeypatch.setattr(tr, "maximal_cliques", short)
-    try:
-        code, out, err = run(capsys, "verify", "--suite", "crossing", "--n", "5")
-    finally:
-        tr._all_index_sets.cache_clear()
+    yield
+    monkeypatch.undo()
+    tr._all_index_sets.cache_clear()
+
+
+def test_crossing_alone_catches_a_short_maximal_set(capsys, short_kernel):
+    # a kernel that drops one vertex from one clique stops the enumeration;
+    # both checks on the enumeration report it, and the suite still prints
+    code, out, err = run(capsys, "verify", "--suite", "crossing", "--n", "5")
     assert code == 1 and "PASS" not in out and "error:" not in err
     stopped = ("1 failure(s); smallest: enumeration stopped: "
                "maximal non-crossing set of size 4 at n=5")
@@ -346,6 +353,33 @@ def test_crossing_alone_catches_a_short_maximal_set(capsys, monkeypatch):
         f"FAIL triangulation count matches the cluster-count formula: {stopped}",
         "FAIL suite=crossing n=5",
     ]
+
+
+# checks per suite that need the enumeration
+NEEDS_ENUMERATION = {"crossing": 2, "flip": 2, "transport": 3, "types": 4,
+                     "prop45": 1, "prop47": 1, "d4": 1}
+
+
+@pytest.mark.parametrize("suite", ["all", "flip", "transport", "types", "prop45", "prop47"])
+def test_every_suite_reports_a_short_maximal_set(capsys, short_kernel, suite):
+    # each check that needs the enumeration fails with the kernel guard's
+    # message, the others still run, and no suite ends the run with error:
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "5")
+    assert code == 1 and "PASS" not in out and "error:" not in err
+    suites = list(NEEDS_ENUMERATION) if suite == "all" else [suite]
+    lines = out.splitlines()
+    assert [line for line in lines if " suite=" in line] == [
+        f"FAIL suite={s} n={4 if s == 'd4' else 5}" for s in suites]
+    checks = [line for line in lines if " suite=" not in line]
+    fails = [line for line in checks if line.startswith("FAIL ")]
+    assert len(fails) == sum(NEEDS_ENUMERATION[s] for s in suites)
+    for line in fails:
+        k = 4 if "exist at n=4" in line else 5  # d4 runs at n = 4
+        assert line.endswith("1 failure(s); smallest: enumeration stopped: "
+                             f"maximal non-crossing set of size {k - 1} at n={k}"), line
+    assert [line for line in checks if not line.startswith("FAIL ")] == (
+        ["ok   crossing symmetry, range, translation and tag-swap invariance",
+         "ok   staple arrangement oracle agreement"] if suite == "all" else [])
 
 
 def _trusted(n, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import dncat
+from dncat import edges as ed
+from dncat import verify as vf
 from dncat.edges import (
+    Alphabet,
     alphabet,
     all_edges,
     classify_edge,
@@ -210,13 +214,75 @@ def _five_lift_crossing(n, m, other):
 
 
 def test_crossing_table_matches_five_lifts():
+    # whole rows: only the rows at vertex 1 come from the rule, the rest
+    # are translated, so neither triangle mirrors the other
     for n in range(4, 26):
         table = alphabet(n)
         edges = table.edges
         for i, m in enumerate(edges):
-            row = table.cross[i]
-            assert [row[j] for j in range(i, len(edges))] == [
-                _five_lift_crossing(n, m, other) for other in edges[i:]], (n, m.token())
+            assert list(table.cross[i]) == [
+                _five_lift_crossing(n, m, other) for other in edges], (n, m.token())
+
+
+def reference_alphabet(n):
+    """The tables built pairwise: the crossing rule once per unordered pair
+    (the lower triangle mirrored), each mask bit by bit, and the
+    permutations and kinds through the checked tau, tau_inv, sigma and
+    classify_edge, edge by edge."""
+    edges = [plain(a, (a + length - 2) % n + 1)
+             for a in range(1, n + 1) for length in range(3, n + 1)]
+    edges += [spoke(a, tag) for a in range(1, n + 1) for tag in (1, -1)]
+    cross = []
+    for i, m in enumerate(edges):
+        cross.append(bytes([row[i] for row in cross]
+                           + [ed._crossing(n, m, e) for e in edges[i:]]))
+    masks = tuple(sum(1 << j for j, c in enumerate(row) if c == 0 and j != i)
+                  for i, row in enumerate(cross))
+    index = {e: i for i, e in enumerate(edges)}
+    tokens = tuple(e.token() for e in edges)
+    perms = [tuple(index[image(n, e)] for e in edges) for image in (tau, tau_inv, sigma)]
+    return Alphabet(tuple(edges), index, tokens, {t: i for i, t in enumerate(tokens)},
+                    tuple(cross), masks, *perms, tuple(classify_edge(n, e) for e in edges))
+
+
+def test_alphabet_matches_the_pairwise_reference():
+    for n in range(4, 31):
+        got, want = alphabet(n), reference_alphabet(n)
+        for field in dataclasses.fields(Alphabet):
+            assert getattr(got, field.name) == getattr(want, field.name), (n, field.name)
+
+
+def _broken_alphabet(monkeypatch, n, **fields):
+    """Serve an alphabet at n with the given fields replaced, as if cached."""
+    real = ed.alphabet
+    broken = dataclasses.replace(real(n), **fields)
+    monkeypatch.setattr(ed, "alphabet", lambda k: broken if k == n else real(k))
+
+
+def test_crossing_suite_catches_a_swapped_crossing_pair(monkeypatch):
+    n = 6
+    row = bytearray(alphabet(n).cross[0])
+    j, k = row.index(0), row.index(1)
+    row[j], row[k] = row[k], row[j]
+    _broken_alphabet(monkeypatch, n, cross=(bytes(row),) + alphabet(n).cross[1:])
+    lines = vf.suite_crossing(n).lines()
+    assert lines[0].startswith(
+        "FAIL crossing symmetry, range, translation and tag-swap invariance: 2 failure(s)")
+    assert lines[1:] == ["ok   staple arrangement oracle agreement",
+                         "ok   every maximal non-crossing set has n edges",
+                         "ok   triangulation count matches the cluster-count formula",
+                         f"FAIL suite=crossing n={n}"]
+
+
+def test_crossing_suite_catches_a_flipped_mask_bit(monkeypatch):
+    n = 6
+    masks = list(alphabet(n).masks)
+    masks[3] ^= 1 << 7
+    _broken_alphabet(monkeypatch, n, masks=tuple(masks))
+    lines = vf.suite_crossing(n).lines()
+    assert lines[0] == ("FAIL crossing symmetry, range, translation and tag-swap invariance: "
+                        "1 failure(s); smallest: mask bit at "
+                        f"{alphabet(n).tokens[3]},{alphabet(n).tokens[7]} disagrees with the rule")
 
 
 def test_import_builds_no_tables():
