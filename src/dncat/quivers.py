@@ -12,6 +12,7 @@ arcs alone.  The two must agree edge for edge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -266,78 +267,91 @@ class Decomposition:
 
 
 def decompose(tri: tr.Triangulation) -> Decomposition:
-    """Cut the triangulation along its degenerate and length-n edges."""
+    """Cut the triangulation along its degenerate and length-n edges.
+
+    Everything is read off the sorted key by index arithmetic: arc i runs
+    from x = i // (n-2) + 1 by i % (n-2) + 2 boundary steps, so the arcs
+    at x are a run of the key in step order, and the spoke n(n-2) + 2(x-1)
+    + (0 for +, 1 for -) sits at x."""
     n = tri.n
+    m = n - 2
     kind = tr.classify_type(tri)
-    arcs = {(e.a, e.b) for e in tri.plains()}
-    # per vertex x, the boundary steps (y - x) mod n of the arcs x -> y,
-    # longest first
-    reach = {x: [] for x in range(1, n + 1)}
-    for x, y in arcs:
-        reach[x].append((y - x) % n)
-    for steps in reach.values():
-        steps.sort(reverse=True)
+    key = tri.key
+    split = bisect_left(key, n * m)
+    arcs = key[:split]
+    at = dict(zip(arcs, range(split)))  # arc index -> position in the key
     # the spokes close the key, sorted by base and +1 before -1
-    spokes = list(zip(tri.key[len(arcs):], tri.spokes()))
+    spokes = key[split:]
+    base = [(s - n * m) // 2 + 1 for s in spokes]
+
+    def arc(x: int, y: int) -> int:
+        return (x - 1) * m + (y - x) % n - 2
 
     triangles = []
     central = []
     zero = []
     comm = []
 
-    def side(x: int, y: int):
-        return None if (y - x) % n == 1 else ed._plain_index(n, x, y)
-
     def add_region(a: int, b: int) -> None:
         """The triangles of the polygon region from a to b ccw, closed by the
         arc (a, b).  Each side x -> y that is not a boundary segment must be
         an arc; the triangle on it has its apex k at the farthest vertex
-        inside (x, y) that an arc joins to x, or at x + 1 when none does."""
-        stack = [(a, b)]
+        inside (x, y) that an arc joins to x, or at x + 1 when none does.
+        That arc is the one before x -> y in the key, if it starts at x."""
+        stack = [(a, b)] if (b - a) % n > 1 else []
         while stack:
             x, y = stack.pop()
-            length = (y - x) % n
-            if length == 1:
-                continue  # a boundary segment
-            if (x, y) not in arcs:
+            first = (x - 1) * m  # the arc from x two steps long
+            i = first + (y - x) % n - 2
+            p = at.get(i)
+            if p is None:
                 raise ModelInconsistencyError(
                     f"{ed.plain(x, y).token()} missing from the region closed by "
                     f"{ed.plain(a, b).token()} in {tri.token()}"
                 )
-            d = next((d for d in reach[x] if d < length), 1)
-            k = ed.wrap(n, x + d)
-            triangles.append((side(x, k), side(k, y), side(x, y)))
-            stack.append((k, y))
-            stack.append((x, k))  # split first
+            j = arcs[p - 1] if p else -1
+            if j >= first:
+                k = (x + j - first + 1) % n + 1
+            else:
+                j = None
+                k = x % n + 1
+            rest = (y - k) % n
+            if rest == 1:  # a boundary segment
+                triangles.append((j, None, i))
+            else:
+                triangles.append((j, (k - 1) * m + rest - 2, i))
+                stack.append((k, y))
+            if j is not None:
+                stack.append((x, k))  # split first
 
     if kind == tr.TYPE1:
-        a, b = next((x, y) for x, y in arcs if (y - x) % n == n - 1)  # length n
-        m = ed._plain_index(n, a, b)
+        j = next(i for i in arcs if i % m == m - 1)  # length n
+        a = j // m + 1
+        b = (a - 2) % n + 1
         add_region(a, b)
-        for s, e in spokes:
-            if e.a == a:
-                central.append((m, s))
-            elif e.a == b:
-                central.append((s, m))
+        for s, x in zip(spokes, base):
+            if x == a:
+                central.append((j, s))
+            elif x == b:
+                central.append((s, j))
             else:
                 raise ModelInconsistencyError(
-                    f"type 1 spoke {e.token()} away from the long arc "
-                    f"{ed.plain(a, b).token()}"
+                    f"type 1 spoke {ed.alphabet(n).tokens[s]} away from the long "
+                    f"arc {ed.plain(a, b).token()}"
                 )
     elif kind == tr.TYPE2:
-        a = spokes[0][1].a
-        bases = [x for x in range(1, n + 1) if x != a
-                 and (a, x) in arcs and (x, a) in arcs]
+        a = base[0]
+        bases = [x for x in range(1, n + 1) if 2 <= (x - a) % n <= n - 2
+                 and arc(a, x) in at and arc(x, a) in at]
         if len(bases) != 1:
             raise ModelInconsistencyError(
                 f"type 2 needs one return vertex, found {bases} in {tri.token()}"
             )
         b = bases[0]
-        j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
+        j_out, j_in = arc(a, b), arc(b, a)
         add_region(a, b)
         add_region(b, a)
-        s_plus = next(s for s, e in spokes if e.tag == 1)
-        s_minus = next(s for s, e in spokes if e.tag == -1)
+        s_plus, s_minus = spokes
         central += [
             (j_out, s_plus), (s_plus, j_in),
             (j_out, s_minus), (s_minus, j_in),
@@ -349,9 +363,9 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
             (j_in, j_out, s_minus), (s_minus, j_in, j_out),
         ]
     elif kind == tr.TYPE3:
-        (s_a, e_a), (s_b, e_b) = spokes
-        a, b = e_a.a, e_b.a
-        j_out, j_in = ed._plain_index(n, a, b), ed._plain_index(n, b, a)
+        s_a, s_b = spokes
+        a, b = base
+        j_out, j_in = arc(a, b), arc(b, a)
         add_region(a, b)
         add_region(b, a)
         central += [(j_out, s_a), (s_a, j_in), (j_in, s_b), (s_b, j_out)]
@@ -363,17 +377,17 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
         t = len(spokes)
         closed = []  # per gap: does a connecting arc close it
         for i in range(t):
-            (s, e), (s_next, e_next) = spokes[i], spokes[(i + 1) % t]
-            a, nxt = e.a, e_next.a
+            s, s_next = spokes[i], spokes[(i + 1) % t]
+            a, nxt = base[i], base[(i + 1) % t]
             central.append((s, s_next))
             closed.append((nxt - a) % n != 1)
             if not closed[-1]:  # neighbor bases: no connecting arc
                 continue
-            j = ed._plain_index(n, a, nxt)
+            j = arc(a, nxt)
             central += [(s_next, j), (j, s)]
             zero += [(s, s_next, j), (s_next, j, s), (j, s, s_next)]
             add_region(a, nxt)
-        lap = 2 * tuple(s for s, _ in spokes)
+        lap = 2 * spokes
         # the path from spoke i closes gap i-1 last
         zero += [lap[i:i + t + closed[i - 1]] for i in range(t)]
 
@@ -417,69 +431,94 @@ def _template_quiver(tri: tr.Triangulation, dec: Decomposition) -> Quiver:
 # isomorphism, canonical keys, vertex deletion
 
 
-def _refine_colors(n_verts: int, adj_out, adj_in, colors):
-    """Refine the colors 0..k-1 by the colors of each vertex's out- and
-    in-neighbors until no class splits.  A new color sorts by the old one
-    first, so a round that splits nothing returns the colors unchanged,
-    and a round that leaves every class a singleton is the last."""
-    count = len(set(colors))
+def _refine_colors(n_verts: int, adj_out, adj_in, colors, count: int):
+    """Refine the colors 0..count-1 by the colors of each vertex's out- and
+    in-neighbors until no class splits; returns the colors and their count.
+    A round gives each vertex the rank of (old color, sorted out-colors,
+    sorted in-colors), so a round that splits nothing leaves the colors
+    unchanged, and a round that leaves every class a singleton is the last.
+    As the old color sorts first, each class is ranked on its own, above
+    the signatures of the classes below it; a singleton cannot split, so it
+    takes that offset without being signed."""
     while count < n_verts:
-        sig = [
-            (colors[v],
-             tuple(sorted(colors[w] for w in adj_out[v])),
-             tuple(sorted(colors[w] for w in adj_in[v])))
-            for v in range(n_verts)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        if len(palette) == count:
-            return colors
-        colors = [palette[s] for s in sig]
-        count = len(palette)
-    return colors
+        cells = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        get = colors.__getitem__
+        new = [0] * n_verts
+        base = 0
+        for cell in cells:
+            if len(cell) > 1:
+                sig = [(tuple(sorted(map(get, adj_out[v]))),
+                        tuple(sorted(map(get, adj_in[v])))) for v in cell]
+                rank = {s: i for i, s in enumerate(sorted(set(sig)), base)}
+                for v, s in zip(cell, sig):
+                    new[v] = rank[s]
+                base += len(rank)
+            else:
+                new[cell[0]] = base
+                base += 1
+        if base == count:
+            break
+        colors, count = new, base
+    return colors, count
 
 
 def _index_graph(q: Quiver):
-    idx = {v: i for i, v in enumerate(q.vertices)}
     n_verts = len(q.vertices)
+    idx = dict(zip(q.vertices, range(n_verts)))
     adj_out = [[] for _ in range(n_verts)]
     adj_in = [[] for _ in range(n_verts)]
     for s, t in q.arrows:
-        adj_out[idx[s]].append(idx[t])
-        adj_in[idx[t]].append(idx[s])
+        s, t = idx[s], idx[t]
+        adj_out[s].append(t)
+        adj_in[t].append(s)
     return idx, adj_out, adj_in
 
 
 def _canonical_labeling(q: Quiver):
     """Individualization-refinement: over the vertex orderings it reaches,
     the one whose sorted arrow list is minimal.  Returns that encoding as
-    the key and the vertices in the order (rank) that produces it."""
+    the key and the vertices in the order (rank) that produces it.
+
+    Refinement starts from the rank of each vertex's (out-degree,
+    in-degree), which is the first round from uniform colors.  The search
+    branches on the lowest color class with more than one member, in
+    vertex order, and individualizes each of its vertices v ahead of every
+    class: v takes color 0 and every other color goes up by one.  The keys
+    and the vertex orders depend on this rule."""
     n_verts = len(q.vertices)
     idx, adj_out, adj_in = _index_graph(q)
-    arrow_pairs = [(idx[s], idx[t]) for s, t in q.arrows]
+    sources = [idx[s] for s, _ in q.arrows]
+    targets = [idx[t] for _, t in q.arrows]
 
     best = [None, None]
 
-    def search(colors):
-        classes: dict[int, list[int]] = {}
-        for v in range(n_verts):
-            classes.setdefault(colors[v], []).append(v)
-        split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
-        if split is None:
+    def search(colors, count):
+        if count == n_verts:
             # colors are distinct here: each is its vertex's rank
-            cand = tuple(sorted((colors[s], colors[t]) for s, t in arrow_pairs))
+            get = colors.__getitem__
+            cand = tuple(sorted(zip(map(get, sources), map(get, targets))))
             if best[0] is None or cand < best[0]:
                 best[0] = cand
-                best[1] = sorted(range(n_verts), key=lambda v: colors[v])
+                order = [0] * n_verts
+                for v, c in enumerate(colors):
+                    order[c] = v
+                best[1] = order
             return
-        for v in classes[split]:
-            new = list(colors)
-            new[v] = -1  # individualize ahead of its class
-            palette = {c: i for i, c in enumerate(sorted(set(new)))}
-            new = _refine_colors(n_verts, adj_out, adj_in,
-                                 [palette[c] for c in new])
-            search(new)
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        split = next(c for c, size in enumerate(sizes) if size > 1)
+        for v in [v for v, c in enumerate(colors) if c == split]:
+            new = [c + 1 for c in colors]
+            new[v] = 0  # individualize ahead of every class
+            search(*_refine_colors(n_verts, adj_out, adj_in, new, count + 1))
 
-    search(_refine_colors(n_verts, adj_out, adj_in, [0] * n_verts))
+    degrees = [(len(adj_out[v]), len(adj_in[v])) for v in range(n_verts)]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    search(*_refine_colors(n_verts, adj_out, adj_in,
+                           [rank[d] for d in degrees], len(rank)))
     return (n_verts, best[0]), [q.vertices[v] for v in best[1]]
 
 
@@ -617,21 +656,27 @@ def check_type_a_shape(q: Quiver) -> None:
 
 
 def _mutation_class_keys(seed: Quiver, check_a: bool) -> frozenset:
+    """The canonical keys of the quivers reached from seed by mutations.
+    A quiver is not mutated again at the vertex it was reached by: mutation
+    is an involution on these 2-acyclic quivers, so that gives back its
+    parent, whose key is already seen."""
     seen = {canonical_key(seed)}
-    frontier = [seed]
+    frontier = [(seed, None)]
     if check_a:
         check_type_a_shape(seed)
     while frontier:
         nxt = []
-        for q in frontier:
+        for q, back in frontier:
             for v in q.vertices:
+                if v == back:
+                    continue
                 q2 = mutate(q, v)
                 key = canonical_key(q2)
                 if key not in seen:
                     seen.add(key)
                     if check_a:
                         check_type_a_shape(q2)
-                    nxt.append(q2)
+                    nxt.append((q2, v))
         frontier = nxt
     return frozenset(seen)
 

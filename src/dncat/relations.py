@@ -89,59 +89,107 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     extended once, at the first length where it appears.  Used as an
     oracle: the dimension must equal the total of the morphism-space
     dimension matrix of the triangulation.
+
+    The count runs length by length and extends whole classes: each member
+    of an alive class followed by one arrow from the class's least member.
+    Such a member has an alive prefix, so it can only meet a zero generator
+    or a rewrite in a window that ends at the new arrow; the members that
+    rewrites produce are tested whole.  Without commutativity pairs every
+    class is a single path and no closure runs.  The first length tests
+    every window, as the one-vertex paths are not classes checked before.
     """
     zero = set(rels.zero_paths)
     lengths = sorted({len(z) for z in zero})
-    rewrites = []
+    rewrites = {}  # each side of a commutativity pair -> the other sides
     for p, alt in rels.commutativity_pairs:
-        rewrites.append((p, alt))
-        rewrites.append((alt, p))
+        rewrites.setdefault(p, []).append(alt)
+        rewrites.setdefault(alt, []).append(p)
+    rewrite_lengths = sorted({len(p) for p in rewrites})
     out = {v: [] for v in q.vertices}
-    for s, t in q.arrows:
+    for s, t in dict.fromkeys(q.arrows):
         out[s].append(t)
     cap = max_length if max_length is not None else 2 * len(q.vertices) + 2
 
-    def closure(path: tuple) -> frozenset:
-        seen = {path}
-        stack = [path]
-        while stack:
-            cur = stack.pop()
-            for lhs, rhs in rewrites:
-                size = len(lhs)
-                for i in range(len(cur) - size + 1):
-                    if cur[i:i + size] == lhs:
-                        nxt = cur[:i] + rhs + cur[i + size:]
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-        return frozenset(seen)
-
-    def is_zero(cls: frozenset) -> bool:
+    def dead(path: tuple) -> bool:
         # one window per offset and zero-path length, looked up in the set
-        for member in cls:
-            for size in lengths:
-                for i in range(len(member) - size + 1):
-                    if member[i:i + size] in zero:
-                        return True
+        for size in lengths:
+            for i in range(len(path) - size + 1):
+                if path[i:i + size] in zero:
+                    return True
+        return False
+
+    def dead_at_end(path: tuple) -> bool:
+        # a window longer than the path is the path itself, which a window
+        # of its own length finds as well
+        for size in lengths:
+            if path[-size:] in zero:
+                return True
         return False
 
     total = len(q.vertices)
-    current = [(v,) for v in q.vertices]
+    if not rewrites:
+        current = [(v,) for v in q.vertices]
+        test = dead
+        for _ in range(cap):
+            alive = []
+            for path in current:
+                for t in out[path[-1]]:
+                    path_t = path + (t,)
+                    if not test(path_t):
+                        alive.append(path_t)
+            if not alive:
+                return total
+            total += len(alive)
+            current = alive
+            test = dead_at_end
+        raise ModelInconsistencyError("path algebra does not terminate; relations broken")
+
+    def rewritten(path: tuple) -> list:
+        # every rewrite of one window of path
+        found = []
+        for size in rewrite_lengths:
+            for i in range(len(path) - size + 1):
+                for rhs in rewrites.get(path[i:i + size], ()):
+                    found.append(path[:i] + rhs + path[i + size:])
+        return found
+
+    def rewritten_at_end(path: tuple) -> list:
+        # the rewrites of the windows that end at the last vertex
+        found = []
+        for size in rewrite_lengths:
+            for rhs in rewrites.get(path[-size:], ()):
+                found.append(path[:-size] + rhs)
+        return found
+
+    current = [((v,),) for v in q.vertices]  # alive classes, members sorted
     seen = set()  # class keys of every length so far
+    test, rewrite = dead, rewritten
     for _ in range(cap):
-        extended = []
-        for path in current:
-            for t in out[path[-1]]:
-                extended.append(path + (t,))
         classes = {}
-        for path in extended:
-            cls = closure(path)
-            classes[min(cls)] = cls
-        alive = [rep for rep, cls in classes.items()
-                 if rep not in seen and not is_zero(cls)]
+        for members in current:
+            for t in out[members[0][-1]]:
+                seeds = [m + (t,) for m in members]
+                todo = [r for p in seeds for r in rewrite(p)]
+                cls = set(seeds)
+                produced = []
+                while todo:
+                    path = todo.pop()
+                    if path not in cls:
+                        cls.add(path)
+                        produced.append(path)
+                        todo += rewritten(path)
+                key = min(cls)
+                if key in classes or key in seen:
+                    continue
+                if any(map(test, seeds)) or any(map(dead, produced)):
+                    classes[key] = None
+                else:
+                    classes[key] = sorted(cls)
+        alive = [cls for cls in classes.values() if cls is not None]
         seen.update(classes)
         if not alive:
             return total
         total += len(alive)
         current = alive
+        test, rewrite = dead_at_end, rewritten_at_end
     raise ModelInconsistencyError("path algebra does not terminate; relations broken")

@@ -142,25 +142,34 @@ def is_triangulation(n: int, items) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...]:
+def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...] | str:
+    """The keys of every triangulation, or the message of the kernel's size
+    guard when it refuses a maximal set: a refusal is remembered per n like
+    a result, so a broken kernel runs once per n and not once per ask."""
     masks = ed.alphabet(n).masks
     cliques = maximal_cliques(masks, len(masks))
     for c in cliques:
         if len(c) != n:
-            raise ModelInconsistencyError(
-                f"maximal non-crossing set of size {len(c)} at n={n}"
-            )
+            return f"maximal non-crossing set of size {len(c)} at n={n}"
     return tuple(cliques)
+
+
+def _index_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The keys of every triangulation; raises the remembered refusal."""
+    sets = _all_index_sets(n)
+    if isinstance(sets, str):
+        raise ModelInconsistencyError(sets)
+    return sets
 
 
 def enumerate_all(n: int):
     """Every triangulation exactly once, in lexicographic canonical order."""
-    for indices in _all_index_sets(n):
+    for indices in _index_sets(n):
         yield Triangulation(n, indices)
 
 
 def count_all(n: int) -> int:
-    return len(_all_index_sets(n))
+    return len(_index_sets(n))
 
 
 def cluster_count_formula(n: int) -> int:
@@ -328,12 +337,15 @@ def canonical_form(tri: Triangulation) -> tuple[Triangulation, int]:
 def classify_type(tri: Triangulation) -> int:
     """The structural type: 1 with a length-n arc, else by the degenerate
     edge configuration (double / two separate spokes / three or more)."""
-    n = tri.n
-    if any((e.b - e.a) % n == n - 1 for e in tri.plains()):  # length n
+    n, key = tri.n, tri.key
+    m = n - 2
+    split = bisect_left(key, n * m)
+    # arc i has i % (n-2) + 2 boundary steps, spoke n(n-2) + 2(a-1) + tag bit
+    if any(i % m == m - 1 for i in key[:split]):  # length n
         return TYPE1
-    spokes = tri.spokes()
+    spokes = key[split:]
     if len(spokes) == 2:
-        return TYPE2 if spokes[0].a == spokes[1].a else TYPE3
+        return TYPE2 if (spokes[0] - n * m) // 2 == (spokes[1] - n * m) // 2 else TYPE3
     if len(spokes) >= 3:
         return TYPE4
     raise ModelInconsistencyError(
@@ -364,7 +376,7 @@ def equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
     # orbit is its minimum; the rest of the orbit is marked and skipped.
     classes = []
     marked: set[tuple[int, ...]] = set()
-    for key in _all_index_sets(n):
+    for key in _index_sets(n):
         if key in marked:
             marked.remove(key)  # every key is met once
             continue

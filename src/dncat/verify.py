@@ -406,28 +406,27 @@ def _types_chunk(n: int, rep_key) -> tuple[list[str], list[str], list[str]]:
     rels = dim = None
     for key, g in tr._orbit(n, rep_key).items():  # the representative first
         tri = tr.Triangulation(n, key)
-        token = tri.token()
         templates.extend(_template_failures(tri))
         if key != rep_key and table[key].arrows != _moved_arrows(g, q):
-            fail = (f"{token}: quiver is not its representative's "
+            fail = (f"{tri.token()}: quiver is not its representative's "
                     f"{rep.token()} moved by the orbit map")
             local.append(fail)
             dims.append(fail)
         try:
             member = rl.relations_of(tri)
         except Exception as exc:  # noqa: BLE001
-            dims.append(f"{token}: {exc}")
+            dims.append(f"{tri.token()}: {exc}")
             continue
         if key == rep_key:
             rels, dim = member, rl.path_algebra_dimension(q, member)
         elif rels is None:
             continue  # the representative's own failure is recorded
         elif _generators(member) != _generators(rels, g):
-            dims.append(f"{token}: relations are not its representative's "
+            dims.append(f"{tri.token()}: relations are not its representative's "
                         f"{rep.token()} moved by the orbit map")
         expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
         if dim != expected:
-            dims.append(f"{token}: algebra dimension {dim} != hom total {expected}")
+            dims.append(f"{tri.token()}: algebra dimension {dim} != hom total {expected}")
     return templates, local, dims
 
 
@@ -442,45 +441,44 @@ def _generators(rels: rl.RelationSet, g=None) -> tuple[frozenset, frozenset]:
 
 
 def _template_failures(tri: tr.Triangulation) -> list[str]:
-    fails = []
+    fails = []  # each reason is prefixed by the token on return
     n = tri.n
-    token = tri.token()
     plains, spokes = tri.plains(), tri.spokes()
     arcs = {(e.a, e.b) for e in plains}
     kind = tr.classify_type(tri)
     preds = _type_predicates(tri)
     if sum(preds) != 1:
-        fails.append(f"{token}: {sum(preds)} type predicates hold")
+        fails.append(f"{sum(preds)} type predicates hold")
     elif preds.index(True) + 1 != kind:
-        fails.append(f"{token}: classifier disagrees with the predicates")
+        fails.append("classifier disagrees with the predicates")
     if len(spokes) < 2:
-        fails.append(f"{token}: fewer than two degenerate edges")
+        fails.append("fewer than two degenerate edges")
     bases = [s.a for s in spokes]
     if len(set(bases)) == len(bases) and len({s.tag for s in spokes}) > 1:
-        fails.append(f"{token}: mixed spoke tags without a double")
+        fails.append("mixed spoke tags without a double")
 
     long_edges = [e for e in plains if (e.b - e.a) % n == n - 1]
     if long_edges:
         if len(spokes) != 2:
-            fails.append(f"{token}: long arc with {len(spokes)} spokes")
+            fails.append(f"long arc with {len(spokes)} spokes")
         else:
             a, b = long_edges[0].a, long_edges[0].b
             double = spokes[0].a == spokes[1].a
             pairing = (not double and {spokes[0].a, spokes[1].a} == {a, b}
                        and spokes[0].tag == spokes[1].tag)
             if not (double and spokes[0].a in (a, b)) and not pairing:
-                fails.append(f"{token}: long-arc spokes form no double or pairing")
+                fails.append("long-arc spokes form no double or pairing")
         if len(spokes) >= 3:
-            fails.append(f"{token}: three spokes beside a long arc")
+            fails.append("three spokes beside a long arc")
     if kind == tr.TYPE2 and not long_edges:
         a = spokes[0].a
         if not any(x != a and (a, x) in arcs and (x, a) in arcs
                    for x in range(1, n + 1)):
-            fails.append(f"{token}: double without its return arcs")
+            fails.append("double without its return arcs")
     if kind == tr.TYPE3:
         a, b = sorted({s.a for s in spokes})
         if (b - a) % n == 1 or (a - b) % n == 1:
-            fails.append(f"{token}: non-double spoke pair is a pairing")
+            fails.append("non-double spoke pair is a pairing")
     # consecutive spokes at non-neighbor vertices must be joined by an arc
     distinct = sorted(set(bases))
     if len(distinct) >= 2:
@@ -489,8 +487,8 @@ def _template_failures(tri: tr.Triangulation) -> list[str]:
             if a == b or (b - a) % n == 1:
                 continue
             if (a, b) not in arcs:
-                fails.append(f"{token}: missing connecting arc {ed.plain(a, b).token()}")
-    return fails
+                fails.append(f"missing connecting arc {ed.plain(a, b).token()}")
+    return [f"{tri.token()}: {reason}" for reason in fails]
 
 
 def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
@@ -588,6 +586,10 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
     class_d, class_a = qv.mutation_class_d(n - 1), qv.mutation_class_a(n - 1)
     rep = tr.Triangulation(n, rep_key)
     q = table[rep_key]
+
+    def minus(tri: tr.Triangulation, i: int) -> str:
+        return f"{tri.token()} minus {alpha.tokens[i]}"
+
     for i in rep_key:
         kind = alpha.kind[i]
         cut = qv.delete_vertex(q, i)
@@ -595,13 +597,12 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
         key = qv.canonical_key(cut) if connected else None
         in_d = key in class_d
         in_a = key in class_a
-        where = f"{rep.token()} minus {alpha.tokens[i]}"
         if in_d != (kind == ed.CLOSE_TO_BORDER):
-            fails.append(f"{where}: D-membership {in_d}, {kind}")
+            fails.append(f"{minus(rep, i)}: D-membership {in_d}, {kind}")
         if in_a != (kind == ed.DEGENERATE):
-            fails.append(f"{where}: A-membership {in_a}, {kind}")
+            fails.append(f"{minus(rep, i)}: A-membership {in_a}, {kind}")
         if kind == ed.CONNECTED and connected:
-            fails.append(f"{where}: connected arc left it connected")
+            fails.append(f"{minus(rep, i)}: connected arc left it connected")
     for key, g in tr._orbit(n, rep_key).items():
         tri = tr.Triangulation(n, key)
         member = table[key]
@@ -614,12 +615,11 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
             # labelled equality through the quotient's edge map
             edge_map = tr.quotient_map(tri, alpha.edges[i])
             entry = reduced.get(tuple(sorted(edge_map.values())))
-            where = f"{tri.token()} minus {alpha.tokens[i]}"
             if entry is None:
-                fails.append(f"{where}: quotient is not a triangulation")
+                fails.append(f"{minus(tri, i)}: quotient is not a triangulation")
             elif tuple(sorted([(edge_map[s], edge_map[t]) for s, t in member.arrows
                                if s != i and t != i])) != entry.arrows:
-                fails.append(f"{where}: quotient quiver differs")
+                fails.append(f"{minus(tri, i)}: quotient quiver differs")
     return fails
 
 

@@ -382,6 +382,21 @@ def test_every_suite_reports_a_short_maximal_set(capsys, short_kernel, suite):
          "ok   staple arrangement oracle agreement"] if suite == "all" else [])
 
 
+def test_a_refused_enumeration_runs_the_kernel_once_per_n(capsys, monkeypatch, short_kernel):
+    # every suite asks for the enumeration, but the refusal is remembered:
+    # one kernel run at n = 5 and one at n = 4 (prop45's n - 1 and d4)
+    short, sizes = tr.maximal_cliques, []
+
+    def counted(masks, m):
+        sizes.append(m)
+        return short(masks, m)
+
+    monkeypatch.setattr(tr, "maximal_cliques", counted)
+    code, _, err = run(capsys, "verify", "--suite", "all", "--n", "5")
+    assert code == 1 and "error:" not in err
+    assert sorted(sizes) == [4 * 4, 5 * 5]
+
+
 def _trusted(n, text):
     """A key from tokens through the trusted constructor, unvalidated."""
     by_token = ed.alphabet(n).by_token

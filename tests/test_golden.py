@@ -9,15 +9,20 @@ digests pin the export order past one-digit labels, where token-string
 order (p:1-10 before p:1-3) and canonical edge order differ.  The n=20
 and n=30 digests pin the template quiver and the relations of one walk
 triangulation of each of the four types, past the range where whole
-tables can be built.
+tables can be built.  The query-walk digest pins what one query computes
+(template quiver, relations, algebra dimension, canonical key and the
+vertex order of the canonical labeling) on seeded flip walks at n = 12,
+16 and 20.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from dncat import quivers as qv
+from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat.cli import main
 
@@ -111,6 +116,8 @@ TYPED_WALKS = {
               "ea086a1498313217e74a5a04a7435f45cda7f6ce11cc6e3030f0026249775127"),
 }
 
+QUERY_WALKS = "c9f2a2d9442da27b79c35cc6d26782a82c2abfff3ceb5a57d279f6151d00cc7f"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -197,3 +204,29 @@ def test_typed_walks_n20_n30(capsys):
                 outputs.append(_sha256(capsys.readouterr().out.encode("utf-8")))
             digests[(n, kind)] = tuple(outputs)
     assert digests == TYPED_WALKS
+
+
+def query_walk_records(n: int) -> list:
+    """After a burn-in of 4n flips from the fan (seeded by n), every second
+    triangulation of the next 120 flips with its query outputs."""
+    rng = random.Random(n)
+    tri = tr.fan(n)
+    records = []
+    for step in range(1, 4 * n + 121):
+        tri, _ = tr.flip(tri, tri.edges[rng.randrange(n)])
+        if step > 4 * n and step % 2 == 0:
+            q = qv.direct_quiver_of(tri)
+            rels = rl.relations_of(tri)
+            key, order = qv._canonical_labeling(q)
+            records.append({"triangulation": tri.token(), "type": tr.classify_type(tri),
+                            "quiver": q.to_json(), "relations": rels.to_json(),
+                            "dimension": rl.path_algebra_dimension(q, rels),
+                            "key": key, "order": [q.label(v) for v in order]})
+    return records
+
+
+def test_query_walk_outputs():
+    records = [r for n in (12, 16, 20) for r in query_walk_records(n)]
+    assert {r["type"] for r in records} == {1, 2, 3, 4}  # every template runs
+    text = json.dumps(records, sort_keys=True)
+    assert _sha256(text.encode("utf-8")) == QUERY_WALKS

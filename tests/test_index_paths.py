@@ -403,6 +403,15 @@ def test_algebra_dimension_matches_reference_and_hom_total(n, seed):
         rl.path_algebra_dimension(q, rels, max_length=longest)
 
 
+def test_algebra_dimension_matches_reference_on_every_triangulation():
+    for n in range(4, 9):
+        for tri in tr.enumerate_all(n):
+            q = qv.direct_quiver_of(tri)
+            rels = rl.relations_of(tri)
+            assert rl.path_algebra_dimension(q, rels) == \
+                reference_path_algebra_dimension(q, rels)[0], tri
+
+
 def test_decompose_refuses_an_untriangulated_region():
     # the fan at n=6 without p:1-4 leaves the square 1, 3, 4, 5 untriangulated
     key = tuple(i for i in fan(6).key if i != ed._plain_index(6, 1, 4))

@@ -338,6 +338,37 @@ def test_canonical_labeling_equals_the_reference():
         assert _canonical_labeling(q) == reference_canonical_labeling(q)
 
 
+def mutation_class_quivers(seed):
+    """Every quiver met by mutating from seed until no new isomorphism
+    class appears, classes told apart by reference_canonical_labeling."""
+    seen, met = {reference_canonical_labeling(seed)[0]}, [seed]
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for v in q.vertices:
+                q2 = mutate(q, v)
+                met.append(q2)
+                key = reference_canonical_labeling(q2)[0]
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(q2)
+        frontier = nxt
+    return seen, met
+
+
+def test_canonical_labeling_equals_the_reference_on_mutation_classes():
+    # the key and the vertex order on abstract integer labels, on every
+    # quiver met in Mut(A_k) and Mut(D_k) for k <= 7
+    cases = [(linear_a_quiver(k), mutation_class_a(k)) for k in range(1, 8)]
+    cases += [(base_quiver_d(k), mutation_class_d(k)) for k in range(4, 8)]
+    for seed, keys in cases:
+        found, met = mutation_class_quivers(seed)
+        assert found == keys
+        for q in met:
+            assert _canonical_labeling(q) == reference_canonical_labeling(q)
+
+
 def test_d4_witness_pairs_the_canonical_labelings():
     a, b = find_d4_witness()
     qa, qb = quiver_of(a.representative), quiver_of(b.representative)
