@@ -5,6 +5,12 @@ meta.json (counts and checksums).  The files are the only copy of the
 records, each written and read in one streaming pass; a Catalog holds what
 meta.json counts.  The directory defaults to ./dncat_catalog, overridden by
 DNCAT_DIR or an explicit argument.  Two writes are byte identical.
+
+The triangulation lines come from one generator, _triangulation_lines,
+which the writer emits and the reader compares the file with, line for
+line.  Only when the file differs (or the enumeration is refused) is it
+parsed and validated line by line, which names the first fault; class
+lines are always parsed and checked against their templates.
 """
 
 from __future__ import annotations
@@ -15,12 +21,15 @@ import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import pairwise, starmap, zip_longest
+from operator import eq, lt
 from pathlib import Path
 
+from . import edges as ed
 from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
-from .errors import CatalogError
+from .errors import CatalogError, ModelInconsistencyError
 
 VERSION = "0.1.0"
 
@@ -51,6 +60,15 @@ def _class_payload(cls: tr.TriangulationClass) -> dict:
     dec = qv.decompose(rep)
     return {**cls.to_json(), "quiver": qv._template_quiver(rep, dec).to_json(),
             "relations": rl._template_relations(rep, dec).to_json()}
+
+
+def _triangulation_lines(n: int) -> Iterator[str]:
+    """The record lines of triangulations.jsonl, one per triangulation of
+    enumerate_all(n) in its order: each is _dumps({"edges": token}), as a
+    token needs no JSON escaping."""
+    tokens = ed.alphabet(n).tokens
+    for key in tr._index_sets(n):
+        yield '{"edges":"' + ",".join([tokens[i] for i in key]) + '"}\n'
 
 
 def _sha256(path: Path) -> str:
@@ -85,7 +103,7 @@ def write_catalog(n: int, directory: Path | None = None) -> tuple[Path, Catalog]
 
     try:
         tri_path = stage("triangulations.jsonl", {"n": n, "count": catalog.count},
-                         (_dumps({"edges": t.token()}) + "\n" for t in tr.enumerate_all(n)))
+                         _triangulation_lines(n))
         cls_path = stage("classes.jsonl", {"n": n, "count": len(classes)},
                          (_dumps(_class_payload(c)) + "\n" for c in classes))
         meta = {
@@ -153,9 +171,13 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
 
     # both files streamed through the checks: of the records, only the class
     # representatives are kept, for the order check after the counts
-    records = _jsonl(target / "triangulations.jsonl", n, "triangulation", edges=str)
-    total = _check_order("triangulation",
-                         (tr.parse_triangulation(n, r["edges"]) for r in records))
+    tri_path = target / "triangulations.jsonl"
+    if _is_the_enumeration(tri_path, n):
+        total = tr.count_all(n)
+    else:  # parsed from the top, to name the fault or accept another spelling
+        records = _jsonl(tri_path, n, "triangulation", edges=str)
+        total = _check_order("triangulation",
+                             (tr.parse_triangulation(n, r["edges"]) for r in records))
     reps, census, orbits = [], Counter(), 0
     for payload in _jsonl(target / "classes.jsonl", n, "class",
                           representative=str, orbitSize=int, type=int):
@@ -182,6 +204,23 @@ def read_catalog(n: int, directory: Path | None = None) -> Catalog:
         raise CatalogError(f"meta.json counts {_dumps(meta.get('counts'))} disagree "
                            f"with the files: {_dumps(catalog.counts())}")
     return catalog
+
+
+def _is_the_enumeration(path: Path, n: int) -> bool:
+    """Whether the file reads, line for line, as what the writer emits: the
+    header and the lines of _triangulation_lines, over keys in strictly
+    increasing order.  Each such line is a maximal non-crossing set of n
+    edges, so it passes every check of the full parse.  False when the
+    kernel's size guard refuses the enumeration."""
+    try:
+        keys = tr._index_sets(n)
+    except ModelInconsistencyError:
+        return False
+    if not all(starmap(lt, pairwise(keys))):
+        return False
+    with path.open(encoding="utf-8") as fh:
+        return (fh.readline() == _dumps({"n": n, "count": len(keys)}) + "\n"
+                and all(starmap(eq, zip_longest(fh, _triangulation_lines(n)))))
 
 
 def _check_counts(n: int, total: int, classes: int, orbits: int) -> None:

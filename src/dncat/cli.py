@@ -16,13 +16,11 @@ import argparse
 import json
 import sys
 
-from . import arquiver as ar
 from . import catalog as cat
 from . import edges as ed
 from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
-from . import verify as vf
 from .errors import DncatError, ModelInconsistencyError, UnsupportedSizeError
 from ._maxcliques_py import BACKEND
 
@@ -32,6 +30,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 DEFAULT_MAX_N = 9
+
+# the names verify.run_suite takes: the commands that do not verify import
+# neither verify nor its staple oracle, nor arquiver unless they run `ar`
+SUITES = ("crossing", "flip", "transport", "types", "prop45", "prop47", "d4", "all")
 
 
 def _add_common(parser: argparse.ArgumentParser, bound: bool = False) -> None:
@@ -148,6 +150,8 @@ def cmd_flip(args) -> int:
 def cmd_ar(args) -> int:
     if args.tau_ranks and not args.dot:
         args.parser.error("--tau-ranks groups the DOT output; pass --dot")
+    from . import arquiver as ar
+
     quiver = ar.build_ar(args.n)
     if args.dot:
         _emit(args, quiver.to_dot(tau_ranks=args.tau_ranks))
@@ -162,6 +166,8 @@ def cmd_verify(args) -> int:
     if args.suite == "d4" and args.n != 4:
         args.parser.error(f"the d4 suite is the witness at n=4 only; pass --n 4, not {args.n}")
     _check_bound(args)
+    from . import verify as vf
+
     reports = vf.run_suite(args.suite, args.n, jobs=args.jobs)
     lines = []
     for report in reports:
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p, bound=True)
-    p.add_argument("--suite", required=True, choices=vf.SUITES)
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="worker processes for bulk checks (at most one per core)")
     p.set_defaults(func=cmd_verify, parser=p)

@@ -97,6 +97,12 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     rewrites produce are tested whole.  Without commutativity pairs every
     class is a single path and no closure runs.  The first length tests
     every window, as the one-vertex paths are not classes checked before.
+
+    The cap, max_length or else 2|V| + 2 arrows (beyond any path of an
+    acyclic quiver), bounds both the lengths counted and the members a
+    rewrite closure may reach: past it the count raises "path algebra does
+    not terminate", as commutativity sides of unequal length on an
+    oriented cycle can rewrite a path into ever longer ones.
     """
     zero = set(rels.zero_paths)
     lengths = sorted({len(z) for z in zero})
@@ -109,6 +115,7 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     for s, t in dict.fromkeys(q.arrows):
         out[s].append(t)
     cap = max_length if max_length is not None else 2 * len(q.vertices) + 2
+    unbounded = "path algebra does not terminate; relations broken"
 
     def dead(path: tuple) -> bool:
         # one window per offset and zero-path length, looked up in the set
@@ -142,7 +149,7 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
             total += len(alive)
             current = alive
             test = dead_at_end
-        raise ModelInconsistencyError("path algebra does not terminate; relations broken")
+        raise ModelInconsistencyError(unbounded)
 
     def rewritten(path: tuple) -> list:
         # every rewrite of one window of path
@@ -175,6 +182,8 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
                 while todo:
                     path = todo.pop()
                     if path not in cls:
+                        if len(path) > cap + 1:  # more than cap arrows
+                            raise ModelInconsistencyError(unbounded)
                         cls.add(path)
                         produced.append(path)
                         todo += rewritten(path)
@@ -192,4 +201,4 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
         total += len(alive)
         current = alive
         test, rewrite = dead_at_end, rewritten_at_end
-    raise ModelInconsistencyError("path algebra does not terminate; relations broken")
+    raise ModelInconsistencyError(unbounded)

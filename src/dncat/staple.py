@@ -73,10 +73,11 @@ def staple_crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
     sides_o = list(product((-1, 1), repeat=1 if other.is_spoke else 2))
     best = None
     for radius_m, radius_o in ((1, 2), (2, 1)):
-        for cm in sides_m:
-            for co in sides_o:
-                a = _Staple(n, m, cm, 2, radius_m)
-                b = _Staple(n, other, co, 3, radius_o)
+        # each curve is built once per side choice and radius
+        curves_m = [_Staple(n, m, cm, 2, radius_m) for cm in sides_m]
+        curves_o = [_Staple(n, other, co, 3, radius_o) for co in sides_o]
+        for a in curves_m:
+            for b in curves_o:
                 total = a.crossings_with(b)
                 if best is None or total < best:
                     best = total

@@ -8,6 +8,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import edges as ed
 from .edges import TaggedEdge
@@ -310,9 +311,10 @@ def _orbit(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...
     """The orbit of key under the translation and the tag swap: each member's
     sorted index tuple, mapped to the first group element (in _group order)
     that carries key onto it."""
+    images = itemgetter(*key)  # key has n >= 4 entries: always a tuple
     orbit: dict[tuple[int, ...], tuple[int, ...]] = {}
     for g in _group(n):
-        orbit.setdefault(tuple(sorted(g[i] for i in key)), g)
+        orbit.setdefault(tuple(sorted(images(g))), g)
     return orbit
 
 

@@ -58,8 +58,6 @@ from . import triangulations as tr
 from .errors import ModelInconsistencyError, UnsupportedSizeError
 from .staple import staple_crossing_number
 
-SUITES = ("crossing", "flip", "transport", "types", "prop45", "prop47", "d4", "all")
-
 
 @dataclass
 class SuiteReport:
@@ -769,4 +767,6 @@ def run_suite(suite: str, n: int, jobs: int = 1) -> list[SuiteReport]:
             reports.append(suite_prop47(n))
         reports.append(suite_d4(4))
         return reports
+    from .cli import SUITES
+
     raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")

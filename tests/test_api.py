@@ -1,19 +1,50 @@
 """The package's public surface: `dncat.__all__` names exactly the public
-names that `dncat/__init__.py` imports, and each of them resolves."""
+names of the lazy name map in `dncat/__init__.py`, each of them resolves
+to its module's object, and importing the package or the command line
+loads only what is run."""
 
-import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dncat
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def test_all_names_exactly_the_public_imports():
-    tree = ast.parse(Path(dncat.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    public = sorted(name for name in imported if not name.startswith("_"))
+    exported = [name for names in dncat._EXPORTS.values() for name in names]
+    public = sorted(name for name in exported if not name.startswith("_"))
+    assert len(set(exported)) == len(exported)  # no name from two modules
     assert sorted(dncat.__all__) == public
     namespace: dict = {}
     exec("from dncat import *", namespace)  # raises if a name does not resolve
-    assert all(namespace[name] is getattr(dncat, name) for name in public)
+    for module, names in dncat._EXPORTS.items():
+        home = importlib.import_module(f"dncat.{module}")
+        for name in names:
+            assert namespace[name] is getattr(dncat, name) is getattr(home, name), name
+    assert dncat.__version__ == dncat.VERSION
+    assert set(dncat.__all__) <= set(dir(dncat))
+
+
+def test_submodules_resolve_as_attributes():
+    for name in dncat._SUBMODULES:
+        assert getattr(dncat, name) is importlib.import_module(f"dncat.{name}")
+    assert not hasattr(dncat, "no_such_name")
+
+
+def _loaded_after(statement: str) -> set[str]:
+    code = (f"import sys\n{statement}\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('dncat')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_imports_load_only_what_runs():
+    assert _loaded_after("import dncat") == {"dncat"}
+    cli = _loaded_after("import dncat.cli")
+    assert not cli & {"dncat.verify", "dncat.staple", "dncat.arquiver"}
+    assert {"dncat.catalog", "dncat.triangulations"} <= cli

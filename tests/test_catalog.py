@@ -8,9 +8,10 @@ import pytest
 
 from dncat import catalog as cat
 from dncat import quivers as qv
+from dncat import triangulations as tr
 from dncat.catalog import default_dir, read_catalog, write_catalog
 from dncat.edges import alphabet
-from dncat.triangulations import count_all, equivalence_classes
+from dncat.triangulations import count_all, enumerate_all, equivalence_classes
 
 
 def test_build_counts(tmp_path):
@@ -68,6 +69,24 @@ def test_read_holds_no_class_records(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < size / 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_triangulation_lines_are_the_json_records(n):
+    # one generator for writer and reader, byte-identical to the JSON dump
+    assert list(cat._triangulation_lines(n)) == [
+        cat._dumps({"edges": t.token()}) + "\n" for t in enumerate_all(n)]
+
+
+def test_read_parses_only_the_class_lines(monkeypatch, tmp_path):
+    # the triangulation lines equal the enumeration's, so none is parsed
+    _, written = write_catalog(6, tmp_path)
+    parsed = []
+    parse = tr.parse_triangulation
+    monkeypatch.setattr(tr, "parse_triangulation",
+                        lambda n, text: parsed.append(text) or parse(n, text))
+    assert read_catalog(6, tmp_path) == written
+    assert parsed == [c.representative.token() for c in equivalence_classes(6)]
 
 
 def test_round_trip_is_byte_identical(tmp_path):

@@ -403,6 +403,23 @@ def _trusted(n, text):
     return tr.Triangulation(n, tuple(sorted(by_token[t] for t in text.split(","))))
 
 
+@pytest.fixture(scope="module")
+def healthy_catalog(tmp_path_factory):
+    """A catalog at n = 5, written before any test of the module patches
+    the kernel."""
+    directory = tmp_path_factory.mktemp("catalog")
+    assert main(["catalog", "build", "--n", "5", "--dir", str(directory)]) == 0
+    return directory
+
+
+def test_show_reads_a_healthy_catalog_under_a_refused_enumeration(
+        capsys, healthy_catalog, short_kernel):
+    # the refusal sends the reader down the full parse, which accepts
+    code, out, err = run(capsys, "catalog", "show", "--n", "5", "--dir", str(healthy_catalog))
+    assert (code, err) == (0, "")
+    assert out == "n=5: 182 triangulations, 26 classes (type 1: 15, type 2: 4, type 3: 2, type 4: 5)\n"
+
+
 def test_template_checks_pass_every_triangulation():
     assert [f for t in tr.enumerate_all(6) for f in vf._template_failures(t)] == []
 
@@ -712,6 +729,23 @@ def test_catalog_show_checks_the_counts(capsys, tmp_path, name, edit, want):
     code, out, err = run(capsys, "catalog", "show", "--n", "4", "--dir", str(tmp_path))
     assert code == 3 and out == ""
     assert err == f"error: {want}\n"
+
+
+def test_catalog_show_accepts_other_json_spellings(capsys, monkeypatch, tmp_path):
+    # triangulation lines that are not the writer's bytes go through the
+    # full parse, one parse per line, and give the same summary
+    run(capsys, "catalog", "build", "--n", "5", "--dir", str(tmp_path))
+    _, want, _ = run(capsys, "catalog", "show", "--n", "5", "--dir", str(tmp_path))
+    _rewrite(tmp_path / "n=5" / "triangulations.jsonl",
+             lambda lines: [json.dumps(json.loads(line)) for line in lines])
+    assert '{"edges": "' in (tmp_path / "n=5" / "triangulations.jsonl").read_text()
+    parsed = []
+    parse = tr.parse_triangulation
+    monkeypatch.setattr(tr, "parse_triangulation",
+                        lambda n, text: parsed.append(text) or parse(n, text))
+    code, out, err = run(capsys, "catalog", "show", "--n", "5", "--dir", str(tmp_path))
+    assert (code, out, err) == (0, want, "")
+    assert len(parsed) == 182 + 26
 
 
 @pytest.mark.parametrize("name, n", [

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from dncat import quivers as qv
 from dncat.edges import plain, spoke
 from dncat.quivers import direct_quiver_of
@@ -106,3 +113,31 @@ def test_dimension_counts_a_class_once_across_lengths():
     q = qv.Quiver.build(range(1, 6), [(1, 2), (2, 4), (1, 3), (3, 5), (5, 4)])
     rels = RelationSet(commutativity_pairs=(((1, 2, 4), (1, 3, 5, 4)),))
     assert path_algebra_dimension(q, rels) == 13
+
+
+def test_unequal_commutativity_sides_on_a_cycle_do_not_terminate():
+    # (0,1,0) ~ (0,1,0,1,0) on a 2-cycle rewrites a path into ever longer
+    # ones; the cap bounds the closure, so the documented error is raised.
+    # A child process with a bounded address space and a timeout keeps a
+    # closure that runs away from taking the test run down with it.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from dncat import quivers as qv\n"
+        "from dncat.errors import ModelInconsistencyError\n"
+        "from dncat.relations import RelationSet, path_algebra_dimension\n"
+        "q = qv.Quiver.build([0, 1], [(0, 1), (1, 0)])\n"
+        "rels = RelationSet((), (((0, 1, 0), (0, 1, 0, 1, 0)),))\n"
+        "for cap in (6, None):\n"
+        "    try:\n"
+        "        print(path_algebra_dimension(q, rels, max_length=cap))\n"
+        "    except ModelInconsistencyError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("path_algebra_dimension still running after 30 s")
+    assert proc.stdout == "path algebra does not terminate; relations broken\n" * 2, proc.stderr
