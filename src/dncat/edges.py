@@ -214,8 +214,10 @@ def parse_edge(token: str) -> TaggedEdge:
     token = token.strip()
     try:
         if token.startswith("p:"):
-            a_s, b_s = token[2:].split("-")
-            return plain(int(a_s), int(b_s))
+            a, b = map(int, token[2:].split("-"))
+            if a == b:  # plain(a, a) would be the spoke s:a:+
+                raise ValueError(token)
+            return plain(a, b)
         if token.startswith("s:"):
             a_s, t_s = token[2:].split(":")
             if t_s not in ("+", "-"):

@@ -1,9 +1,10 @@
 """Quivers of the cluster-tilted algebras attached to triangulations.
 
 Two independent constructions are provided.  Transport (what `verify`
-reads) carries the base quiver along flip paths from the fan, mutating at
-the exchanged vertex and relabelling it through every flip.  The template
-(what `dncat quiver` and the catalog print) reads the quiver off the
+reads) stores one quiver per translation/tag-swap class, mutated along the
+class graph from the fan's class; a member's quiver is its class's moved by
+the group element carrying the representative onto it.  The template (what
+`dncat quiver` and the catalog print) reads the quiver off the
 triangulation: each polygon region cut out by the central configuration
 contributes a type-A quiver by the triangle rule, and the central
 configuration one of four templates, a region's triangles found from its
@@ -16,6 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import edges as ed
 from . import triangulations as tr
@@ -176,52 +178,62 @@ def _mutate_arrows(arrows, v: int, v2: int) -> tuple:
     return tuple(sorted(result))
 
 
+def _moved(g, arrows) -> tuple:
+    """The arrows with each end moved by the index map g, sorted."""
+    return tuple(sorted([(g[s], g[t]) for s, t in arrows]))
+
+
+def _class_of(n: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The representative of key's class, min(tr._orbit(n, key)), and its
+    entry there, the first group element carrying key onto it."""
+    group = tr._group(n)
+    images = list(map(sorted, map(itemgetter(*key), group)))
+    rep = min(images)
+    return tuple(rep), group[images.index(rep)]
+
+
 @lru_cache(maxsize=None)
 def transport_table(n: int) -> dict:
-    """Quivers for every triangulation, by breadth-first transport from the
-    fan.  Every flip-graph edge is checked for consistency on the way, which
-    makes the result path independent by construction.  Each edge is
-    mutated once, from the end the walk pops first: mutation is an
-    involution, and verify's transport suite compares the public mutate
-    with the table at every flip, in both directions."""
-    # Mutation runs on the sorted arrow tuples, one shared object per
-    # distinct pair.  An entry becomes a Quiver on its key when the walk
-    # pops it, so a Quiver entry marks a triangulation whose flips have all
-    # been mutated from its end.
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def intern(arrows) -> tuple:
-        return tuple(pairs.setdefault(a, a) for a in arrows)
-
-    base = base_quiver(n)
-    table = {base.vertices: intern(base.arrows)}
-    for key, flips in tr.walk_flip_graph(n):
-        arrows = table[key]
-        table[key] = Quiver(key, arrows, n)
-        assert_cluster_quiver(table[key], "transport to")
-        for m, key2, m2 in flips:
-            known = table.get(key2)
-            if isinstance(known, Quiver):
-                continue
-            arrows2 = _mutate_arrows(arrows, m, m2)
+    """The quiver Q(R) of every translation/tag-swap class, keyed by its
+    representative R: breadth-first transport on the class graph from the
+    fan's class.  Flipping edge m of R gives a key that g carries onto its
+    representative R' (_class_of); Q(R) mutated at m and moved by g is
+    Q(R'), and every visit of R' must agree.  _mutate_arrows refuses a
+    2-cycle or a doubled arrow, so every entry is a cluster quiver."""
+    # one tuple per distinct arrow, shared by the entries (7 MB less at n = 10)
+    pairs: dict = {}
+    fan = base_quiver(n)
+    rep, g = _class_of(n, fan.vertices)
+    table = {rep: Quiver(rep, _moved(g, fan.arrows), n)}
+    order = [rep]
+    for key in order:  # the classes in the order they are reached
+        arrows = table[key].arrows
+        for m in key:
+            key2, m2 = tr._flip_index(n, key, m)
+            rep, g = _class_of(n, key2)
+            moved = _moved(g, _mutate_arrows(arrows, m, m2))
+            known = table.get(rep)
             if known is None:
-                table[key2] = intern(arrows2)
-            elif known != arrows2:
+                table[rep] = Quiver(rep, tuple(map(pairs.setdefault, moved, moved)), n)
+                order.append(rep)
+            elif known.arrows != moved:
                 raise ModelInconsistencyError(
                     "transported quiver depends on the flip path at "
-                    + tr.Triangulation(n, key2).token()
+                    + tr.Triangulation(n, rep).token()
                 )
-    if len(table) != tr.count_all(n):
+    if len(table) != len(tr.equivalence_classes(n)):
         raise ModelInconsistencyError(
-            f"flip graph disconnected at n={n}: reached {len(table)} triangulations"
+            f"class graph disconnected at n={n}: reached {len(table)} classes"
         )
     return table
 
 
 def quiver_of(tri: tr.Triangulation) -> Quiver:
-    """The quiver of the cluster-tilted algebra of the triangulation, by
-    mutation transport from the fan."""
-    return transport_table(tri.n)[tri.key]
+    """The quiver of the cluster-tilted algebra of the triangulation: its
+    class's transported quiver, moved from the representative onto tri."""
+    rep, g = _class_of(tri.n, tri.key)
+    back = {g[v]: v for v in tri.key}  # g carries tri onto rep
+    return Quiver(tri.key, _moved(back, transport_table(tri.n)[rep].arrows), tri.n)
 
 
 # ---------------------------------------------------------------------------

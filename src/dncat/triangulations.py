@@ -295,7 +295,7 @@ def apply_sigma(tri: Triangulation) -> Triangulation:
 def _group(n: int) -> tuple[tuple[int, ...], ...]:
     """The group generated by the translation and the tag swap, as index
     permutations in the order tau^0, sigma tau^0, tau^1, sigma tau^1, ...
-    up to tau_order(n)."""
+    up to tau_order(n), each once (for odd n, tau^n is sigma)."""
     alpha = ed.alphabet(n)
     tau, sigma = alpha.tau, alpha.sigma
     perms = []
@@ -304,7 +304,7 @@ def _group(n: int) -> tuple[tuple[int, ...], ...]:
         perms.append(g)
         perms.append(tuple(sigma[i] for i in g))
         g = tuple(tau[i] for i in g)
-    return tuple(perms)
+    return tuple(dict.fromkeys(perms))
 
 
 def _orbit(n: int, key: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -375,17 +375,21 @@ class TriangulationClass:
 def equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
     """Orbit representatives of all triangulations, in canonical order."""
     # The keys come in lexicographic order, so the first key met of each
-    # orbit is its minimum; the rest of the orbit is marked and skipped.
+    # orbit is its minimum; the rest of the orbit is marked by position.
+    keys = _index_sets(n)
+    marked = bytearray(len(keys))
     classes = []
-    marked: set[tuple[int, ...]] = set()
-    for key in _index_sets(n):
-        if key in marked:
-            marked.remove(key)  # every key is met once
+    for key, seen in zip(keys, marked):
+        if seen:
             continue
-        keys = _orbit_keys(n, key)
-        marked.update(keys[1:])
+        orbit = _orbit_keys(n, key)
+        for other in orbit[1:]:
+            at = bisect_left(keys, other)
+            if keys[at:at + 1] != (other,):
+                raise ModelInconsistencyError(f"orbit of {key} leaves the enumeration")
+            marked[at] = 1
         rep = Triangulation(n, key)
-        classes.append(TriangulationClass(rep, len(keys), classify_type(rep)))
+        classes.append(TriangulationClass(rep, len(orbit), classify_type(rep)))
     return tuple(classes)
 
 

@@ -9,26 +9,26 @@ fails with "enumeration stopped: ..." instead of running.
 
 The translation tau and the tag swap sigma carry a triangulation T to the
 members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
-isomorphic.  So the costly per-triangulation checks run once per class, at
+isomorphic.  The transport table holds one quiver Q(R) per class, and
+quiver_of(g.R) is g.Q(R), its arrows' ends moved by g: well defined as
+every g fixing R fixes Q(R) (the stabilizer check, in transport and
+prop45).  So the costly per-triangulation checks run once per class, at
 its representative, and reach every other member through a law that the
 same suite checks, each suite sound when run alone:
 
 - flip, uniqueness and involution: at the representatives.  A flip reads
   only the compatibility rows, and the alphabet laws (below) make each row
   tau- and sigma-equivariant, so flip(g.T, g.m) = g.flip(T, m).
-- transport, mutation against the table: at the representatives, at
-  every flip.  The symmetry check gives quiver_of(g.T) = g.quiver_of(T) on
-  every member, the alphabet laws move the flip, and mutation commutes
-  with relabelling.  The table mutates each flip-graph edge once, from the
-  end its walk pops first, so this check is what runs the public mutate
-  in the other direction.
-- types, local structure: at the representatives.  On every member the
-  quiver must be the representative's moved by g; the alphabet laws keep
-  the edge kinds and the inside of each connected arc.
+- transport, mutation against quiver_of the flip: at the representatives,
+  at every flip.  The stabilizer check gives quiver_of(g.T) =
+  g.quiver_of(T), the alphabet laws move the flip, and mutation commutes
+  with relabelling.
+- types, local structure, and prop45, deletions: at the representatives;
+  the alphabet laws keep the edge kinds and the arcs inside connected arcs.
 - types, dimension count: at the representatives.  On every member the
-  quiver and the relation generators (each commutativity pair unordered)
-  must be the representative's moved by g, and the count is compared with
-  the member's own hom total.
+  relation generators (each commutativity pair unordered) must be the
+  representative's moved by g, and the count is compared with the
+  member's own hom total.
 
 The per-n crossing and mask tables are built by translation from the rows
 at vertex 1, not by the crossing rule pair by pair.  The crossing suite's
@@ -38,11 +38,10 @@ every suite that reads them) to the rule.
 
 The alphabet laws are checked once per n (_alphabet_law_failures); a
 broken law is a failure of every check it carries.  The type templates,
-direct template == transport, relations_of, flip-graph connectivity and
-prop45's quotient law run on every member, the quotient's edge map read
-off the per-n quotient rows.  "g.quiver_of(T)" is T's sorted arrow tuple
-with each end moved by g (_moved_arrows): a table quiver has its key as
-vertices, so the arrows decide.
+direct template == transport (against g.Q(R), no member canonicalized),
+relations_of, flip-graph connectivity and prop45's quotient law (against
+the class table at n - 1) run on every member, the quotient's edge map
+read off the per-n quotient rows.
 """
 
 from __future__ import annotations
@@ -103,13 +102,6 @@ def _gather(results) -> list[str]:
 
 def _class_keys(n: int) -> list[tuple[int, ...]]:
     return [cls.representative.key for cls in tr.equivalence_classes(n)]
-
-
-def _moved_arrows(g: tuple[int, ...], q: qv.Quiver) -> tuple:
-    """The arrows of q moved by the index permutation g, sorted: the arrows
-    of g applied to q's triangulation when the quivers are equivariant.
-    Table quivers have their key as vertices, so the arrows decide."""
-    return tuple(sorted([(g[s], g[t]) for s, t in q.arrows]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +308,13 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 
 def _check_commutation(n: int) -> list[str]:
     """Mutate the quiver of every class representative at every flip with
-    the public `mutate` and compare with the transport table's entry for the
-    flipped triangulation.  The table itself is built by the separate
+    the public `mutate` and compare with quiver_of the flipped
+    triangulation.  The class table itself is built by the separate
     mutation on arrow tuples inside `quivers`, so this cross-checks two
     independent implementations of the mutation rule.  A member g.T of the
-    class has the quiver g.quiver_of(T) (the symmetry check) and the flips
-    g.flip(T, m) (the alphabet laws, checked here), and mutation commutes
-    with relabelling, so the comparison at T holds at g.T."""
+    class has the quiver g.quiver_of(T) (the stabilizer check) and the
+    flips g.flip(T, m) (the alphabet laws, checked here), and mutation
+    commutes with relabelling, so the comparison at T holds at g.T."""
     fails = []
     table = qv.transport_table(n)
     universe = ed.alphabet(n).edges
@@ -330,33 +322,28 @@ def _check_commutation(n: int) -> list[str]:
         q = table[key]
         for m in key:
             key2, m2 = tr._flip_index(n, key, m)
-            if qv.mutate(q, m).relabel({m: m2}) != table[key2]:
+            if qv.mutate(q, m).relabel({m: m2}) != qv.quiver_of(tr.Triangulation(n, key2)):
                 fails.append(f"{tr.Triangulation(n, key).token()} "
                              f"at {universe[m].token()}: mutation != flip")
     return fails + _alphabet_law_failures(n)
 
 
-def _direct_chunk(n: int, indices) -> list[str]:
-    tri = tr.Triangulation(n, indices)
-    direct = qv.direct_quiver_of(tri)
-    transported = qv.quiver_of(tri)
-    if direct != transported:
-        return [f"{tri.token()}: template and transport disagree"]
-    return []
+def _direct_chunk(n: int, rep_key) -> list[str]:
+    """Each member's template against g.Q(R): no member is canonicalized."""
+    q = qv.transport_table(n)[rep_key]
+    return [f"{tr.Triangulation(n, key).token()}: template and transport disagree"
+            for key, g in tr._orbit(n, rep_key).items()
+            if qv.direct_quiver_of(tr.Triangulation(n, key)).arrows != qv._moved(g, q.arrows)]
 
 
 def _check_symmetry_invariance(n: int) -> list[str]:
-    fails = []
-    table = qv.transport_table(n)
-    alpha = ed.alphabet(n)
-    for key in sorted(table):
-        q = table[key]
-        for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
-            image = tuple(sorted([perm[i] for i in key]))
-            if _moved_arrows(perm, q) != table[image].arrows:
-                fails.append(f"{tr.Triangulation(n, key).token()}: "
-                             f"quiver not {name} equivariant")
-    return fails
+    """Every g fixing a representative R fixes Q(R): then quiver_of(g.T) is
+    g.quiver_of(T) for every g and T."""
+    group = tr._group(n)
+    return [f"{tr.Triangulation(n, key).token()}: quiver not fixed by its stabilizer"
+            for key, q in sorted(qv.transport_table(n).items())
+            if any(tuple(sorted([g[i] for i in key])) == key
+                   and qv._moved(g, q.arrows) != q.arrows for g in group)]
 
 
 def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
@@ -366,10 +353,10 @@ def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
     stopped = _enumeration_stopped(n)
     if stopped:
         return _stopped_report("transport", n, names, stopped)
-    # building the table already fails loudly on any path dependence
+    # building the table already fails loudly on any path dependence, and
+    # workers forked after it inherit it
     qv.transport_table(n)
-    keys = [t.key for t in tr.enumerate_all(n)]
-    direct_results = _parallel(partial(_direct_chunk, n), keys, jobs)
+    direct_results = _parallel(partial(_direct_chunk, n), _class_keys(n), jobs)
     return SuiteReport("transport", n, list(zip(names, [
         _check_commutation(n), _gather(direct_results), _check_symmetry_invariance(n)])))
 
@@ -395,21 +382,16 @@ def _types_chunk(n: int, rep_key) -> tuple[list[str], list[str], list[str]]:
     dimension on the orbit of one class representative.  The templates and
     relations_of run on every member; the local structure and the dimension
     count run at the representative and carry to each member g.T, whose
-    quiver and relations must be the representative's moved by g."""
-    table = qv.transport_table(n)
+    quiver is g.Q(R) and whose relations must be the representative's
+    moved by g."""
     rep = tr.Triangulation(n, rep_key)
-    q = table[rep_key]
+    q = qv.transport_table(n)[rep_key]
     local = _local_structure_failures(n, rep_key, q)
     templates, dims = [], []
     rels = dim = None
     for key, g in tr._orbit(n, rep_key).items():  # the representative first
         tri = tr.Triangulation(n, key)
         templates.extend(_template_failures(tri))
-        if key != rep_key and table[key].arrows != _moved_arrows(g, q):
-            fail = (f"{tri.token()}: quiver is not its representative's "
-                    f"{rep.token()} moved by the orbit map")
-            local.append(fail)
-            dims.append(fail)
         try:
             member = rl.relations_of(tri)
         except Exception as exc:  # noqa: BLE001
@@ -573,17 +555,16 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
 def _prop45_chunk(n: int, rep_key) -> list[str]:
     """prop45 on the orbit of one class representative.  Its deletions are
     keyed and tested against A(n-1) and D(n-1).  Every other member is the
-    image of the representative under a group element g, so its quiver must
-    be the representative's relabelled by g; with the edge kinds invariant
-    under the group, the membership and connectivity facts carry over.  The
-    quotient law runs on every member."""
+    image of the representative under a group element g, and its quiver is
+    the class quiver relabelled by g; with the edge kinds invariant under
+    the group, the membership and connectivity facts carry over.  The
+    quotient law runs on every member, against the class table at n - 1."""
     fails = []
-    table = qv.transport_table(n)
-    reduced = qv.transport_table(n - 1)
     alpha = ed.alphabet(n)
     class_d, class_a = qv.mutation_class_d(n - 1), qv.mutation_class_a(n - 1)
     rep = tr.Triangulation(n, rep_key)
-    q = table[rep_key]
+    q = qv.transport_table(n)[rep_key]
+    reduced = qv.transport_table(n - 1)
 
     def minus(tri: tr.Triangulation, i: int) -> str:
         return f"{tri.token()} minus {alpha.tokens[i]}"
@@ -603,19 +584,17 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
             fails.append(f"{minus(rep, i)}: connected arc left it connected")
     for key, g in tr._orbit(n, rep_key).items():
         tri = tr.Triangulation(n, key)
-        member = table[key]
-        if key != rep_key and member.arrows != _moved_arrows(g, q):
-            fails.append(f"{tri.token()}: quiver is not its representative's "
-                         f"{rep.token()} moved by the orbit map")
+        arrows = qv._moved(g, q.arrows)
         for i in key:
             if alpha.kind[i] != ed.CLOSE_TO_BORDER:
                 continue
-            # labelled equality through the quotient's edge map
+            # labelled equality through the quotient's edge map, in its class's frame
             edge_map = tr.quotient_map(tri, alpha.edges[i])
-            entry = reduced.get(tuple(sorted(edge_map.values())))
+            rep2, h = qv._class_of(n - 1, tuple(sorted(edge_map.values())))
+            entry = reduced.get(rep2)
             if entry is None:
                 fails.append(f"{minus(tri, i)}: quotient is not a triangulation")
-            elif tuple(sorted([(edge_map[s], edge_map[t]) for s, t in member.arrows
+            elif tuple(sorted([(h[edge_map[s]], h[edge_map[t]]) for s, t in arrows
                                if s != i and t != i])) != entry.arrows:
                 fails.append(f"{minus(tri, i)}: quotient quiver differs")
     return fails
@@ -649,7 +628,8 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
     results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
     return SuiteReport("prop45", n, [
-        (name, _gather([sizes, _alphabet_law_failures(n), *results]))])
+        (name, _gather([sizes, _alphabet_law_failures(n), _check_symmetry_invariance(n),
+                        *results]))])
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +641,8 @@ def _classes_by_quiver(n: int) -> dict:
     quiver, groups and members in class order."""
     by_key: dict = {}
     for cls in tr.equivalence_classes(n):
-        key = qv.canonical_key(qv.quiver_of(cls.representative))
+        # the key's text: one string per class, not a tuple per arrow
+        key = repr(qv.canonical_key(qv.quiver_of(cls.representative)))
         by_key.setdefault(key, []).append(cls)
     return by_key
 

@@ -91,6 +91,12 @@ def test_quiver_invalid_edge_exits_3(capsys):
     code, _, err = run(capsys, "quiver", "--n", "5",
                        "--edges", "p:1-3,p:2-4,p:1-4,s:1:+,s:1:-")
     assert code == 3 and "cross" in err
+    # a plain arc with equal ends is no edge, not the spoke s:1:+
+    code, out, err = run(capsys, "quiver", "--n", "5",
+                         "--edges", "p:1-3,p:1-4,p:1-5,p:1-1,s:1:-")
+    assert code == 3 and out == "" and "'p:1-1'" in err
+    code, out, err = run(capsys, "flip", "--n", "5", "--edges", FAN5, "--edge", "p:1-1")
+    assert code == 3 and out == "" and "'p:1-1'" in err
 
 
 def test_dot_and_json_mutually_exclusive(capsys):
@@ -231,46 +237,60 @@ def test_prop45_keys_each_connected_deletion_once(monkeypatch):
         assert len(calls) == want
 
 
-def test_prop45_alone_catches_a_bad_orbit_member():
-    table = qv.transport_table(6)
-    reps = {cls.representative.key for cls in tr.equivalence_classes(6)}
-    key = next(k for k in sorted(table) if k not in reps)
-    good = table[key]
-    table[key] = qv.mutate(good, key[0])
-    try:
-        report = vf.suite_prop45(6)
-    finally:
-        table[key] = good
-    assert not report.ok
-    ((_, fails),) = report.checks
-    assert any("moved by the orbit map" in f for f in fails)
-    assert vf.suite_prop45(6).ok
-
-
 def _non_representative(n, accept=lambda key: True):
     reps = {cls.representative.key for cls in tr.equivalence_classes(n)}
-    return next(k for k in sorted(qv.transport_table(n)) if k not in reps and accept(k))
+    return next(t.key for t in tr.enumerate_all(n) if t.key not in reps and accept(t.key))
 
 
 def _failing_checks(report):
     return {name for name, fails in report.checks if fails}
 
 
-def test_transport_and_types_alone_catch_a_bad_orbit_member():
-    # the commutation and local-structure checks run at the class
-    # representatives; a member whose quiver has one vertex cut off must
-    # still fail both suites
-    table = qv.transport_table(6)
-    key = _non_representative(6)
+def _reports_with_entry(n, key, arrows):
+    """The transport, types and prop45 reports at n with the class table's
+    entry at the representative key replaced by the given arrows."""
+    table = qv.transport_table(n)
     good = table[key]
-    table[key] = qv.Quiver(good.vertices, tuple(a for a in good.arrows if key[0] not in a), 6)
+    table[key] = qv.Quiver(good.vertices, tuple(sorted(arrows)), n)
     try:
-        transport, types = vf.suite_transport(6), vf.suite_types(6)
+        return vf.suite_transport(n), vf.suite_types(n), vf.suite_prop45(n)
     finally:
         table[key] = good
-    assert not transport.ok
+
+
+def test_a_corrupted_class_entry_fails_transport_types_and_prop45():
+    # every member's quiver is read from its class entry; an entry with one
+    # vertex cut off must fail each suite that reads it, run alone
+    key = tr.equivalence_classes(6)[9].representative.key
+    arrows = [a for a in qv.transport_table(6)[key].arrows if key[0] not in a]
+    transport, types, prop45 = _reports_with_entry(6, key, arrows)
+    assert _failing_checks(transport) >= {
+        "mutation commutes with every flip (path independence)",
+        "direct template equals mutation transport"}
     assert "separation, region-neighbor, and border-vertex structure" in _failing_checks(types)
-    assert vf.suite_transport(6).ok and vf.suite_types(6).ok
+    assert not prop45.ok
+    assert all(r.ok for r in (vf.suite_transport(6), vf.suite_types(6), vf.suite_prop45(6)))
+
+
+def test_an_entry_not_fixed_by_its_stabilizer_fails_equivariance():
+    # quiver_of moves the class entry by one group element per member; an
+    # entry that an element fixing its representative moves is caught
+    n = 6
+    for cls in tr.equivalence_classes(n):
+        key = cls.representative.key
+        stabilizer = [g for g in tr._group(n)
+                      if tuple(sorted(g[i] for i in key)) == key and any(g[i] != i for i in key)]
+        if stabilizer:
+            break
+    g = stabilizer[0]
+    good = qv.transport_table(n)[key]
+    s, t = next(a for a in good.arrows if (g[a[0]], g[a[1]]) != a)
+    arrows = [(t, s) if a == (s, t) else a for a in good.arrows]  # one arrow reversed
+    transport, _, prop45 = _reports_with_entry(n, key, arrows)
+    fails = dict(transport.checks)["quivers are translation and tag-swap equivariant"]
+    assert fails == [f"{cls.representative.token()}: quiver not fixed by its stabilizer"]
+    assert not prop45.ok
+    assert vf.suite_transport(n).ok
 
 
 def test_types_alone_catches_a_dropped_generator(monkeypatch):
@@ -283,7 +303,7 @@ def test_types_alone_catches_a_dropped_generator(monkeypatch):
         return rl.RelationSet(rels.zero_paths[1:], rels.commutativity_pairs, rels.n)
 
     def visible(key):
-        q = qv.transport_table(6)[key]
+        q = qv.quiver_of(tr.Triangulation(6, key))
         rels = relations_of(tr.Triangulation(6, key))
         return (rels.zero_paths and rl.path_algebra_dimension(q, dropped(key))
                 != rl.path_algebra_dimension(q, rels))
@@ -529,6 +549,21 @@ def test_module_entry_point_runs_without_install():
     proc = subprocess.run([sys.executable, "-m", "dncat", "--version"], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.startswith("dncat ")
+
+
+def test_each_suite_alone_prints_its_lines_of_all():
+    # each suite in a fresh process, so none reads a table or a law that
+    # only another suite of the same run built or checked
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(dncat.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    reports = vf.run_suite("all", 6)
+    assert [r.suite for r in reports] == [
+        "crossing", "flip", "transport", "types", "prop45", "prop47", "d4"]
+    for report in reports:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dncat", "verify", "--suite", report.suite,
+             "--n", str(report.n)], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "\n".join(report.lines()) + "\n")
 
 
 def test_usage_errors(capsys):

@@ -157,6 +157,8 @@ def test_tokens_round_trip():
         parse_edge("q:1-3")
     with pytest.raises(InvalidEdgeError):
         parse_edge("s:2:x")
+    with pytest.raises(InvalidEdgeError):
+        parse_edge("p:1-1")  # not the spoke s:1:+
 
 
 def test_canonical_order_and_index():

@@ -31,6 +31,8 @@ from dncat.quivers import (
 )
 from dncat.triangulations import (
     Triangulation,
+    _flip_index,
+    _orbit,
     apply_sigma,
     apply_tau,
     class_count_formula,
@@ -38,7 +40,6 @@ from dncat.triangulations import (
     equivalence_classes,
     fan,
     flip,
-    walk_flip_graph,
 )
 from dncat.verify import _witness_failures, find_d4_witness
 
@@ -118,37 +119,57 @@ def test_quiver_of_fan_and_all_spokes():
 
 def test_quiver_is_symmetry_equivariant():
     for n in (4, 5):
-        table = transport_table(n)
+        tau_map = dict(enumerate(alphabet(n).tau))
+        sigma_map = dict(enumerate(alphabet(n).sigma))
         for tri in enumerate_all(n):
-            q = table[tri.key]
-            tau_map = dict(enumerate(alphabet(n).tau))
-            sigma_map = dict(enumerate(alphabet(n).sigma))
-            assert q.relabel(tau_map) == table[apply_tau(tri).key]
-            assert q.relabel(sigma_map) == table[apply_sigma(tri).key]
+            q = quiver_of(tri)
+            assert q.relabel(tau_map) == quiver_of(apply_tau(tri))
+            assert q.relabel(sigma_map) == quiver_of(apply_sigma(tri))
+
+
+def test_transport_table_holds_one_quiver_per_class():
+    for n in (4, 5, 6):
+        table = transport_table(n)
+        assert sorted(table) == [cls.representative.key for cls in equivalence_classes(n)]
+        assert all(q.vertices == key and q.n == n for key, q in table.items())
 
 
 def test_flip_mutation_commutation():
     for n in (4, 5):
-        table = transport_table(n)
         for tri in enumerate_all(n):
-            q = table[tri.key]
+            q = quiver_of(tri)
             for m in tri.edges:
                 tri2, m2 = flip(tri, m)
                 i, i2 = edge_index(n, m), edge_index(n, m2)
                 moved = mutate(q, i).relabel({i: i2})
-                assert moved == table[tri2.key]
+                assert moved == quiver_of(tri2)
+
+
+def class_graph_edges(n):
+    """Each edge of the class graph once, as its two ends: the mutation
+    calls (representative, m, replacement) that transport makes across it,
+    one from each class."""
+    edges = set()
+    for cls in equivalence_classes(n):
+        key = cls.representative.key
+        for m in key:
+            key2, m2 = _flip_index(n, key, m)
+            orbit = _orbit(n, key2)
+            rep = min(orbit)
+            g = orbit[rep]
+            edges.add(tuple(sorted([(key, m, m2), (rep, g[m2], g[m])])))
+    return sorted(edges)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_transport_catches_one_corrupted_flip_edge(monkeypatch, n):
-    # the table mutates each flip edge once, from the end the walk pops
-    # first; a mutation that returns the opposite quiver on one edge, in
-    # both directions, must still break path independence, whether the
-    # edge first reaches a triangulation or closes a cycle
-    flips = sorted({tuple(sorted([(key, m), (key2, m2)]))
-                    for key, out in walk_flip_graph(n) for m, key2, m2 in out})
-    for (key, m), (key2, m2) in flips[::len(flips) // 12]:
-        bad = {(key, m, m2), (key2, m2, m)}
+    # the table mutates every class-graph edge from both ends; a mutation
+    # that returns the opposite quiver on one edge, in both directions,
+    # must still break path independence, whether the edge first reaches a
+    # class or closes a cycle
+    edges = class_graph_edges(n)
+    for bad in edges[::len(edges) // 12]:
+        bad = set(bad)
 
         def corrupt(arrows, v, v2, bad=bad):
             out = _mutate_arrows(arrows, v, v2)
@@ -164,9 +185,8 @@ def test_transport_catches_one_corrupted_flip_edge(monkeypatch, n):
 
 def test_direct_equals_transport():
     for n in (4, 5, 6):
-        table = transport_table(n)
         for tri in enumerate_all(n):
-            assert direct_quiver_of(tri) == table[tri.key]
+            assert direct_quiver_of(tri) == quiver_of(tri)
 
 
 def quiver_along(n, walk):

@@ -1,5 +1,6 @@
 import pytest
 
+from dncat import triangulations as tr
 from dncat.edges import (
     CLOSE_TO_BORDER,
     TaggedEdge,
@@ -15,6 +16,7 @@ from dncat.edges import (
 from dncat.errors import (
     InvalidEdgeError,
     InvalidQuotientError,
+    ModelInconsistencyError,
     NotATriangulationError,
     UnsupportedSizeError,
 )
@@ -167,6 +169,25 @@ def test_class_representatives_are_canonical():
             assert classify_type(cls.representative) == cls.type
             total += cls.orbit_size
         assert total == count_all(n)
+
+
+def test_group_lists_each_element_once():
+    # for odd n, tau^n is the tag swap: the order-2n translation and the
+    # swap generate 2n elements, not 4n
+    for n in range(4, 12):
+        group = tr._group(n)
+        assert len(set(group)) == len(group) == 2 * n
+        assert group[:2] == (tuple(range(n * n)), alphabet(n).sigma)
+
+
+def test_equivalence_classes_refuse_an_orbit_outside_the_enumeration(monkeypatch):
+    # a group element that breaks a triangulation marks no other key
+    group = tr._group(5)
+    swap = list(group[0])
+    swap[0], swap[-1] = swap[-1], swap[0]  # p:1-3 <-> a spoke
+    monkeypatch.setattr(tr, "_group", lambda n: group + (tuple(swap),))
+    with pytest.raises(ModelInconsistencyError, match="leaves the enumeration"):
+        equivalence_classes.__wrapped__(5)
 
 
 def test_quotient_examples():
