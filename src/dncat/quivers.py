@@ -17,6 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from . import edges as ed
@@ -37,12 +38,12 @@ class Quiver:
 
     @classmethod
     def build(cls, vertices, arrows, n: int | None = None) -> "Quiver":
-        vs = tuple(sorted(set(vertices)))
-        known = set(vs)
-        for s, t in arrows:
-            if s not in known or t not in known:
-                raise ValueError(f"arrow ({s},{t}) uses unknown vertex")
-        return cls(vs, tuple(sorted(arrows)), n)
+        known = set(vertices)
+        if not known.issuperset(chain.from_iterable(arrows)):
+            for s, t in arrows:  # the first arrow with an unknown end
+                if s not in known or t not in known:
+                    raise ValueError(f"arrow ({s},{t}) uses unknown vertex")
+        return cls(tuple(sorted(known)), tuple(sorted(arrows)), n)
 
     @property
     def arrow_counts(self) -> Counter:
@@ -72,11 +73,12 @@ class Quiver:
         """Vertices and arrows by name, sorted by name.  A triangulation's
         quiver names its vertices by edge token, so p:1-10 sorts before
         p:1-3."""
-        tokens = None if self.n is None else ed.alphabet(self.n).tokens
-        name = {v: v if tokens is None else tokens[v] for v in self.vertices}
-        return {"vertices": sorted(name.values()),
-                "arrows": [list(a) for a in
-                           sorted((name[s], name[t]) for s, t in self.arrows)]}
+        if self.n is None:
+            return {"vertices": sorted(self.vertices),
+                    "arrows": sorted([[s, t] for s, t in self.arrows])}
+        tokens = ed.alphabet(self.n).tokens
+        return {"vertices": sorted([tokens[v] for v in self.vertices]),
+                "arrows": sorted([[tokens[s], tokens[t]] for s, t in self.arrows])}
 
     def to_dot(self, name: str = "Q") -> str:
         payload = self.to_json()
@@ -129,13 +131,19 @@ def mutate(q: Quiver, v) -> Quiver:
 def assert_cluster_quiver(q: Quiver, context: str = "") -> None:
     """No loops, no 2-cycles, no multiple arrows; raised as a model bug.
     A non-empty context is followed by the triangulation's edge tokens."""
+    arrows = q.arrows
+    pairs = set(arrows)
+    # a loop is its own reverse, so one disjointness test finds loops and
+    # 2-cycles; the loop below names the first fault
+    if len(pairs) == len(arrows) and pairs.isdisjoint([(t, s) for s, t in arrows]):
+        return
     counts = q.arrow_counts
     for (s, t), c in counts.items():
         if s != t and c == 1 and not counts.get((t, s)):
             continue
         s, t = q.label(s), q.label(t)
         if context:
-            context = f"({context} {','.join(map(q.label, q.vertices))})"
+            context = f"({context} {','.join(map(str, map(q.label, q.vertices)))})"
         if s == t:
             raise ModelInconsistencyError(f"loop at {s!r} {context}")
         if c > 1:
@@ -278,8 +286,28 @@ class Decomposition:
         return list(self.central_arrows) + region_arrows(self.triangles)
 
 
+# the last triangulation decomposed and its decomposition, replaced as one
+# pair; holding the object keeps its id from being reused while it is the key
+_last_decomposed: tuple = (None, None)
+
+
 def decompose(tri: tr.Triangulation) -> Decomposition:
     """Cut the triangulation along its degenerate and length-n edges.
+
+    The result for the last triangulation object asked is kept, so
+    direct_quiver_of(tri) then relations_of(tri) cut tri once.  The memo
+    is keyed by the object, not its key: a fresh object with the same key
+    is cut again, and one entry keeps no set of triangulations alive."""
+    global _last_decomposed
+    last, dec = _last_decomposed
+    if last is not tri:
+        dec = _decompose(tri)
+        _last_decomposed = (tri, dec)
+    return dec
+
+
+def _decompose(tri: tr.Triangulation) -> Decomposition:
+    """The decomposition of tri, computed.
 
     Everything is read off the sorted key by index arithmetic: arc i runs
     from x = i // (n-2) + 1 by i % (n-2) + 2 boundary steps, so the arcs

@@ -72,10 +72,12 @@ def _template_relations(tri: tr.Triangulation, dec: qv.Decomposition) -> Relatio
             for p in _cycle_subpaths(cycle)]
     zero += dec.central_zero
 
-    tokens = ed.alphabet(tri.n).tokens
     arrows = set(dec.arrows())
-    for p in zero + [p for pair in dec.central_comm for p in pair]:
-        _check_composable(arrows, p, tokens)
+    paths = zero + [p for pair in dec.central_comm for p in pair]
+    if not arrows.issuperset([step for p in paths for step in zip(p, p[1:])]):
+        tokens = ed.alphabet(tri.n).tokens
+        for p in paths:  # names the first path with a missing arrow
+            _check_composable(arrows, p, tokens)
     return RelationSet(tuple(zero), dec.central_comm, tri.n)
 
 
@@ -95,8 +97,14 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
     Such a member has an alive prefix, so it can only meet a zero generator
     or a rewrite in a window that ends at the new arrow; the members that
     rewrites produce are tested whole.  Without commutativity pairs every
-    class is a single path and no closure runs.  The first length tests
-    every window, as the one-vertex paths are not classes checked before.
+    class is a single path and no closure runs.  With them, a one-path
+    class whose extension has no rewrite window at its end is again one
+    path, and skips the closure: its prefix had no rewrite window, and
+    rewrites are symmetric, so no other path rewrites onto it.  The first
+    length tests every window, as the one-vertex paths are not classes
+    checked before; but the one window of a one-arrow path that does not
+    end at its end is its first vertex, so without one-vertex generators
+    the first length is tested as the later ones.
 
     The cap, max_length or else 2|V| + 2 arrows (beyond any path of an
     acyclic quiver), bounds both the lengths counted and the members a
@@ -135,20 +143,27 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
 
     total = len(q.vertices)
     if not rewrites:
-        current = [(v,) for v in q.vertices]
-        test = dead
+        # the paths of each length, one arrow on from those of the last;
+        # the first length tests every window (a zero path longer than
+        # two vertices has none there), later ones (inline dead_at_end)
+        # the windows that end at the new arrow
+        current = [(v, t) for v in q.vertices for t in out[v]]
+        if lengths and lengths[0] <= 2:
+            current = [path for path in current if not dead(path)]
         for _ in range(cap):
+            if not current:
+                return total
+            total += len(current)
             alive = []
             for path in current:
                 for t in out[path[-1]]:
                     path_t = path + (t,)
-                    if not test(path_t):
+                    for size in lengths:
+                        if path_t[-size:] in zero:
+                            break
+                    else:
                         alive.append(path_t)
-            if not alive:
-                return total
-            total += len(alive)
             current = alive
-            test = dead_at_end
         raise ModelInconsistencyError(unbounded)
 
     def rewritten(path: tuple) -> list:
@@ -168,15 +183,32 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
                 found.append(path[:-size] + rhs)
         return found
 
+    # a path ending at a vertex where no rewrite side ends has no rewrite
+    # window at its end
+    no_rewrite_end = set(q.vertices).difference([p[-1] for p in rewrites])
     current = [((v,),) for v in q.vertices]  # alive classes, members sorted
     seen = set()  # class keys of every length so far
-    test, rewrite = dead, rewritten
+    if 1 in lengths or 1 in rewrite_lengths:
+        # the first vertex of a one-arrow path is its one window not at the end
+        test, rewrite, quick = dead, rewritten, ()
+    else:
+        test, rewrite, quick = dead_at_end, rewritten_at_end, no_rewrite_end
     for _ in range(cap):
         classes = {}
         for members in current:
             for t in out[members[0][-1]]:
-                seeds = [m + (t,) for m in members]
-                todo = [r for p in seeds for r in rewrite(p)]
+                if len(members) == 1:
+                    path = members[0] + (t,)
+                    todo = () if t in quick else rewrite(path)
+                    if not todo:
+                        # one path that no rewrite reaches: its class is itself
+                        if path not in classes and path not in seen:
+                            classes[path] = None if test(path) else (path,)
+                        continue
+                    seeds = [path]
+                else:
+                    seeds = [m + (t,) for m in members]
+                    todo = [r for p in seeds for r in rewrite(p)]
                 cls = set(seeds)
                 produced = []
                 while todo:
@@ -200,5 +232,5 @@ def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,
             return total
         total += len(alive)
         current = alive
-        test, rewrite = dead_at_end, rewritten_at_end
+        test, rewrite, quick = dead_at_end, rewritten_at_end, no_rewrite_end
     raise ModelInconsistencyError(unbounded)

@@ -462,5 +462,7 @@ def pairwise_hom_matrix(tri: Triangulation) -> list[list[int]]:
     edge order; the diagonal records each edge's endomorphisms."""
     alpha = ed.alphabet(tri.n)
     cross, tau_inv = alpha.cross, alpha.tau_inv
-    # dim Hom(a, b) = e(a, tau^{-1} b), read off the crossing table
-    return [[cross[a][tau_inv[b]] for b in tri.key] for a in tri.key]
+    # dim Hom(a, b) = e(a, tau^{-1} b), read off the crossing table: row a
+    # gathered at the tau^{-1} images of the key (n >= 4 entries, a tuple)
+    row = itemgetter(*[tau_inv[b] for b in tri.key])
+    return [list(row(cross[a])) for a in tri.key]

@@ -12,9 +12,10 @@ members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
 isomorphic.  The transport table holds one quiver Q(R) per class, and
 quiver_of(g.R) is g.Q(R), its arrows' ends moved by g: well defined as
 every g fixing R fixes Q(R) (the stabilizer check, in transport and
-prop45).  So the costly per-triangulation checks run once per class, at
-its representative, and reach every other member through a law that the
-same suite checks, each suite sound when run alone:
+prop45, which also runs it at n - 1).  So the costly per-triangulation
+checks run once per class, at its representative, and reach every other
+member through a law that the same suite checks, each suite sound when
+run alone:
 
 - flip, uniqueness and involution: at the representatives.  A flip reads
   only the compatibility rows, and the alphabet laws (below) make each row
@@ -25,6 +26,11 @@ same suite checks, each suite sound when run alone:
   with relabelling.
 - types, local structure, and prop45, deletions: at the representatives;
   the alphabet laws keep the edge kinds and the arcs inside connected arcs.
+- prop45, quotients: at the representatives, against the class table at
+  n - 1, the edge map read off the per-n quotient rows.  The quotient-row
+  law (_quotient_row_law_failures) gives quotient(g.T, g.m) =
+  h.quotient(T, m) for some h of the group at n - 1, and the stabilizer
+  check at n - 1 makes quiver_of there equivariant under h.
 - types, dimension count: at the representatives.  On every member the
   relation generators (each commutativity pair unordered) must be the
   representative's moved by g, and the count is compared with the
@@ -39,9 +45,7 @@ every suite that reads them) to the rule.
 The alphabet laws are checked once per n (_alphabet_law_failures); a
 broken law is a failure of every check it carries.  The type templates,
 direct template == transport (against g.Q(R), no member canonicalized),
-relations_of, flip-graph connectivity and prop45's quotient law (against
-the class table at n - 1) run on every member, the quotient's edge map
-read off the per-n quotient rows.
+relations_of and flip-graph connectivity run on every member.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 from . import edges as ed
 from . import quivers as qv
@@ -136,6 +141,30 @@ def _alphabet_law_failures(n: int) -> list[str]:
                     _inside(n, m, e) != _inside(n, edges[perm[i]], edges[perm[j]])
                     for j, e in enumerate(edges)):
                 fails.append(f"{m.token()}: inner arcs not {name} equivariant")
+    return fails
+
+
+def _quotient_row_law_failures(n: int) -> list[str]:
+    """The translation and the tag swap carry each quotient row onto the row
+    of the moved arc, up to an element h of the group at n - 1: for every
+    close-to-border arc i, generator g and edge j, rows[g i][g j] is
+    h[rows[i][j]], None where rows[i][j] is None.  Then the quotient of
+    g.T at g.i is h moved onto the quotient of T at i."""
+    alpha = ed.alphabet(n)
+    rows = tr._quotient_rows(n)
+    group = tr._group(n - 1)
+    fails = []
+    for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
+        gather = itemgetter(*perm)
+        for i, row in rows.items():
+            if perm[i] not in rows:
+                fails.append(f"{alpha.tokens[i]}: {name} carries the arc off the "
+                             "quotient rows")
+                continue
+            moved = gather(rows[perm[i]])  # rows[g i][g j], j in order
+            if not any(moved == tuple([None if r is None else h[r] for r in row])
+                       for h in group):
+                fails.append(f"{alpha.tokens[i]}: quotient row not {name} equivariant")
     return fails
 
 
@@ -553,12 +582,15 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
 
 
 def _prop45_chunk(n: int, rep_key) -> list[str]:
-    """prop45 on the orbit of one class representative.  Its deletions are
-    keyed and tested against A(n-1) and D(n-1).  Every other member is the
-    image of the representative under a group element g, and its quiver is
-    the class quiver relabelled by g; with the edge kinds invariant under
-    the group, the membership and connectivity facts carry over.  The
-    quotient law runs on every member, against the class table at n - 1."""
+    """prop45 on the orbit of one class representative, run at the
+    representative.  Its deletions are keyed and tested against A(n-1) and
+    D(n-1), and its quotients compared with the class table at n - 1.
+    Every other member is the image of the representative under a group
+    element g, and its quiver is the class quiver relabelled by g; with the
+    edge kinds invariant under the group the membership and connectivity
+    facts carry over, and with the quotient rows equivariant (up to h at
+    n - 1) and the n - 1 table fixed by its stabilizers, so does the
+    quotient law."""
     fails = []
     alpha = ed.alphabet(n)
     class_d, class_a = qv.mutation_class_d(n - 1), qv.mutation_class_a(n - 1)
@@ -566,8 +598,8 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
     q = qv.transport_table(n)[rep_key]
     reduced = qv.transport_table(n - 1)
 
-    def minus(tri: tr.Triangulation, i: int) -> str:
-        return f"{tri.token()} minus {alpha.tokens[i]}"
+    def minus(i: int) -> str:
+        return f"{rep.token()} minus {alpha.tokens[i]}"
 
     for i in rep_key:
         kind = alpha.kind[i]
@@ -577,26 +609,22 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
         in_d = key in class_d
         in_a = key in class_a
         if in_d != (kind == ed.CLOSE_TO_BORDER):
-            fails.append(f"{minus(rep, i)}: D-membership {in_d}, {kind}")
+            fails.append(f"{minus(i)}: D-membership {in_d}, {kind}")
         if in_a != (kind == ed.DEGENERATE):
-            fails.append(f"{minus(rep, i)}: A-membership {in_a}, {kind}")
+            fails.append(f"{minus(i)}: A-membership {in_a}, {kind}")
         if kind == ed.CONNECTED and connected:
-            fails.append(f"{minus(rep, i)}: connected arc left it connected")
-    for key, g in tr._orbit(n, rep_key).items():
-        tri = tr.Triangulation(n, key)
-        arrows = qv._moved(g, q.arrows)
-        for i in key:
-            if alpha.kind[i] != ed.CLOSE_TO_BORDER:
-                continue
-            # labelled equality through the quotient's edge map, in its class's frame
-            edge_map = tr.quotient_map(tri, alpha.edges[i])
-            rep2, h = qv._class_of(n - 1, tuple(sorted(edge_map.values())))
-            entry = reduced.get(rep2)
-            if entry is None:
-                fails.append(f"{minus(tri, i)}: quotient is not a triangulation")
-            elif tuple(sorted([(h[edge_map[s]], h[edge_map[t]]) for s, t in arrows
-                               if s != i and t != i])) != entry.arrows:
-                fails.append(f"{minus(tri, i)}: quotient quiver differs")
+            fails.append(f"{minus(i)}: connected arc left it connected")
+        if kind != ed.CLOSE_TO_BORDER:
+            continue
+        # labelled equality through the quotient's edge map, in its class's frame
+        edge_map = tr.quotient_map(rep, alpha.edges[i])
+        rep2, h = qv._class_of(n - 1, tuple(sorted(edge_map.values())))
+        entry = reduced.get(rep2)
+        if entry is None:
+            fails.append(f"{minus(i)}: quotient is not a triangulation")
+        elif tuple(sorted([(h[edge_map[s]], h[edge_map[t]]) for s, t in q.arrows
+                           if s != i and t != i])) != entry.arrows:
+            fails.append(f"{minus(i)}: quotient quiver differs")
     return fails
 
 
@@ -628,7 +656,8 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
     results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
     return SuiteReport("prop45", n, [
-        (name, _gather([sizes, _alphabet_law_failures(n), _check_symmetry_invariance(n),
+        (name, _gather([sizes, _alphabet_law_failures(n), _quotient_row_law_failures(n),
+                        _check_symmetry_invariance(n), _check_symmetry_invariance(n - 1),
                         *results]))])
 
 

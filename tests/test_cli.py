@@ -99,6 +99,16 @@ def test_quiver_invalid_edge_exits_3(capsys):
     assert code == 3 and out == "" and "'p:1-1'" in err
 
 
+def test_quiver_with_relations_decomposes_once(capsys, monkeypatch):
+    calls = []
+    cut = qv._decompose
+    monkeypatch.setattr(qv, "_decompose", lambda tri: calls.append(tri) or cut(tri))
+    code, out, _ = run(capsys, "quiver", "--n", "5", "--edges", FAN5, "--json", "--relations")
+    assert code == 0 and json.loads(out)["relations"] == {"zeroPaths": [],
+                                                          "commutativityPairs": []}
+    assert len(calls) == 1
+
+
 def test_dot_and_json_mutually_exclusive(capsys):
     code, *_ = run(capsys, "quiver", "--n", "5", "--edges", FAN5,
                    "--dot", "--json")
@@ -213,10 +223,12 @@ def test_parallel_starts_at_most_one_worker_per_core(monkeypatch):
 
 def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
     # once for the template quiver (transport suite), once for the relation
-    # ideal (types suite); the dimension oracle reads the transported quiver
+    # ideal (types suite); the dimension oracle reads the transported quiver.
+    # Counted where the cut is computed: the suites build a fresh object
+    # per member, so the one-entry memo in decompose saves none of them
     calls = []
-    decompose = qv.decompose
-    monkeypatch.setattr(qv, "decompose", lambda tri: calls.append(tri) or decompose(tri))
+    cut = qv._decompose
+    monkeypatch.setattr(qv, "_decompose", lambda tri: calls.append(tri) or cut(tri))
     reports = vf.run_suite("all", 6)
     assert all(r.ok for r in reports)
     assert len(calls) == 2 * tr.count_all(6) == 1344
@@ -513,6 +525,39 @@ def test_prop45_jobs_deterministic(capsys):
     _, parallel, _ = run(capsys, "verify", "--n", "6", "--suite", "prop45",
                          "--jobs", "2")
     assert serial == parallel and "PASS suite=prop45 n=6" in serial
+
+
+def test_prop45_alone_catches_a_corrupted_quotient_row(capsys, monkeypatch):
+    # the quotient law runs at the class representatives, and the quotient
+    # rows carry it to the orbits; p:2-4 is in no representative at n = 6,
+    # so its row is read only by the row law
+    n = 6
+    alpha = ed.alphabet(n)
+    i = alpha.index[ed.plain(2, 4)]
+    assert all(i not in cls.representative.key for cls in tr.equivalence_classes(n))
+    rows = tr._quotient_rows
+    row = list(rows(n)[i])
+    a, b = [j for j, r in enumerate(row) if r is not None][:2]
+    row[a], row[b] = row[b], row[a]
+    bad = {**rows(n), i: tuple(row)}
+    monkeypatch.setattr(tr, "_quotient_rows", lambda k: bad if k == n else rows(k))
+    code, out, err = run(capsys, "verify", "--suite", "prop45", "--n", "6")
+    assert code == 1 and "error:" not in err
+    assert out.splitlines() == [
+        "FAIL vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff "
+        "degenerate: 2 failure(s); smallest: p:2-4: quotient row not translation "
+        "equivariant",
+        "FAIL suite=prop45 n=6"]
+
+
+def test_quotient_row_law_names_an_arc_carried_off_the_rows(monkeypatch):
+    n = 6
+    rows = tr._quotient_rows
+    i = ed.alphabet(n).index[ed.plain(2, 4)]
+    bad = {k: row for k, row in rows(n).items() if k != i}
+    monkeypatch.setattr(tr, "_quotient_rows", lambda k: bad if k == n else rows(k))
+    assert vf._quotient_row_law_failures(n) == [
+        "p:3-5: translation carries the arc off the quotient rows"]
 
 
 @pytest.mark.parametrize("patch, want", [

@@ -337,6 +337,23 @@ def test_decompose_matches_reference_on_random_walks(n, seed):
             tri, _ = flip(tri, tri.edges[rng.randrange(n)])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 30), st.integers(0, 2**32 - 1))
+def test_algebra_dimension_equals_hom_total_on_random_walks(n, seed):
+    # the query path past desk scale, four triangulations per walk: the
+    # quiver and the relations of one object read one decomposition, the
+    # count skips the closure of one-path classes (type 2 brings the only
+    # commutativity pairs), and the hom rows are gathered through tau^-1
+    rng = random.Random(seed)
+    tri = random_walk(n, rng, 3 * n)
+    for _ in range(4):
+        q = qv.direct_quiver_of(tri)
+        rels = rl.relations_of(tri)
+        assert rl.path_algebra_dimension(q, rels) == sum(map(sum, pairwise_hom_matrix(tri)))
+        for _ in range(n):
+            tri, _ = flip(tri, tri.edges[rng.randrange(n)])
+
+
 def test_plain_index_is_the_alphabet_order():
     for n in range(4, 31):
         index = ed.alphabet(n).index

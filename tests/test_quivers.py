@@ -479,3 +479,33 @@ def test_dot_and_json_exports():
     payload = q.to_json()
     assert payload["vertices"][0] == "p:1-3"
     assert ["p:1-5", "s:1:+"] in payload["arrows"]
+
+
+FAN5_TOKENS = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
+
+
+@pytest.mark.parametrize("arrows, fault", [
+    # the fan at n = 5 has vertices p:1-3 < p:1-4 < p:1-5 < s:1:+ < s:1:-
+    ([(0, 1), (1, 1)], "loop at 'p:1-4'"),
+    ([(0, 1), (1, 2), (1, 2)], "multiple arrow 'p:1-4'->'p:1-5'"),
+    ([(0, 1), (2, 1), (1, 2)], "2-cycle 'p:1-4'<->'p:1-5'"),
+    # two faults: the first in arrow order is named
+    ([(0, 1), (1, 0), (2, 2)], "2-cycle 'p:1-3'<->'p:1-4'"),
+    ([(0, 0), (0, 1), (0, 1)], "loop at 'p:1-3'"),
+    ([(2, 3), (2, 3), (3, 3)], "multiple arrow 'p:1-5'->'s:1:+'"),
+], ids=["loop", "multiple", "2-cycle", "2-cycle-first", "loop-first", "multiple-first"])
+@pytest.mark.parametrize("context", ["", "direct at"])
+def test_assert_cluster_quiver_names_the_first_fault(arrows, fault, context):
+    key = fan(5).key
+    q = Quiver(key, tuple(sorted((key[s], key[t]) for s, t in arrows)), 5)
+    with pytest.raises(ModelInconsistencyError) as info:
+        qv.assert_cluster_quiver(q, context)
+    suffix = f"({context} {FAN5_TOKENS})" if context else ""
+    assert str(info.value) == f"{fault} {suffix}"
+
+
+def test_assert_cluster_quiver_labels_an_abstract_quiver_by_value():
+    with pytest.raises(ModelInconsistencyError) as info:
+        qv.assert_cluster_quiver(Quiver((1, 2), ((1, 2), (2, 1))), "at")
+    assert str(info.value) == "2-cycle 1<->2 (at 1,2)"
+    qv.assert_cluster_quiver(linear_a_quiver(4))  # healthy: no error

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from dncat import quivers as qv
+from dncat import relations as rl
 from dncat.edges import plain, spoke
+from dncat.errors import ModelInconsistencyError
 from dncat.quivers import direct_quiver_of
 from dncat.relations import RelationSet, path_algebra_dimension, relations_of
 from dncat.triangulations import (
@@ -16,6 +19,9 @@ from dncat.triangulations import (
     fan,
     pairwise_hom_matrix,
 )
+
+TYPE2_5 = [spoke(1, 1), spoke(1, -1), plain(1, 3), plain(3, 1), plain(3, 5)]
+# its edge indices: 0 = p:1-3, 6 = p:3-5, 7 = p:3-1, 15 = s:1:+, 16 = s:1:-
 
 
 def test_fan_has_no_relations():
@@ -87,6 +93,21 @@ def test_relations_decompose_once(monkeypatch):
     assert calls == [tri]
 
 
+def test_quiver_then_relations_cut_the_triangulation_once(monkeypatch):
+    # counted where the cut is computed, not at the calls to decompose
+    calls = []
+    cut = qv._decompose
+    monkeypatch.setattr(qv, "_decompose", lambda tri: calls.append(tri) or cut(tri))
+    tri = Triangulation.from_edges(5, TYPE2_5)
+    q = direct_quiver_of(tri)
+    rels = relations_of(tri)
+    assert calls == [tri]
+    # a fresh object with the same key is cut again, to equal results
+    again = Triangulation(5, tri.key)
+    assert direct_quiver_of(again) == q and relations_of(again) == rels
+    assert len(calls) == 2 and calls[1] is again
+
+
 def test_json_shape():
     tri = Triangulation.from_edges(
         5, [spoke(1, 1), spoke(1, -1), plain(1, 3), plain(3, 1), plain(3, 5)])
@@ -141,3 +162,23 @@ def test_unequal_commutativity_sides_on_a_cycle_do_not_terminate():
     except subprocess.TimeoutExpired:
         pytest.fail("path_algebra_dimension still running after 30 s")
     assert proc.stdout == "path algebra does not terminate; relations broken\n" * 2, proc.stderr
+
+
+@pytest.mark.parametrize("zero, comm, want", [
+    (((0, 15, 6),), (), "('p:1-3', 's:1:+', 'p:3-5') not composable: "
+                        "missing arrow s:1:+->p:3-5"),
+    ((), (((0, 15, 7), (0, 16, 6)),), "('p:1-3', 's:1:-', 'p:3-5') not composable: "
+                                       "missing arrow s:1:-->p:3-5"),
+    # the zero paths are checked before the commutativity sides, and a path
+    # names its first missing arrow
+    (((6, 0, 16, 15),), (((0, 15, 7), (0, 16, 6)),),
+     "('p:3-5', 'p:1-3', 's:1:-', 's:1:+') not composable: missing arrow p:3-5->p:1-3"),
+], ids=["zero", "commutativity", "first"])
+def test_template_relations_name_the_first_missing_arrow(zero, comm, want):
+    tri = Triangulation.from_edges(5, TYPE2_5)
+    dec = qv.decompose(tri)
+    bad = dataclasses.replace(dec, central_zero=dec.central_zero + zero,
+                              central_comm=dec.central_comm + comm)
+    with pytest.raises(ModelInconsistencyError) as info:
+        rl._template_relations(tri, bad)
+    assert str(info.value) == f"relation path {want}"
