@@ -19,7 +19,7 @@ fork at the seam, and only for odd n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import edges as ed
@@ -27,10 +27,8 @@ from .edges import TaggedEdge
 from .errors import InvalidVertexError
 
 
-@dataclass(frozen=True, slots=True)
-class ARVertex:
-    i: int
-    j: int
+class ARVertex(namedtuple("ARVertex", "i j")):
+    __slots__ = ()
 
     def token(self) -> str:
         return f"t:{self.i}:{self.j}"
@@ -98,10 +96,8 @@ def phi_inv(n: int, v: ARVertex) -> TaggedEdge:
     return ed.spoke(a, 1 if v.j == plus_column else -1)
 
 
-@dataclass(frozen=True, slots=True)
-class ARQuiver:
-    n: int
-    arrows: tuple
+class ARQuiver(namedtuple("ARQuiver", "n arrows")):
+    __slots__ = ()
 
     def vertices(self) -> list[ARVertex]:
         return [ARVertex(i, j) for i in range(self.n) for j in range(1, self.n + 1)]

@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import pairwise, starmap, zip_longest
 from operator import eq, lt
 from pathlib import Path
@@ -42,11 +41,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Catalog:
-    n: int
-    count: int  # triangulations: all of enumerate_all(n)
-    census: dict[str, int]  # classes per type, keyed by the type as a string
+class Catalog(namedtuple("Catalog", "n count census")):
+    """count: the triangulations, all of enumerate_all(n); census: the
+    classes per type, keyed by the type as a string."""
+
+    __slots__ = ()
 
     def counts(self) -> dict:
         return {"triangulations": self.count, "classes": sum(self.census.values()),

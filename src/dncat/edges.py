@@ -9,7 +9,7 @@ representatives in 1..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidEdgeError, InvalidVertexError, UnsupportedSizeError
@@ -21,13 +21,10 @@ CONNECTED = "connected"
 DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True, slots=True, order=False)
-class TaggedEdge:
+class TaggedEdge(namedtuple("TaggedEdge", "a b tag", defaults=(1,))):
     """A plain arc (a != b, tag == +1) or a tagged spoke (a == b, tag == +-1)."""
 
-    a: int
-    b: int
-    tag: int = 1
+    __slots__ = ()
 
     @property
     def is_spoke(self) -> bool:
@@ -120,11 +117,6 @@ def edge_index(n: int, e: TaggedEdge) -> int:
     return alphabet(n).index[e]
 
 
-def _in_open_interval(n: int, lo: int, hi: int, v: int) -> bool:
-    """True iff v lies strictly inside the counterclockwise interval (lo, hi)."""
-    return 0 < (v - lo) % n < (hi - lo) % n
-
-
 def crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
     """Minimal number of interior intersections of two tagged edges.
 
@@ -143,30 +135,26 @@ def crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
 
 
 def _crossing(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
-    m_spoke = m.a == m.b
-    other_spoke = other.a == other.b
-    if m_spoke and other_spoke:
-        return 1 if (m.a != other.a and m.tag != other.tag) else 0
-    if m_spoke or other_spoke:
-        s, p = (m, other) if m_spoke else (other, m)
-        return 1 if _in_open_interval(n, p.a, p.b, s.a) else 0
+    a, b, tag = m
+    oa, ob, otag = other
+    if a == b:
+        if oa == ob:
+            return 1 if (a != oa and tag != otag) else 0
+        return 1 if 0 < (a - oa) % n < (ob - oa) % n else 0
+    span = (b - a) % n
+    if oa == ob:
+        return 1 if 0 < (oa - a) % n < span else 0
     # plain vs plain, on the line shifted so m starts at 0: window (0, span),
     # lifts (x, x+q).  The window is shorter than n and so is q, so only the
     # lifts starting at d and d-n (d in 0..n-1) can put an endpoint strictly
-    # inside it; equal arcs meet only at the window's ends and count 0.
-    span = (m.b - m.a) % n
-    q = (other.b - other.a) % n
-    d = (other.a - m.a) % n
-    count = 0
-    for x in (d, d - n):
-        y = x + q
-        x_in = 0 < x < span
-        y_in = 0 < y < span
-        x_out = x < 0 or x > span
-        y_out = y < 0 or y > span
-        if (x_in and y_out) or (y_in and x_out):
-            count += 1
-    return count
+    # inside it, and a lift crosses when exactly one endpoint is strictly
+    # inside and the other strictly outside.  The lift at d >= 0 ends past
+    # its start, so it crosses when it starts inside and ends beyond span;
+    # the lift at d - n < 0 starts outside, so it crosses when it ends
+    # inside.  Equal arcs meet only at the window's ends and count 0.
+    q = (ob - oa) % n
+    d = (oa - a) % n
+    return (0 < d < span < d + q) + (0 < d + q - n < span)
 
 
 def tau(n: int, e: TaggedEdge) -> TaggedEdge:
@@ -234,8 +222,8 @@ def compatibility_masks(n: int) -> tuple[int, ...]:
     return alphabet(n).masks
 
 
-@dataclass(frozen=True, slots=True)
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "edges index tokens by_token cross masks "
+                                    "tau tau_inv sigma kind")):
     """The per-n edge tables on canonical edge indices: the edges in order,
     the index of each edge, the token of each edge (tokens) and the index of
     each token (by_token), the crossing numbers as one bytes row per edge,
@@ -246,16 +234,7 @@ class Alphabet:
     every other crossing row is a translate of one of them, and each mask
     is read off its crossing row (see alphabet)."""
 
-    edges: tuple[TaggedEdge, ...]
-    index: dict[TaggedEdge, int]
-    tokens: tuple[str, ...]
-    by_token: dict[str, int]
-    cross: tuple[bytes, ...]
-    masks: tuple[int, ...]
-    tau: tuple[int, ...]
-    tau_inv: tuple[int, ...]
-    sigma: tuple[int, ...]
-    kind: tuple[str, ...]
+    __slots__ = ()
 
 
 # bytes.translate table: crossing number 0 -> "1", any other -> "0"
@@ -275,20 +254,24 @@ def alphabet(n: int) -> Alphabet:
     entry of both tables with the rule."""
     check_size(n)
     arcs = n * (n - 2)
-    edges = [plain(a, wrap(n, a + length - 1))
-             for a in range(1, n + 1) for length in range(3, n + 1)]
-    edges += [spoke(a, tag) for a in range(1, n + 1) for tag in (1, -1)]
+    # each edge's (a, b, tag) as a plain tuple, which the moves and the
+    # crossing rule unpack faster than the edge itself
+    ends = [(a, wrap(n, a + length - 1), 1)
+            for a in range(1, n + 1) for length in range(3, n + 1)]
+    ends += [(a, a, tag) for a in range(1, n + 1) for tag in (1, -1)]
+    edges = tuple(map(TaggedEdge._make, ends))
     index = {e: i for i, e in enumerate(edges)}
     tokens = tuple(e.token() for e in edges)
 
-    def moved(step: int, e: TaggedEdge) -> int:
+    def moved(step: int, e: tuple) -> int:
         # the index of e turned by step vertices; tau, tau^-1 and sigma
         # (step -1, 1, 0) all swap spoke tags
-        if e.a == e.b:
-            return arcs + 2 * (wrap(n, e.a + step) - 1) + (e.tag == 1)
-        return _plain_index(n, wrap(n, e.a + step), wrap(n, e.b + step))
+        a, b, tag = e
+        if a == b:
+            return arcs + 2 * (wrap(n, a + step) - 1) + (tag == 1)
+        return _plain_index(n, wrap(n, a + step), wrap(n, b + step))
 
-    tau_, tau_inv_, sigma_ = (tuple(moved(step, e) for e in edges) for step in (-1, 1, 0))
+    tau_, tau_inv_, sigma_ = (tuple(moved(step, e) for e in ends) for step in (-1, 1, 0))
     kind = ((CLOSE_TO_BORDER,) + (CONNECTED,) * (n - 3)) * n + (DEGENERATE,) * (2 * n)
 
     back = arcs - (n - 2)
@@ -304,13 +287,13 @@ def alphabet(n: int) -> Alphabet:
 
     cross = [b""] * len(edges)
     for i in (*range(n - 2), arcs, arcs + 1):  # the edges at vertex 1
-        cross[i] = bytes([_crossing(n, edges[i], e) for e in edges])
+        cross[i] = bytes([_crossing(n, ends[i], e) for e in ends])
     for i in range(len(edges)):  # tau(i) < i off vertex 1, so its row is built
         if not cross[i]:
             cross[i] = turn(cross[tau_[i]])
     masks = tuple(int(row.translate(_FREE)[::-1], 2) & ~(1 << i)
                   for i, row in enumerate(cross))
-    return Alphabet(tuple(edges), index, tokens, {t: i for i, t in enumerate(tokens)},
+    return Alphabet(edges, index, tokens, {t: i for i, t in enumerate(tokens)},
                     tuple(cross), masks, tau_, tau_inv_, sigma_, kind)
 
 

@@ -14,8 +14,7 @@ arcs alone.  The two must agree edge for edge.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -25,16 +24,13 @@ from . import triangulations as tr
 from .errors import ModelInconsistencyError, UnsupportedSizeError
 
 
-@dataclass(frozen=True, slots=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertices arrows n", defaults=(None,))):
     """Finite directed multigraph; vertices sorted, arrows a sorted multiset
     of ordered pairs.  The quiver of a triangulation of the n-gon has edge
     indices as vertices and carries n; the abstract type-A/D shapes have
     n = None and any sortable labels."""
 
-    vertices: tuple
-    arrows: tuple
-    n: int | None = None
+    __slots__ = ()
 
     @classmethod
     def build(cls, vertices, arrows, n: int | None = None) -> "Quiver":
@@ -248,8 +244,8 @@ def quiver_of(tri: tr.Triangulation) -> Quiver:
 # direct construction
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "type triangles central_arrows "
+                                                "central_zero central_comm")):
     """A triangulation cut along its central configuration, on edge indices,
     with the relation generators of its template.
 
@@ -274,21 +270,18 @@ class Decomposition:
               arrow shorter when that gap is a neighbor pair.
     """
 
-    type: int
-    triangles: tuple
-    central_arrows: tuple
-    central_zero: tuple
-    central_comm: tuple
+    __slots__ = ()
 
-    def arrows(self) -> list:
+    def arrows(self) -> tuple:
         """The quiver's arrows: the central template plus the triangle rule
         in every region."""
-        return list(self.central_arrows) + region_arrows(self.triangles)
+        return self.central_arrows + tuple(region_arrows(self.triangles))
 
 
-# the last triangulation decomposed and its decomposition, replaced as one
-# pair; holding the object keeps its id from being reused while it is the key
-_last_decomposed: tuple = (None, None)
+# the last triangulation decomposed, its decomposition and the arrows read
+# off it, replaced as one entry; holding the object keeps its id from being
+# reused while it is the key
+_last_decomposed: tuple = (None, None, None)
 
 
 def decompose(tri: tr.Triangulation) -> Decomposition:
@@ -299,11 +292,18 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     is keyed by the object, not its key: a fresh object with the same key
     is cut again, and one entry keeps no set of triangulations alive."""
     global _last_decomposed
-    last, dec = _last_decomposed
+    last, dec, _ = _last_decomposed
     if last is not tri:
         dec = _decompose(tri)
-        _last_decomposed = (tri, dec)
+        _last_decomposed = (tri, dec, dec.arrows())
     return dec
+
+
+def _arrows(dec: Decomposition) -> tuple:
+    """dec.arrows(), read from the memo when dec is the last decomposition:
+    the quiver and the relations of one object build its arrows once."""
+    _, last, arrows = _last_decomposed
+    return arrows if last is dec else dec.arrows()
 
 
 def _decompose(tri: tr.Triangulation) -> Decomposition:
@@ -462,7 +462,7 @@ def direct_quiver_of(tri: tr.Triangulation) -> Quiver:
 
 def _template_quiver(tri: tr.Triangulation, dec: Decomposition) -> Quiver:
     """The quiver of tri read off its decomposition dec."""
-    q = Quiver.build(tri.key, dec.arrows(), tri.n)
+    q = Quiver.build(tri.key, _arrows(dec), tri.n)
     assert_cluster_quiver(q, "direct at")
     return q
 

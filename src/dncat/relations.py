@@ -9,7 +9,7 @@ is in the Decomposition docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import edges as ed
 from . import quivers as qv
@@ -17,14 +17,12 @@ from . import triangulations as tr
 from .errors import ModelInconsistencyError
 
 
-@dataclass(frozen=True, slots=True)
-class RelationSet:
+class RelationSet(namedtuple("RelationSet", "zero_paths commutativity_pairs n",
+                             defaults=((), (), None))):
     """Relation generators as vertex tuples: edge indices for a
     triangulation of the n-gon, abstract labels when n is None."""
 
-    zero_paths: tuple = field(default_factory=tuple)
-    commutativity_pairs: tuple = field(default_factory=tuple)
-    n: int | None = None
+    __slots__ = ()
 
     def is_empty(self) -> bool:
         return not self.zero_paths and not self.commutativity_pairs
@@ -72,7 +70,7 @@ def _template_relations(tri: tr.Triangulation, dec: qv.Decomposition) -> Relatio
             for p in _cycle_subpaths(cycle)]
     zero += dec.central_zero
 
-    arrows = set(dec.arrows())
+    arrows = set(qv._arrows(dec))
     paths = zero + [p for pair in dec.central_comm for p in pair]
     if not arrows.issuperset([step for p in paths for step in zip(p, p[1:])]):
         tokens = ed.alphabet(tri.n).tokens

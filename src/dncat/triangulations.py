@@ -5,8 +5,7 @@ four structural types, and quotients."""
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -23,14 +22,12 @@ from ._maxcliques_py import maximal_cliques
 TYPE1, TYPE2, TYPE3, TYPE4 = 1, 2, 3, 4
 
 
-@dataclass(frozen=True, slots=True)
-class Triangulation:
+class Triangulation(namedtuple("Triangulation", "n key")):
     """A maximal set of n pairwise non-crossing tagged edges, held as the
     sorted tuple of its edge indices (its key).  The constructor trusts the
     key; from_edges and parse_triangulation validate outside input."""
 
-    n: int
-    key: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, n: int, items) -> "Triangulation":
@@ -355,13 +352,10 @@ def classify_type(tri: Triangulation) -> int:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TriangulationClass:
+class TriangulationClass(namedtuple("TriangulationClass", "representative orbit_size type")):
     """An equivalence class under translation and tag swap."""
 
-    representative: Triangulation
-    orbit_size: int
-    type: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

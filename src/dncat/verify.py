@@ -51,7 +51,7 @@ relations_of and flip-graph connectivity run on every member.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from operator import itemgetter
 
@@ -63,11 +63,10 @@ from .errors import ModelInconsistencyError, UnsupportedSizeError
 from .staple import staple_crossing_number
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    n: int
-    checks: list  # (name, failures)
+class SuiteReport(namedtuple("SuiteReport", "suite n checks")):
+    """checks: (name, failures) per check, in order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

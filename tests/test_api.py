@@ -35,9 +35,9 @@ def test_submodules_resolve_as_attributes():
     assert not hasattr(dncat, "no_such_name")
 
 
-def _loaded_after(statement: str) -> set[str]:
+def _loaded_after(statement: str, prefix: str = "dncat") -> set[str]:
     code = (f"import sys\n{statement}\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('dncat')))")
+            f"print(' '.join(m for m in sys.modules if m.startswith({prefix!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return set(proc.stdout.split())
@@ -48,3 +48,11 @@ def test_imports_load_only_what_runs():
     cli = _loaded_after("import dncat.cli")
     assert not cli & {"dncat.verify", "dncat.staple", "dncat.arquiver"}
     assert {"dncat.catalog", "dncat.triangulations"} <= cli
+
+
+def test_no_module_loads_dataclasses():
+    # the value types are named tuples: no import pays for dataclasses
+    names = sorted({*dncat._SUBMODULES, "cli", "verify", "staple"})
+    statement = "import " + ", ".join(f"dncat.{name}" for name in names)
+    assert "dncat.verify" in _loaded_after(statement)
+    assert _loaded_after(statement, "dataclasses") == set()

@@ -32,6 +32,15 @@ def test_build_decomposes_each_class_once(monkeypatch, tmp_path):
     assert calls == [c.representative for c in classes]
 
 
+def test_build_reads_the_region_arrows_once_per_class(monkeypatch, tmp_path):
+    # the quiver and the relations of a class read one arrow list
+    calls = []
+    arrows = qv.region_arrows
+    monkeypatch.setattr(qv, "region_arrows", lambda tri: calls.append(tri) or arrows(tri))
+    write_catalog(6, tmp_path)
+    assert len(calls) == len(equivalence_classes(6)) == 80
+
+
 class _Payload(dict):
     """A class payload that can be weakly referenced."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -337,7 +336,7 @@ def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
     row = alpha.masks[i]
     masks = list(alpha.masks)
     masks[i] = row & (row - 1)  # clears the lowest set bit
-    bad = dataclasses.replace(alpha, masks=tuple(masks))
+    bad = alpha._replace(masks=tuple(masks))
     monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
     code, out, err = run(capsys, "verify", "--suite", "flip", "--n", "6")
     assert code == 1 and "PASS" not in out and "error:" not in err
@@ -491,7 +490,7 @@ def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
     for edit, want in ((dict(masks=tuple(masks)), "s:1:+: compatibility row not"),
                        (dict(kind=tuple(kinds)), "p:1-3: edge kind not"),
                        (dict(tau=tuple(tau)), "p:1-4: inner arcs not translation")):
-        bad = dataclasses.replace(alpha, **edit)
+        bad = alpha._replace(**edit)
         monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
         assert any(f.startswith(want) for f in vf._alphabet_law_failures(6))
 

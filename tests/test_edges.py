@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -250,14 +249,14 @@ def reference_alphabet(n):
 def test_alphabet_matches_the_pairwise_reference():
     for n in range(4, 31):
         got, want = alphabet(n), reference_alphabet(n)
-        for field in dataclasses.fields(Alphabet):
-            assert getattr(got, field.name) == getattr(want, field.name), (n, field.name)
+        for field in Alphabet._fields:
+            assert getattr(got, field) == getattr(want, field), (n, field)
 
 
 def _broken_alphabet(monkeypatch, n, **fields):
     """Serve an alphabet at n with the given fields replaced, as if cached."""
     real = ed.alphabet
-    broken = dataclasses.replace(real(n), **fields)
+    broken = real(n)._replace(**fields)
     monkeypatch.setattr(ed, "alphabet", lambda k: broken if k == n else real(k))
 
 

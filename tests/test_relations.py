@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -177,8 +176,22 @@ def test_unequal_commutativity_sides_on_a_cycle_do_not_terminate():
 def test_template_relations_name_the_first_missing_arrow(zero, comm, want):
     tri = Triangulation.from_edges(5, TYPE2_5)
     dec = qv.decompose(tri)
-    bad = dataclasses.replace(dec, central_zero=dec.central_zero + zero,
-                              central_comm=dec.central_comm + comm)
+    bad = dec._replace(central_zero=dec.central_zero + zero,
+                       central_comm=dec.central_comm + comm)
     with pytest.raises(ModelInconsistencyError) as info:
         rl._template_relations(tri, bad)
     assert str(info.value) == f"relation path {want}"
+
+
+def test_quiver_then_relations_build_the_region_arrows_once(monkeypatch):
+    calls = []
+    arrows = qv.region_arrows
+    monkeypatch.setattr(qv, "region_arrows", lambda tri: calls.append(tri) or arrows(tri))
+    tri = Triangulation.from_edges(5, TYPE2_5)
+    q = direct_quiver_of(tri)
+    rels = relations_of(tri)
+    assert len(calls) == 1
+    # a fresh object builds them again, to equal results
+    again = Triangulation(5, tri.key)
+    assert direct_quiver_of(again) == q and relations_of(again) == rels
+    assert len(calls) == 2
