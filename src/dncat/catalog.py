@@ -15,7 +15,6 @@ lines are always parsed and checked against their templates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter, namedtuple
@@ -71,6 +70,7 @@ def _triangulation_lines(n: int) -> Iterator[str]:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # here: every command imports the catalog for VERSION
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         while chunk := fh.read(1 << 16):  # no file is held whole

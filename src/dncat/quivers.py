@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 
 from . import edges as ed
 from . import triangulations as tr
@@ -187,39 +186,26 @@ def _moved(g, arrows) -> tuple:
     return tuple(sorted([(g[s], g[t]) for s, t in arrows]))
 
 
-def _class_of(n: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The representative of key's class, min(tr._orbit(n, key)), and its
-    entry there, the first group element carrying key onto it."""
-    group = tr._group(n)
-    images = list(map(sorted, map(itemgetter(*key), group)))
-    rep = min(images)
-    return tuple(rep), group[images.index(rep)]
-
-
 @lru_cache(maxsize=None)
 def transport_table(n: int) -> dict:
     """The quiver Q(R) of every translation/tag-swap class, keyed by its
-    representative R: breadth-first transport on the class graph from the
-    fan's class.  Flipping edge m of R gives a key that g carries onto its
-    representative R' (_class_of); Q(R) mutated at m and moved by g is
-    Q(R'), and every visit of R' must agree.  _mutate_arrows refuses a
-    2-cycle or a doubled arrow, so every entry is a cluster quiver."""
+    representative R, transported along tr.class_graph: where flipping m
+    in R gives a key that g carries onto R', Q(R) mutated at m and moved by
+    g is Q(R'), the same on every visit.  _mutate_arrows refuses a 2-cycle
+    or a doubled arrow, so every entry is a cluster quiver."""
     # one tuple per distinct arrow, shared by the entries (7 MB less at n = 10)
     pairs: dict = {}
-    fan = base_quiver(n)
-    rep, g = _class_of(n, fan.vertices)
-    table = {rep: Quiver(rep, _moved(g, fan.arrows), n)}
-    order = [rep]
-    for key in order:  # the classes in the order they are reached
+    group = tr._group(n)
+    start, flips, _ = tr.class_graph(n)
+    rep = next(iter(flips))
+    table = {rep: Quiver(rep, _moved(group[start], base_quiver(n).arrows), n)}
+    for key, row in flips.items():  # the classes in the order they are reached
         arrows = table[key].arrows
-        for m in key:
-            key2, m2 = tr._flip_index(n, key, m)
-            rep, g = _class_of(n, key2)
-            moved = _moved(g, _mutate_arrows(arrows, m, m2))
+        for m, (m2, rep, g) in zip(key, row):
+            moved = _moved(group[g], _mutate_arrows(arrows, m, m2))
             known = table.get(rep)
             if known is None:
                 table[rep] = Quiver(rep, tuple(map(pairs.setdefault, moved, moved)), n)
-                order.append(rep)
             elif known.arrows != moved:
                 raise ModelInconsistencyError(
                     "transported quiver depends on the flip path at "
@@ -235,7 +221,8 @@ def transport_table(n: int) -> dict:
 def quiver_of(tri: tr.Triangulation) -> Quiver:
     """The quiver of the cluster-tilted algebra of the triangulation: its
     class's transported quiver, moved from the representative onto tri."""
-    rep, g = _class_of(tri.n, tri.key)
+    rep, g = tr._class_of(tri.n, tri.key)
+    g = tr._group(tri.n)[g]
     back = {g[v]: v for v in tri.key}  # g carries tri onto rep
     return Quiver(tri.key, _moved(back, transport_table(tri.n)[rep].arrows), tri.n)
 
@@ -516,56 +503,55 @@ def _index_graph(q: Quiver):
     return idx, adj_out, adj_in
 
 
-def _canonical_labeling(q: Quiver):
+def _canonical_search(q: Quiver):
     """Individualization-refinement: over the vertex orderings it reaches,
     the one whose sorted arrow list is minimal.  Returns that encoding as
-    the key and the vertices in the order (rank) that produces it.
+    the key and the colors that produce it, each vertex's rank.
 
     Refinement starts from the rank of each vertex's (out-degree,
     in-degree), which is the first round from uniform colors.  The search
     branches on the lowest color class with more than one member, in
     vertex order, and individualizes each of its vertices v ahead of every
-    class: v takes color 0 and every other color goes up by one.  The keys
-    and the vertex orders depend on this rule."""
+    class: v takes color 0 and every other color goes up by one, depth
+    first from an explicit stack.  The keys and orders depend on this rule."""
     n_verts = len(q.vertices)
     idx, adj_out, adj_in = _index_graph(q)
     sources = [idx[s] for s, _ in q.arrows]
     targets = [idx[t] for _, t in q.arrows]
-
-    best = [None, None]
-
-    def search(colors, count):
+    degrees = [(len(adj_out[v]), len(adj_in[v])) for v in range(n_verts)]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    best = best_colors = None
+    stack = [([rank[d] for d in degrees], len(rank))]
+    while stack:
+        colors, count = _refine_colors(n_verts, adj_out, adj_in, *stack.pop())
         if count == n_verts:
             # colors are distinct here: each is its vertex's rank
             get = colors.__getitem__
             cand = tuple(sorted(zip(map(get, sources), map(get, targets))))
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-                order = [0] * n_verts
-                for v, c in enumerate(colors):
-                    order[c] = v
-                best[1] = order
-            return
+            if best is None or cand < best:
+                best, best_colors = cand, colors
+            continue
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
         split = next(c for c, size in enumerate(sizes) if size > 1)
-        for v in [v for v, c in enumerate(colors) if c == split]:
+        for v in reversed([v for v, c in enumerate(colors) if c == split]):
             new = [c + 1 for c in colors]
             new[v] = 0  # individualize ahead of every class
-            search(*_refine_colors(n_verts, adj_out, adj_in, new, count + 1))
+            stack.append((new, count + 1))  # the first vertex is popped first
+    return (n_verts, best), best_colors
 
-    degrees = [(len(adj_out[v]), len(adj_in[v])) for v in range(n_verts)]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    search(*_refine_colors(n_verts, adj_out, adj_in,
-                           [rank[d] for d in degrees], len(rank)))
-    return (n_verts, best[0]), [q.vertices[v] for v in best[1]]
+
+def _canonical_labeling(q: Quiver):
+    """The canonical key and the vertices in the rank order producing it."""
+    key, colors = _canonical_search(q)
+    return key, [v for _, v in sorted(zip(colors, q.vertices))]
 
 
 def canonical_key(q: Quiver):
     """Label-free canonical encoding: minimal sorted arrow list over all
     vertex orderings consistent with individualization-refinement."""
-    return _canonical_labeling(q)[0]
+    return _canonical_search(q)[0]
 
 
 def is_isomorphic(q1: Quiver, q2: Quiver):
@@ -641,20 +627,19 @@ def simple_cycles(q: Quiver) -> list[tuple]:
     pos = {v: i for i, v in enumerate(verts)}
     out = {v: sorted(set(q.out_neighbors(v))) for v in verts}
     cycles = []
-
-    def walk(root, v, path, on_path):
-        for w in out[v]:
-            if w == root:
-                cycles.append(tuple(path))
-            elif pos[w] > pos[root] and w not in on_path:
-                on_path.add(w)
-                path.append(w)
-                walk(root, w, path, on_path)
-                path.pop()
-                on_path.remove(w)
-
     for root in verts:
-        walk(root, root, [root], {root})
+        path, stack = [root], [iter(out[root])]
+        while stack:
+            for w in stack[-1]:
+                if w == root:
+                    cycles.append(tuple(path))
+                elif pos[w] > pos[root] and w not in path:
+                    path.append(w)
+                    stack.append(iter(out[w]))
+                    break
+            else:  # every out-neighbor of the path's end is done
+                stack.pop()
+                path.pop()
     return cycles
 
 

@@ -1,11 +1,11 @@
 """Triangulations of the punctured polygon: enumeration, flips, the
-translation/tag-swap equivalence with canonical orbit representatives, the
-four structural types, and quotients."""
+translation/tag-swap equivalence with canonical orbit representatives and
+its class graph, the four structural types, and quotients."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -210,11 +210,7 @@ def _flip_index(n: int, key: tuple[int, ...], m: int) -> tuple[tuple[int, ...], 
         cand &= masks[i]
     cand &= ~(1 << m)
     if cand == 0 or cand & (cand - 1):
-        found = []
-        while cand:
-            low = cand & -cand
-            found.append(alpha.tokens[low.bit_length() - 1])
-            cand ^= low
+        found = [alpha.tokens[j] for j in range(len(masks)) if cand >> j & 1]
         raise ModelInconsistencyError(
             f"flip of {alpha.tokens[m]} has {len(found)} replacements {found}; "
             "expected 1"
@@ -235,45 +231,48 @@ def flip(tri: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     return Triangulation(n, key2), alpha.edges[m2]
 
 
-def walk_flip_graph(n: int):
-    """Breadth-first walk of the flip graph from the fan, on edge indices.
-    Yields each reachable triangulation once as (key, flips), where key is
-    its sorted edge-index tuple and flips holds one (m, key2, m2) per edge
-    index m of key: flipping m gives the triangulation key2, with
-    replacement m2.  Only the keys seen and the queue are held.
+def _class_of(n: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The representative of key's class, min(_orbit(n, key)), and the index
+    in _group(n) of the first element carrying key onto it."""
+    images = list(map(sorted, map(itemgetter(*key), _group(n))))
+    rep = min(images)
+    return tuple(rep), images.index(rep)
 
-    The n replacements of a key come from one pass over its rows: the
-    replacement of m is the AND of the rows before m (a prefix) and after m
-    (a suffix), as in _flip_index, which reports a row giving no or two
-    replacements."""
-    alpha = ed.alphabet(n)
-    masks = alpha.masks
-    full = (1 << len(masks)) - 1
-    key = fan(n).key
-    seen = {key}
-    queue = deque([key])
-    while queue:
-        key = queue.popleft()
-        rows = [masks[i] for i in key]
-        suffix = [full] * (n + 1)
-        for k in range(n - 1, 0, -1):
-            suffix[k] = suffix[k + 1] & rows[k]
-        prefix = full
-        flips = []
-        for k, m in enumerate(key):
-            cand = prefix & suffix[k + 1] & ~(1 << m)
-            prefix &= rows[k]
-            if cand == 0 or cand & (cand - 1):
-                _flip_index(n, key, m)  # raises, naming the replacements
-            m2 = cand.bit_length() - 1
-            kept = key[:k] + key[k + 1:]
-            at = bisect_left(kept, m2)
-            key2 = kept[:at] + (m2,) + kept[at:]
-            if key2 not in seen:
-                seen.add(key2)
-                queue.append(key2)
-            flips.append((m, key2, m2))
-        yield key, flips
+
+@lru_cache(maxsize=None)
+def class_graph(n: int) -> tuple:
+    """Breadth-first walk of the translation/tag-swap classes from the
+    fan's, as (start, flips, revisits).  start: the index in _group(n) of
+    the element carrying the fan onto the first representative.  flips: per
+    representative R, in the order reached, one (m2, R', g) per edge m of
+    R: flipping m gives the replacement m2 and a key that element g carries
+    onto R'.  revisits: per flip onto an R' reached before, x.g^-1.x'^-1,
+    where x carries R (x' carries R') into the fan's component C of the
+    flip graph; each fixes C, as the alphabet laws make every element a
+    flip-graph automorphism."""
+    group = _group(n)
+    products = [[group.index(tuple([a[j] for j in b])) for b in group] for a in group]
+    inverse = [row.index(0) for row in products]  # index 0 is the identity
+    rep, start = _class_of(n, fan(n).key)
+    reached = {rep: (rep, inverse[start])}  # R: (the one tuple of R, x)
+    order = [rep]
+    flips, revisits = {}, set()
+    for key in order:
+        x = reached[key][1]
+        row = []
+        for m in key:
+            key2, m2 = _flip_index(n, key, m)
+            rep, g = _class_of(n, key2)
+            first = rep, products[x][inverse[g]]  # x.g^-1
+            known = reached.setdefault(rep, first)
+            if known is first:
+                order.append(rep)
+            else:
+                rep = known[0]
+                revisits.add(products[first[1]][inverse[known[1]]])
+            row.append((m2, rep, g))
+        flips[key] = tuple(row)
+    return start, flips, frozenset(revisits)
 
 
 def _apply(tri: Triangulation, perm: tuple[int, ...]) -> Triangulation:

@@ -20,6 +20,9 @@ run alone:
 - flip, uniqueness and involution: at the representatives.  A flip reads
   only the compatibility rows, and the alphabet laws (below) make each row
   tau- and sigma-equivariant, so flip(g.T, g.m) = g.flip(T, m).
+- flip, connectivity: on the class graph that transport reads.  When it
+  reaches every class and its revisits generate the group, the fan's
+  component meets every class and every element fixes it: it is everything.
 - transport, mutation against quiver_of the flip: at the representatives,
   at every flip.  The stabilizer check gives quiver_of(g.T) =
   g.quiver_of(T), the alphabet laws move the flip, and mutation commutes
@@ -44,8 +47,8 @@ every suite that reads them) to the rule.
 
 The alphabet laws are checked once per n (_alphabet_law_failures); a
 broken law is a failure of every check it carries.  The type templates,
-direct template == transport (against g.Q(R), no member canonicalized),
-relations_of and flip-graph connectivity run on every member.
+direct template == transport (against g.Q(R), no member canonicalized) and
+relations_of run on every member.
 """
 
 from __future__ import annotations
@@ -306,15 +309,21 @@ def _flip_chunk(n: int, indices) -> list[str]:
     return fails
 
 
-def _check_flip_connected(n: int) -> list[str]:
+def _check_flip_connected(n: int, laws: list[str]) -> list[str]:
     try:
-        reached = sum(1 for _ in tr.walk_flip_graph(n))
+        _, flips, revisits = tr.class_graph(n)
     except ModelInconsistencyError as exc:
-        return [f"walk from the fan stopped: {exc}"]
-    total = tr.count_all(n)
-    if reached != total:
-        return [f"reached {reached} of {total} triangulations from the fan"]
-    return []
+        return [f"walk from the fan stopped: {exc}"] + laws
+    fails = []
+    total = len(tr.equivalence_classes(n))
+    if len(flips) != total:
+        fails.append(f"reached {len(flips)} of {total} classes from the fan")
+    group = tr._group(n)
+    order = len(qv.reachable([group[0]], lambda a: [  # a after each revisit
+        tuple([a[j] for j in group[y]]) for y in revisits]))
+    if order != len(group):
+        fails.append(f"revisits generate {order} of {len(group)} group elements")
+    return fails + laws
 
 
 def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
@@ -326,8 +335,9 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
     # at the class representatives; the compatibility-row law moves each
     # flip to the other orbit members
     results = _parallel(partial(_flip_chunk, n), _class_keys(n), jobs)
+    laws = _alphabet_law_failures(n)
     return SuiteReport("flip", n, list(zip(names, [
-        _gather([_alphabet_law_failures(n), *results]), _check_flip_connected(n)])))
+        _gather([laws, *results]), _check_flip_connected(n, laws)])))
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +346,28 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 
 def _check_commutation(n: int) -> list[str]:
     """Mutate the quiver of every class representative at every flip with
-    the public `mutate` and compare with quiver_of the flipped
-    triangulation.  The class table itself is built by the separate
-    mutation on arrow tuples inside `quivers`, so this cross-checks two
-    independent implementations of the mutation rule.  A member g.T of the
-    class has the quiver g.quiver_of(T) (the stabilizer check) and the
-    flips g.flip(T, m) (the alphabet laws, checked here), and mutation
-    commutes with relabelling, so the comparison at T holds at g.T."""
+    the public `mutate` and compare with quiver_of the flipped key, the
+    table entry that the class walk carries it onto.  The table itself is
+    built by the separate mutation on arrow tuples inside `quivers`, so
+    this cross-checks two implementations of the mutation rule.  A member
+    g.T of the class has the quiver g.quiver_of(T) (the stabilizer check)
+    and the flips g.flip(T, m) (the alphabet laws, checked here), and
+    mutation commutes with relabelling, so the comparison holds at g.T."""
+    laws = _alphabet_law_failures(n)
+    try:
+        _, flips, _ = tr.class_graph(n)
+    except ModelInconsistencyError as exc:
+        return [f"walk from the fan stopped: {exc}"] + laws
     fails = []
-    table = qv.transport_table(n)
+    table, group = qv.transport_table(n), tr._group(n)
     universe = ed.alphabet(n).edges
-    for key in _class_keys(n):
-        q = table[key]
-        for m in key:
-            key2, m2 = tr._flip_index(n, key, m)
-            if qv.mutate(q, m).relabel({m: m2}) != qv.quiver_of(tr.Triangulation(n, key2)):
+    for key, row in sorted(flips.items()):
+        for m, (m2, rep, g) in zip(key, row):
+            mutated = qv.mutate(table[key], m).relabel({m: m2})
+            if qv._moved(group[g], mutated.arrows) != table[rep].arrows:
                 fails.append(f"{tr.Triangulation(n, key).token()} "
                              f"at {universe[m].token()}: mutation != flip")
-    return fails + _alphabet_law_failures(n)
+    return fails + laws
 
 
 def _direct_chunk(n: int, rep_key) -> list[str]:
@@ -617,7 +631,8 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
             continue
         # labelled equality through the quotient's edge map, in its class's frame
         edge_map = tr.quotient_map(rep, alpha.edges[i])
-        rep2, h = qv._class_of(n - 1, tuple(sorted(edge_map.values())))
+        rep2, h = tr._class_of(n - 1, tuple(sorted(edge_map.values())))
+        h = tr._group(n - 1)[h]
         entry = reduced.get(rep2)
         if entry is None:
             fails.append(f"{minus(i)}: quotient is not a triangulation")

@@ -48,6 +48,8 @@ def test_imports_load_only_what_runs():
     cli = _loaded_after("import dncat.cli")
     assert not cli & {"dncat.verify", "dncat.staple", "dncat.arquiver"}
     assert {"dncat.catalog", "dncat.triangulations"} <= cli
+    # the catalog loads hashlib (and OpenSSL) only when it checksums a file
+    assert _loaded_after("import dncat.cli", "hashlib") == set()
 
 
 def test_no_module_loads_dataclasses():

@@ -326,10 +326,39 @@ def test_types_alone_catches_a_dropped_generator(monkeypatch):
     assert _failing_checks(report) == {"relation ideals give the morphism-space dimensions"}
 
 
-def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
+CONNECTED = "flip graph is connected from the fan"
+
+
+@pytest.fixture
+def walk_fault(monkeypatch):
+    """Room for a fault in the class walk at n = 6: the enumeration and the
+    class tables at n = 6 and n - 1 are built from the true alphabet first,
+    so only the walk and what reads it see the fault, and the walk's cache
+    is cleared around the test.  (With nothing cached, a walk that stops
+    stops the transport build too, and `all` ends on one error: line.)"""
+    tr.count_all(6)
+    qv.transport_table(5)
+    qv.transport_table(6)
+    tr.class_graph.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    tr.class_graph.cache_clear()
+
+
+def _connectivity_fails(capsys, want):
+    """Run flip alone and all at n = 6: each exits 1 with FAIL lines and no
+    error, and the connectivity line reports the failure want."""
+    for suite in ("flip", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
+        assert code == 1 and err == ""  # no error: line, no traceback
+        line = next(line for line in out.splitlines() if CONNECTED in line)
+        assert line.startswith(f"FAIL {CONNECTED}: ") and want in line, line
+    return out.splitlines()
+
+
+def test_flip_alone_catches_a_cleared_mask_bit(capsys, walk_fault):
     # flips run at the class representatives, and the compatibility rows
     # carry them to the orbits; a row with one bit cleared must fail
-    tr.count_all(6)  # enumerated from the true rows
     alphabet = ed.alphabet
     alpha = alphabet(6)
     i = next(i for i, e in enumerate(alpha.edges) if e.is_spoke)
@@ -337,19 +366,52 @@ def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
     masks = list(alpha.masks)
     masks[i] = row & (row - 1)  # clears the lowest set bit
     bad = alpha._replace(masks=tuple(masks))
-    monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
-    code, out, err = run(capsys, "verify", "--suite", "flip", "--n", "6")
-    assert code == 1 and "PASS" not in out and "error:" not in err
+    walk_fault.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
     # both checks report their failures: the flip back of p:1-3 and the
-    # walk meet the row with no replacement, and the row law names it
-    lines = out.splitlines()
-    assert lines[0].startswith("FAIL every edge of every triangulation flips "
+    # class walk meet a row with no replacement, and the row law names it
+    lines = _connectivity_fails(capsys, "smallest: walk from the fan stopped: flip of "
+                                        "s:2:+ has 0 replacements")
+    assert lines[5].startswith("FAIL every edge of every triangulation flips "
                                "uniquely and involutively: ")
-    assert lines[1].startswith("FAIL flip graph is connected from the fan: 1 failure(s); "
-                               "smallest: walk from the fan stopped: flip of p:2-4 has "
-                               "0 replacements")
-    flips = vf.suite_flip(6).checks[0][1]
-    assert "s:1:+: compatibility row not translation equivariant" in flips
+    for _, fails in vf.suite_flip(6).checks:
+        assert "s:1:+: compatibility row not translation equivariant" in fails
+
+
+def test_connectivity_catches_an_unreachable_class(capsys, walk_fault):
+    # the class of the all-spoke triangulation is entered by one flip of one
+    # representative; a flip sent back onto its own triangulation leaves it
+    # unreached
+    _, flips, _ = tr.class_graph(6)
+    into = {}
+    for key, row in flips.items():
+        for m, (_, rep, _) in zip(key, row):
+            if rep != key:
+                into.setdefault(rep, []).append((key, m))
+    lone = [rep for rep, entries in into.items() if len(entries) == 1]
+    assert len(lone) == 1 and tr.Triangulation(6, lone[0]).token() == (
+        "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+,s:6:+")
+    (rep, m), = into[lone[0]]
+    flip_index = tr._flip_index
+    walk_fault.setattr(tr, "_flip_index", lambda n, key, i: (
+        (key, i) if (n, key, i) == (6, rep, m) else flip_index(n, key, i)))
+    tr.class_graph.cache_clear()
+    _connectivity_fails(capsys, "1 failure(s); smallest: reached 79 of 80 classes "
+                                "from the fan")
+
+
+def test_connectivity_catches_revisits_of_a_proper_subgroup(capsys, walk_fault):
+    # the revisits carry the fan's component onto itself; when they
+    # generate only the translations, the walk proves nothing about the
+    # component's images under the tag swap
+    start, flips, revisits = tr.class_graph(6)
+    assert len(revisits) == len(tr._group(6)) == 12
+    translations = frozenset(y for y in revisits if y % 2 == 0)  # tau^k sits at 2k
+    real = tr.class_graph
+    walk_fault.setattr(tr, "class_graph", lambda n: (
+        (start, flips, translations) if n == 6 else real(n)))
+    assert vf._check_flip_connected(6, []) == ["revisits generate 6 of 12 group elements"]
+    _connectivity_fails(capsys, "1 failure(s); smallest: revisits generate 6 of 12 "
+                                "group elements")
 
 
 @pytest.fixture
@@ -666,7 +728,7 @@ def _forbid_enumeration(monkeypatch):
         raise AssertionError(f"enumerated at n={n}")
 
     monkeypatch.setattr(tr, "_all_index_sets", no_work)
-    monkeypatch.setattr(tr, "walk_flip_graph", no_work)
+    monkeypatch.setattr(tr, "class_graph", no_work)
 
 
 def test_non_enumerating_commands_ignore_the_bound(capsys, monkeypatch):

@@ -159,7 +159,7 @@ def test_catalog_n6_files(capsys, monkeypatch, tmp_path):
         raise AssertionError(f"walked the flip graph at n={n}")
 
     monkeypatch.setattr(qv, "transport_table", no_walk)
-    monkeypatch.setattr(tr, "walk_flip_graph", no_walk)
+    monkeypatch.setattr(tr, "class_graph", no_walk)
     assert main(["catalog", "build", "--n", "6", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _catalog_digests(tmp_path, 6) == CATALOG[6]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -387,6 +388,48 @@ def test_canonical_labeling_equals_the_reference_on_mutation_classes():
         assert found == keys
         for q in met:
             assert _canonical_labeling(q) == reference_canonical_labeling(q)
+
+
+def reference_simple_cycles(q):
+    """The directed simple cycles by recursion, each rooted at its minimal
+    vertex, in the order simple_cycles lists them."""
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    cycles = []
+
+    def walk(root, v, path):
+        for w in sorted(set(q.out_neighbors(v))):
+            if w == root:
+                cycles.append(tuple(path))
+            elif pos[w] > pos[root] and w not in path:
+                walk(root, w, path + [w])
+
+    for root in q.vertices:
+        walk(root, root, [root])
+    return cycles
+
+
+def test_simple_cycles_equal_the_recursive_walk():
+    quivers = list(transport_table(6).values())
+    for seed in (linear_a_quiver(6), base_quiver_d(6)):
+        quivers.extend(mutation_class_quivers(seed)[1][:400])
+    assert any(len(simple_cycles(q)) > 1 for q in quivers)
+    for q in quivers:
+        assert simple_cycles(q) == reference_simple_cycles(q)
+
+
+def test_canonical_key_and_simple_cycles_leave_no_reference_cycles():
+    # the searches run from explicit stacks: nothing is left for the
+    # cycle collector
+    q = base_quiver(6)  # the tables at n = 6, built before the count
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_key(base_quiver(6))
+        assert gc.collect() == 0
+        simple_cycles(q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_d4_witness_pairs_the_canonical_labelings():
