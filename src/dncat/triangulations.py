@@ -140,20 +140,28 @@ def is_triangulation(n: int, items) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _all_index_sets(n: int) -> tuple[tuple[int, ...], ...] | str:
-    """The keys of every triangulation, or the message of the kernel's size
-    guard when it refuses a maximal set: a refusal is remembered per n like
-    a result, so a broken kernel runs once per n and not once per ask."""
+def _all_index_sets(n: int) -> list[bytes] | str:
+    """The keys of every triangulation, as the kernel's sorted list of
+    packed keys (bytes, one edge index per byte), or the message of the
+    kernel's size guard when it refuses a maximal set: a refusal is
+    remembered per n like a result, so a broken kernel runs once per n and
+    not once per ask.  The n * n edge indices fit in a byte up to n = 16,
+    so a larger n is refused before the kernel runs (the enumeration there
+    has over 10^9 keys)."""
+    if n * n > 256:
+        raise UnsupportedSizeError(
+            f"the enumeration packs each edge index in a byte, so n <= 16; got n={n}")
     masks = ed.alphabet(n).masks
     cliques = maximal_cliques(masks, len(masks))
     for c in cliques:
         if len(c) != n:
             return f"maximal non-crossing set of size {len(c)} at n={n}"
-    return tuple(cliques)
+    return cliques
 
 
-def _index_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """The keys of every triangulation; raises the remembered refusal."""
+def _index_sets(n: int) -> list[bytes]:
+    """The packed keys of every triangulation, in lexicographic order;
+    raises the remembered refusal."""
     sets = _all_index_sets(n)
     if isinstance(sets, str):
         raise ModelInconsistencyError(sets)
@@ -162,8 +170,8 @@ def _index_sets(n: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_all(n: int):
     """Every triangulation exactly once, in lexicographic canonical order."""
-    for indices in _index_sets(n):
-        yield Triangulation(n, indices)
+    for key in _index_sets(n):
+        yield Triangulation(n, tuple(key))
 
 
 def count_all(n: int) -> int:
@@ -239,10 +247,12 @@ def _class_of(n: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(rep), images.index(rep)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def class_graph(n: int) -> tuple:
     """Breadth-first walk of the translation/tag-swap classes from the
-    fan's, as (start, flips, revisits).  start: the index in _group(n) of
+    fan's, as (start, flips, revisits).  Only the last n walked is kept:
+    its readers (flip connectivity, the transport build, commutation) run
+    at one n before the next n is walked.  start: the index in _group(n) of
     the element carrying the fan onto the first representative.  flips: per
     representative R, in the order reached, one (m2, R', g) per edge m of
     R: flipping m gives the replacement m2 and a key that element g carries
@@ -375,13 +385,14 @@ def equivalence_classes(n: int) -> tuple[TriangulationClass, ...]:
     for key, seen in zip(keys, marked):
         if seen:
             continue
-        orbit = _orbit_keys(n, key)
+        rep = Triangulation(n, tuple(key))
+        orbit = _orbit_keys(n, rep.key)
         for other in orbit[1:]:
-            at = bisect_left(keys, other)
-            if keys[at:at + 1] != (other,):
-                raise ModelInconsistencyError(f"orbit of {key} leaves the enumeration")
+            packed = bytes(other)
+            at = bisect_left(keys, packed)
+            if keys[at:at + 1] != [packed]:
+                raise ModelInconsistencyError(f"orbit of {rep.key} leaves the enumeration")
             marked[at] = 1
-        rep = Triangulation(n, key)
         classes.append(TriangulationClass(rep, len(orbit), classify_type(rep)))
     return tuple(classes)
 

@@ -5,7 +5,10 @@ are formatted strings sorted so the smallest counterexample under canonical
 order comes first.  Suites: crossing, flip, transport, types, prop45,
 prop47, d4, all.  Each suite asks for the enumeration once, up front; when
 the clique kernel's size guard refuses it, every check that needs it
-fails with "enumeration stopped: ..." instead of running.
+fails with "enumeration stopped: ..." instead of running.  Each suite
+that reads the transport table then asks for it the same way: a class
+walk or a build that stops fails each of its checks with "transport table
+at n=... stopped: ...".
 
 The translation tau and the tag swap sigma carry a triangulation T to the
 members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
@@ -181,6 +184,13 @@ def _check_crossing_axioms(n: int) -> list[str]:
     fails = []
     alpha = ed.alphabet(n)
     universe, tokens, cross, masks = alpha.edges, alpha.tokens, alpha.cross, alpha.masks
+    # ed.tau and ed.sigma validate each edge, and each image is validated
+    # here, once; every pair then reads the rule through ed._crossing
+    taus = [ed.tau(n, m) for m in universe]
+    sigmas = [ed.sigma(n, m) for m in universe]
+    for image in taus + sigmas:
+        ed.check_edge(n, image)
+    crossing = partial(ed._crossing, n)
 
     def check_tables(i: int, j: int, e: int) -> None:
         if cross[i][j] != e:
@@ -189,15 +199,15 @@ def _check_crossing_axioms(n: int) -> list[str]:
             fails.append(f"mask bit at {tokens[i]},{tokens[j]} disagrees with the rule")
 
     for i, m in enumerate(universe):
-        e = ed.crossing_number(n, m, m)
+        e = crossing(m, m)
         if e != 0:
             fails.append(f"e({m.token()},{m.token()}) != 0")
         check_tables(i, i, e)
     for i, m in enumerate(universe):
         for j in range(i + 1, len(universe)):
             other = universe[j]
-            e = ed.crossing_number(n, m, other)
-            back = ed.crossing_number(n, other, m)
+            e = crossing(m, other)
+            back = crossing(other, m)
             check_tables(i, j, e)
             check_tables(j, i, back)
             pair = f"{m.token()},{other.token()}"
@@ -207,9 +217,9 @@ def _check_crossing_axioms(n: int) -> list[str]:
                 fails.append(f"e({pair}) = {e} out of range")
             if e == 2 and not (m.is_plain and other.is_plain):
                 fails.append(f"e({pair}) = 2 on a spoke pair")
-            if e != ed.crossing_number(n, ed.tau(n, m), ed.tau(n, other)):
+            if e != crossing(taus[i], taus[j]):
                 fails.append(f"not translation invariant at {pair}")
-            if e != ed.crossing_number(n, ed.sigma(n, m), ed.sigma(n, other)):
+            if e != crossing(sigmas[i], sigmas[j]):
                 fails.append(f"not tag-swap invariant at {pair}")
             if m.is_spoke and other.is_spoke:
                 want = 1 if (m.a != other.a and m.tag != other.tag) else 0
@@ -225,7 +235,7 @@ def _check_staple_agreement(n: int) -> list[str]:
         for other in universe[i:]:
             if m.is_spoke and other.is_spoke:
                 continue
-            got = ed.crossing_number(n, m, other)
+            got = ed._crossing(n, m, other)  # the oracle validates both edges
             want = staple_crossing_number(n, m, other)
             if got != want:
                 fails.append(
@@ -266,6 +276,21 @@ def _enumeration_stopped(*sizes: int) -> list[str]:
             tr.count_all(k)
         except ModelInconsistencyError as exc:
             return [f"enumeration stopped: {exc}"]
+    return []
+
+
+def _table_stopped(*sizes: int) -> list[str]:
+    """[] when the transport table builds at each of the sizes, else the one
+    failure that every check of a suite reading it reports instead of
+    running: the class walk or the build met a model inconsistency.  A
+    suite asks once, up front, after the enumeration, so a stopped walk
+    gives FAIL lines and not a bare error.  Workers forked after the ask
+    inherit the table."""
+    for k in sizes:
+        try:
+            qv.transport_table(k)
+        except ModelInconsistencyError as exc:
+            return [f"transport table at n={k} stopped: {exc}"]
     return []
 
 
@@ -392,12 +417,10 @@ def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
     names = ("mutation commutes with every flip (path independence)",
              "direct template equals mutation transport",
              "quivers are translation and tag-swap equivariant")
-    stopped = _enumeration_stopped(n)
+    # building the table already fails on any path dependence
+    stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("transport", n, names, stopped)
-    # building the table already fails loudly on any path dependence, and
-    # workers forked after it inherit it
-    qv.transport_table(n)
     direct_results = _parallel(partial(_direct_chunk, n), _class_keys(n), jobs)
     return SuiteReport("transport", n, list(zip(names, [
         _check_commutation(n), _gather(direct_results), _check_symmetry_invariance(n)])))
@@ -580,10 +603,9 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
              "type and class censuses are consistent",
              "separation, region-neighbor, and border-vertex structure",
              "relation ideals give the morphism-space dimensions")
-    stopped = _enumeration_stopped(n)
+    stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("types", n, names, stopped)
-    qv.transport_table(n)  # built before forking so workers inherit it
     templates, local, dims = zip(*_parallel(partial(_types_chunk, n), _class_keys(n), jobs))
     return SuiteReport("types", n, list(zip(names, [
         _gather(templates), _check_census(n),
@@ -662,11 +684,9 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
             f"prop45 needs n >= 5, as it deletes a vertex into size n-1; got n={n}"
         )
     name = "vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate"
-    stopped = _enumeration_stopped(n, n - 1)
+    stopped = _enumeration_stopped(n, n - 1) or _table_stopped(n, n - 1)
     if stopped:
         return _stopped_report("prop45", n, [name], stopped)
-    qv.transport_table(n)
-    qv.transport_table(n - 1)
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
     results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
     return SuiteReport("prop45", n, [
@@ -691,7 +711,7 @@ def _classes_by_quiver(n: int) -> dict:
 
 
 def suite_prop47(n: int) -> SuiteReport:
-    stopped = _enumeration_stopped(n)
+    stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report(
             "prop47", n, ["classes map bijectively onto quiver iso-classes"], stopped)
@@ -722,7 +742,7 @@ def suite_d4(n: int = 4) -> SuiteReport:
     if n != 4:
         raise UnsupportedSizeError(f"the d4 suite is the witness at n=4 only; got n={n}")
     name = "inequivalent triangulations with isomorphic quivers exist at n=4"
-    stopped = _enumeration_stopped(4)
+    stopped = _enumeration_stopped(4) or _table_stopped(4)
     if stopped:
         return _stopped_report("d4", 4, [name], stopped)
     fails = []

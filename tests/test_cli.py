@@ -334,8 +334,9 @@ def walk_fault(monkeypatch):
     """Room for a fault in the class walk at n = 6: the enumeration and the
     class tables at n = 6 and n - 1 are built from the true alphabet first,
     so only the walk and what reads it see the fault, and the walk's cache
-    is cleared around the test.  (With nothing cached, a walk that stops
-    stops the transport build too, and `all` ends on one error: line.)"""
+    is cleared around the test.  (With no table cached, a walk that stops
+    stops the transport build too, and each suite that reads the table
+    fails every check with "transport table at n=6 stopped".)"""
     tr.count_all(6)
     qv.transport_table(5)
     qv.transport_table(6)
@@ -356,17 +357,23 @@ def _connectivity_fails(capsys, want):
     return out.splitlines()
 
 
-def test_flip_alone_catches_a_cleared_mask_bit(capsys, walk_fault):
-    # flips run at the class representatives, and the compatibility rows
-    # carry them to the orbits; a row with one bit cleared must fail
+def _clear_a_mask_bit(monkeypatch, n):
+    """The alphabet at n with the lowest set bit of its first spoke row
+    cleared."""
     alphabet = ed.alphabet
-    alpha = alphabet(6)
+    alpha = alphabet(n)
     i = next(i for i, e in enumerate(alpha.edges) if e.is_spoke)
     row = alpha.masks[i]
     masks = list(alpha.masks)
     masks[i] = row & (row - 1)  # clears the lowest set bit
     bad = alpha._replace(masks=tuple(masks))
-    walk_fault.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
+    monkeypatch.setattr(ed, "alphabet", lambda k: bad if k == n else alphabet(k))
+
+
+def test_flip_alone_catches_a_cleared_mask_bit(capsys, walk_fault):
+    # flips run at the class representatives, and the compatibility rows
+    # carry them to the orbits; a row with one bit cleared must fail
+    _clear_a_mask_bit(walk_fault, 6)
     # both checks report their failures: the flip back of p:1-3 and the
     # class walk meet a row with no replacement, and the row law names it
     lines = _connectivity_fails(capsys, "smallest: walk from the fan stopped: flip of "
@@ -412,6 +419,81 @@ def test_connectivity_catches_revisits_of_a_proper_subgroup(capsys, walk_fault):
     assert vf._check_flip_connected(6, []) == ["revisits generate 6 of 12 group elements"]
     _connectivity_fails(capsys, "1 failure(s); smallest: revisits generate 6 of 12 "
                                 "group elements")
+
+
+# the suites that read the transport table, and their checks
+READS_TABLE = {"transport": 3, "types": 4, "prop45": 1, "prop47": 1}
+
+
+def _table_stopped_lines(out, want):
+    """The check lines of the suites in READS_TABLE, each a FAIL whose one
+    failure starts with want; returns the suite= lines."""
+    suites, block = [], []
+    for line in out.splitlines():
+        if " suite=" not in line:
+            block.append(line)
+            continue
+        suites.append(line)
+        suite = line.split(" suite=")[1].split()[0]
+        if suite in READS_TABLE:
+            assert len(block) == READS_TABLE[suite]
+            for check in block:
+                assert check.startswith("FAIL ") and (
+                    f": 1 failure(s); smallest: {want}" in check), check
+        block = []
+    return suites
+
+
+@pytest.mark.parametrize("suite", ["all", *READS_TABLE])
+def test_a_stopped_class_walk_fails_each_suite_reading_the_table(capsys, walk_fault, suite):
+    # with no table cached, the walk stops at the cleared bit inside the
+    # transport build; each suite that reads the table asks for it up front
+    # and reports the stop on each of its checks, not as one error: line
+    _clear_a_mask_bit(walk_fault, 6)
+    qv.transport_table.cache_clear()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
+    assert code == 1 and err == ""
+    suites = _table_stopped_lines(
+        out, "transport table at n=6 stopped: flip of s:2:+ has 0 replacements []; expected 1")
+    if suite == "all":
+        assert suites == [f"FAIL suite={s} n=6" for s in ("crossing", "flip", *READS_TABLE)] + [
+            "PASS suite=d4 n=4"]
+    else:
+        assert suites == [f"FAIL suite={suite} n=6"]
+
+
+def test_prop45_reports_a_stopped_walk_at_n_minus_1(capsys, monkeypatch):
+    tr.count_all(5)
+    qv.transport_table(6)
+    _clear_a_mask_bit(monkeypatch, 5)
+    qv.transport_table.cache_clear()
+    tr.class_graph.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--suite", "prop45", "--n", "6")
+    finally:
+        monkeypatch.undo()
+        tr.class_graph.cache_clear()
+    assert code == 1 and err == ""
+    assert _table_stopped_lines(out, "transport table at n=5 stopped: flip of ") == [
+        "FAIL suite=prop45 n=6"]
+
+
+def test_a_path_dependent_transport_fails_its_checks(capsys, monkeypatch):
+    # a mutation that drops an arrow makes the transported quivers disagree;
+    # the build stops, and each check of the suite reports it
+    mutate_arrows = qv._mutate_arrows
+    monkeypatch.setattr(qv, "_mutate_arrows",
+                        lambda arrows, v, v2: mutate_arrows(arrows, v, v2)[1:])
+    qv.transport_table.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--suite", "transport", "--n", "5")
+    finally:
+        monkeypatch.undo()
+        qv.transport_table.cache_clear()
+    assert code == 1 and err == ""
+    assert _table_stopped_lines(
+        out, "transport table at n=5 stopped: transported quiver depends on the flip "
+             "path at ") == ["FAIL suite=transport n=5"]
 
 
 @pytest.fixture
@@ -695,16 +777,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "ar", "--n", "5", "--tau-ranks")[0] == 2
 
 
-def test_model_inconsistency_exits_1(capsys, monkeypatch):
-    # a failed internal check is a bug, not bad input: exit 1, not 3
-    mutate_arrows = qv._mutate_arrows
-    monkeypatch.setattr(qv, "_mutate_arrows",
-                        lambda arrows, v, v2: mutate_arrows(arrows, v, v2)[1:])
-    qv.transport_table.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "--suite", "transport", "--n", "5")
-    finally:
-        qv.transport_table.cache_clear()
+def test_model_inconsistency_exits_1(capsys, short_kernel):
+    # a failed internal check is a bug, not bad input: exit 1, not 3 (verify
+    # reports one as FAIL lines; the other commands end on an error: line)
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--count")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -1,8 +1,15 @@
+import tracemalloc
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncat
+from dncat import edges as ed
+from dncat import quivers as qv
+from dncat import triangulations as tr
 from dncat._maxcliques_py import maximal_cliques
 from dncat.edges import compatibility_masks
+from dncat.errors import UnsupportedSizeError
 from dncat.triangulations import _flip_index, fan
 
 
@@ -11,9 +18,9 @@ def test_backend_selected():
 
 
 def test_maximal_cliques_small_graph():
-    # triangle plus an isolated vertex
+    # triangle plus an isolated vertex; each clique packed one byte a vertex
     masks = [0b0110, 0b0101, 0b0011, 0b0000]
-    assert maximal_cliques(masks, 4) == [(0, 1, 2), (3,)]
+    assert maximal_cliques(masks, 4) == [bytes([0, 1, 2]), bytes([3])]
 
 
 def test_cliques_equal_flip_bfs_set():
@@ -24,7 +31,7 @@ def test_cliques_equal_flip_bfs_set():
         cliques = maximal_cliques(masks, len(masks))
         reached = [key for key, _ in reference_walk(n)]
         assert len(reached) == len(set(reached))
-        assert set(cliques) == set(reached)
+        assert set(map(tuple, cliques)) == set(reached)
 
 
 def reference_walk(n):
@@ -77,4 +84,49 @@ def test_maximal_cliques_match_brute_force(graph):
         if edge:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    assert maximal_cliques(masks, m) == brute_force_maximal_cliques(masks, m)
+    # the packed cliques in the order of the sorted tuples
+    assert maximal_cliques(masks, m) == list(map(bytes, brute_force_maximal_cliques(masks, m)))
+
+
+def test_index_sets_are_the_flip_walk_in_order():
+    for n in (4, 5, 6, 7):
+        keys = tr._index_sets(n)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert list(map(tuple, keys)) == sorted(key for key, _ in reference_walk(n))
+
+
+def test_enumerate_all_yields_tuple_keys():
+    tris = list(tr.enumerate_all(5))
+    assert all(type(t.key) is tuple for t in tris)
+    assert [t.key for t in tris] == list(map(tuple, tr._index_sets(5)))
+
+
+def test_packed_enumeration_memory():
+    # 9,438 keys of 8 edges: 1.13 MB held as tuples, 0.46 MB as bytes
+    ed.alphabet(8)
+    tr._all_index_sets.cache_clear()
+    tracemalloc.start()
+    try:
+        tr._all_index_sets(8)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 700_000
+
+
+def test_class_walk_keeps_one_n():
+    qv.transport_table.cache_clear()
+    tr.class_graph.cache_clear()
+    qv.transport_table(6)
+    qv.transport_table(5)
+    assert tr.class_graph.cache_info().currsize == 1
+
+
+def test_enumeration_refuses_n_17_before_the_kernel(monkeypatch):
+    # edge indices reach 17 * 17 - 1 = 288, past one byte
+    def no_kernel(masks, m):
+        raise AssertionError(f"kernel ran on {m} edges")
+
+    monkeypatch.setattr(tr, "maximal_cliques", no_kernel)
+    with pytest.raises(UnsupportedSizeError, match="n <= 16"):
+        tr.count_all(17)
