@@ -52,12 +52,10 @@ class Catalog(namedtuple("Catalog", "n count census")):
 
 
 def _class_payload(cls: tr.TriangulationClass) -> dict:
-    # the quiver and the relations read off one decomposition: the same
-    # as direct_quiver_of and relations_of
+    # one object for both, so decompose's memo cuts it once
     rep = cls.representative
-    dec = qv.decompose(rep)
-    return {**cls.to_json(), "quiver": qv._template_quiver(rep, dec).to_json(),
-            "relations": rl._template_relations(rep, dec).to_json()}
+    return {**cls.to_json(), "quiver": qv.direct_quiver_of(rep).to_json(),
+            "relations": rl.relations_of(rep).to_json()}
 
 
 def _triangulation_lines(n: int) -> Iterator[str]:

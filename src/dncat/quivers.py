@@ -231,19 +231,21 @@ def quiver_of(tri: tr.Triangulation) -> Quiver:
 # direct construction
 
 
-class Decomposition(namedtuple("Decomposition", "type triangles central_arrows "
-                                                "central_zero central_comm")):
-    """A triangulation cut along its central configuration, on edge indices,
-    with the relation generators of its template.
+class Decomposition(namedtuple("Decomposition", "triangles arrows zero_paths comm_pairs")):
+    """A triangulation cut along its central configuration, on edge indices:
+    the whole template of its quiver with relations.
 
     triangles: the triangles of every polygon region, region by region, in
     the preorder of the split under each closing arc, each as its three
     sides (x -> k, k -> y, x -> y around its apex k); a side is an edge
-    index or None for a boundary segment.  central_arrows: the template
-    arrows between junction and spoke edges.  central_zero and central_comm:
-    the template's zero paths and commutativity pairs, as vertex tuples read
-    left to right along the arrows.  The regions add the length-2 subpaths
-    of their triangle-rule 3-cycles; the template adds, per type:
+    index or None for a boundary segment.  arrows: the central template's
+    arrows between junction and spoke edges, then region_arrows over the
+    triangles.  zero_paths and comm_pairs: the relation generators, as
+    vertex tuples read left to right along the arrows.  The zero paths
+    start with the regions': for each triangle whose three sides are
+    edges, in triangle order, the three length-2 subpaths of its 3-cycle
+    (s1, s3, s2), from s1 on.  The central template's generators follow,
+    per type:
 
       type 1: nothing.
       type 2: the commutativity of the two spoke routes j_out -> s -> j_in,
@@ -259,16 +261,10 @@ class Decomposition(namedtuple("Decomposition", "type triangles central_arrows "
 
     __slots__ = ()
 
-    def arrows(self) -> tuple:
-        """The quiver's arrows: the central template plus the triangle rule
-        in every region."""
-        return self.central_arrows + tuple(region_arrows(self.triangles))
 
-
-# the last triangulation decomposed, its decomposition and the arrows read
-# off it, replaced as one entry; holding the object keeps its id from being
-# reused while it is the key
-_last_decomposed: tuple = (None, None, None)
+# the last triangulation decomposed and its decomposition, replaced as one
+# entry; holding the object keeps its id from being reused while it is the key
+_last_decomposed: tuple = (None, None)
 
 
 def decompose(tri: tr.Triangulation) -> Decomposition:
@@ -279,18 +275,11 @@ def decompose(tri: tr.Triangulation) -> Decomposition:
     is keyed by the object, not its key: a fresh object with the same key
     is cut again, and one entry keeps no set of triangulations alive."""
     global _last_decomposed
-    last, dec, _ = _last_decomposed
+    last, dec = _last_decomposed
     if last is not tri:
         dec = _decompose(tri)
-        _last_decomposed = (tri, dec, dec.arrows())
+        _last_decomposed = (tri, dec)
     return dec
-
-
-def _arrows(dec: Decomposition) -> tuple:
-    """dec.arrows(), read from the memo when dec is the last decomposition:
-    the quiver and the relations of one object build its arrows once."""
-    _, last, arrows = _last_decomposed
-    return arrows if last is dec else dec.arrows()
 
 
 def _decompose(tri: tr.Triangulation) -> Decomposition:
@@ -315,6 +304,7 @@ def _decompose(tri: tr.Triangulation) -> Decomposition:
         return (x - 1) * m + (y - x) % n - 2
 
     triangles = []
+    cycles = []  # the zero paths of the regions' 3-cycles
     central = []
     zero = []
     comm = []
@@ -324,7 +314,8 @@ def _decompose(tri: tr.Triangulation) -> Decomposition:
         arc (a, b).  Each side x -> y that is not a boundary segment must be
         an arc; the triangle on it has its apex k at the farthest vertex
         inside (x, y) that an arc joins to x, or at x + 1 when none does.
-        That arc is the one before x -> y in the key, if it starts at x."""
+        That arc is the one before x -> y in the key, if it starts at x.
+        A triangle of three edges adds the subpaths of its 3-cycle."""
         stack = [(a, b)] if (b - a) % n > 1 else []
         while stack:
             x, y = stack.pop()
@@ -346,8 +337,11 @@ def _decompose(tri: tr.Triangulation) -> Decomposition:
             if rest == 1:  # a boundary segment
                 triangles.append((j, None, i))
             else:
-                triangles.append((j, (k - 1) * m + rest - 2, i))
+                side = (k - 1) * m + rest - 2
+                triangles.append((j, side, i))
                 stack.append((k, y))
+                if j is not None:  # the 3-cycle j -> i -> side -> j
+                    cycles.extend(((j, i, side), (i, side, j), (side, j, i)))
             if j is not None:
                 stack.append((x, k))  # split first
 
@@ -418,7 +412,8 @@ def _decompose(tri: tr.Triangulation) -> Decomposition:
         # the path from spoke i closes gap i-1 last
         zero += [lap[i:i + t + closed[i - 1]] for i in range(t)]
 
-    return Decomposition(kind, tuple(triangles), tuple(central), tuple(zero), tuple(comm))
+    return Decomposition(tuple(triangles), tuple(central + region_arrows(triangles)),
+                         tuple(cycles + zero), tuple(comm))
 
 
 def region_arrows(triangles) -> list:
@@ -432,24 +427,9 @@ def region_arrows(triangles) -> list:
     return arrows
 
 
-def region_three_cycles(triangles) -> list:
-    """Oriented 3-cycles of the triangle rule: triangles whose three sides
-    are all triangulation edges, as (x, z, y) vertex cycles."""
-    cycles = []
-    for s1, s2, s3 in triangles:
-        if s1 is not None and s2 is not None and s3 is not None:
-            cycles.append((s1, s3, s2))
-    return cycles
-
-
 def direct_quiver_of(tri: tr.Triangulation) -> Quiver:
     """Template assembly of the quiver, independent of mutation transport."""
-    return _template_quiver(tri, decompose(tri))
-
-
-def _template_quiver(tri: tr.Triangulation, dec: Decomposition) -> Quiver:
-    """The quiver of tri read off its decomposition dec."""
-    q = Quiver.build(tri.key, _arrows(dec), tri.n)
+    q = Quiver.build(tri.key, decompose(tri).arrows, tri.n)
     assert_cluster_quiver(q, "direct at")
     return q
 

@@ -1,10 +1,10 @@
 """Relation ideals of the cluster-tilted algebras, read off the templates.
 
 Paths are written left to right along the arrows, as edge-index tuples.
-Every type-A region contributes the length-2 subpaths of its triangle-rule
-3-cycles; the central configuration contributes the generators that
-quivers.decompose writes next to its template arrows (the per-type table
-is in the Decomposition docstring).
+The generators are the ones quivers.decompose writes with the template's
+arrows: the length-2 subpaths of the regions' triangle-rule 3-cycles, then
+the central configuration's (the per-type table is in the Decomposition
+docstring).  relations_of checks each path composable along those arrows.
 """
 
 from __future__ import annotations
@@ -51,32 +51,18 @@ def _check_composable(arrows: set, path: tuple, tokens) -> None:
             )
 
 
-def _cycle_subpaths(cycle: tuple) -> list[tuple]:
-    """The length-2 subpaths of a 3-cycle, one from each vertex."""
-    x, y, z = cycle
-    return [(x, y, z), (y, z, x), (z, x, y)]
-
-
 def relations_of(tri: tr.Triangulation) -> RelationSet:
     """Generators of the relation ideal, on edge-index vertices: the region
-    relations, then the central template's generators."""
-    return _template_relations(tri, qv.decompose(tri))
-
-
-def _template_relations(tri: tr.Triangulation, dec: qv.Decomposition) -> RelationSet:
-    """The relation generators of tri read off its decomposition dec, each
-    checked composable along the template's arrows."""
-    zero = [p for cycle in qv.region_three_cycles(dec.triangles)
-            for p in _cycle_subpaths(cycle)]
-    zero += dec.central_zero
-
-    arrows = set(qv._arrows(dec))
-    paths = zero + [p for pair in dec.central_comm for p in pair]
+    relations, then the central template's generators, each checked
+    composable along the template's arrows."""
+    dec = qv.decompose(tri)
+    arrows = set(dec.arrows)
+    paths = dec.zero_paths + sum(dec.comm_pairs, ())
     if not arrows.issuperset([step for p in paths for step in zip(p, p[1:])]):
         tokens = ed.alphabet(tri.n).tokens
         for p in paths:  # names the first path with a missing arrow
             _check_composable(arrows, p, tokens)
-    return RelationSet(tuple(zero), dec.central_comm, tri.n)
+    return RelationSet(dec.zero_paths, dec.comm_pairs, tri.n)
 
 
 def path_algebra_dimension(q: qv.Quiver, rels: RelationSet,

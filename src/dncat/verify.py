@@ -1,8 +1,13 @@
 """Named verification suites over exhaustive enumeration.
 
 Every suite returns a report of (check name, failure list) pairs; failures
-are formatted strings sorted so the smallest counterexample under canonical
-order comes first.  Suites: crossing, flip, transport, types, prop45,
+are formatted strings.  Most checks sort them as strings (_gather, the
+crossing axioms, the staple oracle, prop47), which is not canonical order:
+from n = 10 on, p:1-10... sorts before p:1-3....  The rest keep the order
+they find them in: the maximality check in enumeration order, the symmetry
+check in key order when run alone, and _check_flip_connected,
+_check_commutation and _check_census in their own order, any carried-law
+failures last.  Suites: crossing, flip, transport, types, prop45,
 prop47, d4, all.  Each suite asks for the enumeration once, up front; when
 the clique kernel's size guard refuses it, every check that needs it
 fails with "enumeration stopped: ..." instead of running.  Each suite
@@ -70,7 +75,10 @@ from .staple import staple_crossing_number
 
 
 class SuiteReport(namedtuple("SuiteReport", "suite n checks")):
-    """checks: (name, failures) per check, in order."""
+    """checks: (name, failures) per check, in order.  lines() prints each
+    failing check's first failure as its "smallest": the least string where
+    the check sorts its failures, else the first one found (the module
+    docstring says which checks do which)."""
 
     __slots__ = ()
 
@@ -701,11 +709,12 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
 
 def _classes_by_quiver(n: int) -> dict:
     """Classes grouped by the canonical key of their representative's
-    quiver, groups and members in class order."""
+    quiver, the transport table's entry, groups and members in class order."""
     by_key: dict = {}
+    table = qv.transport_table(n)
     for cls in tr.equivalence_classes(n):
         # the key's text: one string per class, not a tuple per arrow
-        key = repr(qv.canonical_key(qv.quiver_of(cls.representative)))
+        key = repr(qv.canonical_key(table[cls.representative.key]))
         by_key.setdefault(key, []).append(cls)
     return by_key
 
@@ -752,7 +761,8 @@ def suite_d4(n: int = 4) -> SuiteReport:
     report = SuiteReport("d4", 4, [(name, fails)])
     if witness is not None:
         a, b = witness
-        qa, qb = qv.quiver_of(a.representative), qv.quiver_of(b.representative)
+        table = qv.transport_table(4)
+        qa, qb = table[a.representative.key], table[b.representative.key]
         _, mapping = qv.is_isomorphic(qa, qb)
         fails = _witness_failures(a.representative, b.representative, qa, qb, mapping)
         if mapping is not None:

@@ -22,10 +22,11 @@ def test_build_counts(tmp_path):
 
 
 def test_build_decomposes_each_class_once(monkeypatch, tmp_path):
-    # the quiver and the relations of a class are read off one decomposition
+    # the quiver and the relations of a class are read off one decomposition,
+    # counted where the cut is computed
     calls = []
-    decompose = qv.decompose
-    monkeypatch.setattr(qv, "decompose", lambda tri: calls.append(tri) or decompose(tri))
+    cut = qv._decompose
+    monkeypatch.setattr(qv, "_decompose", lambda tri: calls.append(tri) or cut(tri))
     _, catalog = write_catalog(6, tmp_path)
     classes = equivalence_classes(6)
     assert catalog.counts()["classes"] == len(calls) == len(classes) == 80

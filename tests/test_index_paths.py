@@ -249,8 +249,9 @@ def reference_decompose(tri):
     """decompose on TaggedEdge objects: the arcs and spokes are filtered
     from tri.edges, the interior edges of each region are scanned from the
     arcs minus the junctions, every template role is an edge looked up in
-    the alphabet's index map, and the type-4 laps are measured by
-    delta_length between neighboring spoke bases."""
+    the alphabet's index map, the type-4 laps are measured by
+    delta_length between neighboring spoke bases, and the region arrows and
+    zero paths come from its own triangle rule, ahead of the central ones."""
     n = tri.n
     index = ed.alphabet(n).index
     kind = reference_classify_type(tri)
@@ -316,7 +317,17 @@ def reference_decompose(tri):
     def indices(paths):
         return tuple(tuple(index[e] for e in path) for path in paths)
 
-    return qv.Decomposition(kind, tuple(triangles), indices(central), indices(zero),
+    # the triangle rule: arrows run clockwise between the edge sides, and a
+    # triangle of three edges is a 3-cycle, whose length-2 subpaths vanish
+    arrows, cycles = [], []
+    for x_k, k_y, x_y in triangles:
+        sides = [x_k, x_y, k_y]  # the cycle x_k -> x_y -> k_y -> x_k
+        arrows += [(s, t) for s, t in ((k_y, x_k), (x_y, k_y), (x_k, x_y))
+                   if s is not None and t is not None]
+        if None not in sides:
+            cycles += [tuple(sides[(i + k) % 3] for k in range(3)) for i in range(3)]
+    return qv.Decomposition(tuple(triangles), indices(central) + tuple(arrows),
+                            tuple(cycles) + indices(zero),
                             tuple(indices(pair) for pair in comm))
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from dncat import quivers as qv
-from dncat import relations as rl
 from dncat.edges import plain, spoke
 from dncat.errors import ModelInconsistencyError
 from dncat.quivers import direct_quiver_of
@@ -173,13 +172,13 @@ def test_unequal_commutativity_sides_on_a_cycle_do_not_terminate():
     (((6, 0, 16, 15),), (((0, 15, 7), (0, 16, 6)),),
      "('p:3-5', 'p:1-3', 's:1:-', 's:1:+') not composable: missing arrow p:3-5->p:1-3"),
 ], ids=["zero", "commutativity", "first"])
-def test_template_relations_name_the_first_missing_arrow(zero, comm, want):
+def test_template_relations_name_the_first_missing_arrow(zero, comm, want, monkeypatch):
     tri = Triangulation.from_edges(5, TYPE2_5)
     dec = qv.decompose(tri)
-    bad = dec._replace(central_zero=dec.central_zero + zero,
-                       central_comm=dec.central_comm + comm)
+    bad = dec._replace(zero_paths=dec.zero_paths + zero, comm_pairs=dec.comm_pairs + comm)
+    monkeypatch.setattr(qv, "decompose", lambda _: bad)
     with pytest.raises(ModelInconsistencyError) as info:
-        rl._template_relations(tri, bad)
+        relations_of(tri)
     assert str(info.value) == f"relation path {want}"
 
 

@@ -43,10 +43,10 @@ CASES = {
     "Quiver": (lambda: qv.Quiver.build((1, 2), [(1, 2)]), "Quiver(2 vertices, 1 arrows)"),
     "Decomposition": (
         lambda: qv._decompose(tr.parse_triangulation(5, TYPE2_5)),
-        "Decomposition(type=2, triangles=((None, None, 0), (6, None, 7), (None, None, 6)), "
-        "central_arrows=((0, 15), (15, 7), (0, 16), (16, 7), (7, 0)), "
-        "central_zero=((7, 0, 15), (15, 7, 0), (7, 0, 16), (16, 7, 0)), "
-        "central_comm=(((0, 15, 7), (0, 16, 7)),))"),
+        "Decomposition(triangles=((None, None, 0), (6, None, 7), (None, None, 6)), "
+        "arrows=((0, 15), (15, 7), (0, 16), (16, 7), (7, 0), (6, 7)), "
+        "zero_paths=((7, 0, 15), (15, 7, 0), (7, 0, 16), (16, 7, 0)), "
+        "comm_pairs=(((0, 15, 7), (0, 16, 7)),))"),
     "RelationSet": (lambda: rl.relations_of(tr.parse_triangulation(5, TYPE2_5)),
                     "RelationSet(zero_paths=((7, 0, 15), (15, 7, 0), (7, 0, 16), (16, 7, 0)), "
                     "commutativity_pairs=(((0, 15, 7), (0, 16, 7)),), n=5)"),
