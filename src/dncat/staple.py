@@ -15,6 +15,10 @@ even at a shared vertex.  The oracle enumerates every radius assignment and
 every side choice, counts exact intersections, and returns the minimum.
 Spoke-spoke pairs are not geometric in this picture (the tag rule decides
 them) and are rejected.
+
+staple_crossing_number builds the curves of its one pair.  A check over
+many pairs builds each edge's curves once (realizations) and takes the
+same minimum pair by pair (least_crossings).
 """
 
 from __future__ import annotations
@@ -79,6 +83,34 @@ def staple_crossing_number(n: int, m: TaggedEdge, other: TaggedEdge) -> int:
         for a in curves_m:
             for b in curves_o:
                 total = a.crossings_with(b)
+                if best is None or total < best:
+                    best = total
+    return best
+
+
+def _curves(n: int, edge: TaggedEdge, magnitude: int, radius: int) -> list[_Staple]:
+    return [_Staple(n, edge, sides, magnitude, radius)
+            for sides in product((-1, 1), repeat=1 if edge.is_spoke else 2)]
+
+
+def realizations(n: int, edge: TaggedEdge) -> tuple:
+    """Every staple of a validated edge that the oracle compares, per
+    radius 1 and 2: its curves as the first edge of a pair (magnitude 2),
+    then as the second (magnitude 3)."""
+    return tuple((_curves(n, edge, 2, r), _curves(n, edge, 3, r)) for r in (1, 2))
+
+
+def least_crossings(first: tuple, second: tuple) -> int:
+    """staple_crossing_number of two distinct edges, not both spokes, from
+    their realizations: the minimum over both radius orders and every side
+    choice, ended at the first realization without a crossing."""
+    best = None
+    for r_first, r_second in ((0, 1), (1, 0)):
+        for a in first[r_first][0]:
+            for b in second[r_second][1]:
+                total = a.crossings_with(b)
+                if not total:
+                    return 0
                 if best is None or total < best:
                     best = total
     return best

@@ -56,7 +56,12 @@ every suite that reads them) to the rule.
 The alphabet laws are checked once per n (_alphabet_law_failures); a
 broken law is a failure of every check it carries.  The type templates,
 direct template == transport (against g.Q(R), no member canonicalized) and
-relations_of run on every member.
+relations_of run on every member, in one pass over each orbit
+(_member_pass) that builds and cuts each member once and also runs the
+local structure and the dimension count at the representative.  The
+pass returns the failure lists of both suites; in all it runs once per n
+and both read it, and a suite run alone runs it itself.  A member whose
+cut fails is a failure of both the template check and the dimension count.
 """
 
 from __future__ import annotations
@@ -71,7 +76,12 @@ from . import quivers as qv
 from . import relations as rl
 from . import triangulations as tr
 from .errors import ModelInconsistencyError, UnsupportedSizeError
-from .staple import staple_crossing_number
+from .staple import least_crossings, realizations
+
+
+# the class walk's cache, bound at import so that it is reached through any
+# wrapper later put around tr.class_graph
+_release_class_walk = tr.class_graph.cache_clear
 
 
 class SuiteReport(namedtuple("SuiteReport", "suite n checks")):
@@ -237,14 +247,17 @@ def _check_crossing_axioms(n: int) -> list[str]:
 
 
 def _check_staple_agreement(n: int) -> list[str]:
+    """The rule against the staple oracle at every pair but two spokes,
+    each edge's staples built once (staple_crossing_number builds a pair's)."""
     fails = []
     universe = ed.all_edges(n)
+    curves = [realizations(n, m) for m in universe]
     for i, m in enumerate(universe):
-        for other in universe[i:]:
+        for j, other in enumerate(universe[i:], i):
             if m.is_spoke and other.is_spoke:
                 continue
             got = ed._crossing(n, m, other)  # the oracle validates both edges
-            want = staple_crossing_number(n, m, other)
+            want = 0 if i == j else least_crossings(curves[i], curves[j])
             if got != want:
                 fails.append(
                     f"{m.token()},{other.token()}: rule {got} vs staple {want}"
@@ -380,7 +393,8 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
 def _check_commutation(n: int) -> list[str]:
     """Mutate the quiver of every class representative at every flip with
     the public `mutate` and compare with quiver_of the flipped key, the
-    table entry that the class walk carries it onto.  The table itself is
+    table entry that the class walk carries it onto: the mutated arrows
+    moved by g, with m, renamed m2, moved to g[m2].  The table itself is
     built by the separate mutation on arrow tuples inside `quivers`, so
     this cross-checks two implementations of the mutation rule.  A member
     g.T of the class has the quiver g.quiver_of(T) (the stabilizer check)
@@ -396,19 +410,13 @@ def _check_commutation(n: int) -> list[str]:
     universe = ed.alphabet(n).edges
     for key, row in sorted(flips.items()):
         for m, (m2, rep, g) in zip(key, row):
-            mutated = qv.mutate(table[key], m).relabel({m: m2})
-            if qv._moved(group[g], mutated.arrows) != table[rep].arrows:
+            g = group[g]
+            moved = [*g]
+            moved[m] = g[m2]
+            if qv._moved(moved, qv.mutate(table[key], m).arrows) != table[rep].arrows:
                 fails.append(f"{tr.Triangulation(n, key).token()} "
                              f"at {universe[m].token()}: mutation != flip")
     return fails + laws
-
-
-def _direct_chunk(n: int, rep_key) -> list[str]:
-    """Each member's template against g.Q(R): no member is canonicalized."""
-    q = qv.transport_table(n)[rep_key]
-    return [f"{tr.Triangulation(n, key).token()}: template and transport disagree"
-            for key, g in tr._orbit(n, rep_key).items()
-            if qv.direct_quiver_of(tr.Triangulation(n, key)).arrows != qv._moved(g, q.arrows)]
 
 
 def _check_symmetry_invariance(n: int) -> list[str]:
@@ -421,7 +429,9 @@ def _check_symmetry_invariance(n: int) -> list[str]:
                    and qv._moved(g, q.arrows) != q.arrows for g in group)]
 
 
-def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
+def suite_transport(n: int, jobs: int = 1, members=None) -> SuiteReport:
+    """members: the member pass at n (_member_pass), computed here if not
+    given."""
     names = ("mutation commutes with every flip (path independence)",
              "direct template equals mutation transport",
              "quivers are translation and tag-swap equivariant")
@@ -429,20 +439,98 @@ def suite_transport(n: int, jobs: int = 1) -> SuiteReport:
     stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("transport", n, names, stopped)
-    direct_results = _parallel(partial(_direct_chunk, n), _class_keys(n), jobs)
+    direct = (members or _member_pass(n, jobs))[0]
     return SuiteReport("transport", n, list(zip(names, [
-        _check_commutation(n), _gather(direct_results), _check_symmetry_invariance(n)])))
+        _check_commutation(n), direct, _check_symmetry_invariance(n)])))
+
+
+# ---------------------------------------------------------------------------
+# the member pass (transport's template check and the types suite)
+
+
+def _member_chunk(n: int, inverse: dict, rep_key) -> tuple[list[str], ...]:
+    """The failures of the direct template, the type templates, the local
+    structure and the relation dimension on the orbit of one class
+    representative R.  Each member g.T is built once and cut once:
+    direct_quiver_of, compared with g.Q(R) (no member canonicalized), and
+    relations_of read one decompose.  The templates and relations_of run
+    on every member; the local structure and the dimension count run at R
+    and carry to g.T, whose quiver is g.Q(R) and whose relation generators,
+    moved back by inverse[g], must be R's.  A member whose cut fails
+    fails the template check and the dimension check."""
+    q = qv.transport_table(n)[rep_key]
+    local = _local_structure_failures(n, rep_key, q)
+    direct, templates, dims = [], [], []
+    gens = dim = None
+    for key, g in tr._orbit(n, rep_key).items():  # the representative first
+        tri = tr.Triangulation(n, key)
+        templates.extend(_template_failures(tri))
+        try:
+            if qv.direct_quiver_of(tri).arrows != qv._moved(g, q.arrows):
+                direct.append(f"{tri.token()}: template and transport disagree")
+        except Exception as exc:  # noqa: BLE001
+            direct.append(f"{tri.token()}: {exc}")
+        try:
+            member = rl.relations_of(tri)
+        except Exception as exc:  # noqa: BLE001
+            dims.append(f"{tri.token()}: {exc}")
+            continue
+        if key == rep_key:
+            gens, dim = _generators(member), rl.path_algebra_dimension(q, member)
+        elif gens is None:
+            continue  # the representative's own failure is recorded
+        elif _generators(member, inverse[g]) != gens:
+            dims.append(f"{tri.token()}: relations are not its representative's "
+                        f"{tr.Triangulation(n, rep_key).token()} moved by the orbit map")
+        expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
+        if dim != expected:
+            dims.append(f"{tri.token()}: algebra dimension {dim} != hom total {expected}")
+    return direct, templates, local, dims
+
+
+def _member_pass(n: int, jobs: int) -> tuple[list[str], ...]:
+    """_member_chunk over every class, each of its four failure lists
+    gathered; the inverse of each group element is computed once."""
+    # g is a permutation of the indices, so its argsort is its inverse
+    inverse = {g: sorted(range(len(g)), key=g.__getitem__) for g in tr._group(n)}
+    results = _parallel(partial(_member_chunk, n, inverse), _class_keys(n), jobs)
+    return tuple(map(_gather, zip(*results)))
+
+
+def _generators(rels: rl.RelationSet, g=None) -> tuple[frozenset, frozenset]:
+    """The zero paths and the commutativity pairs, each pair unordered, as
+    sets of vertex tuples moved by the index map g (if given)."""
+    def move(path: tuple) -> tuple:
+        return path if g is None else tuple([g[v] for v in path])
+
+    return (frozenset(map(move, rels.zero_paths)),
+            frozenset(frozenset(map(move, pair)) for pair in rels.commutativity_pairs))
 
 
 # ---------------------------------------------------------------------------
 # types
 
 
-def _type_predicates(tri: tr.Triangulation) -> tuple[bool, bool, bool, bool]:
+def _edge_ends(tri: tr.Triangulation) -> tuple[list, list]:
+    """The arcs' (start, end) and the spokes' (base, tag), in key order,
+    read off the alphabet's edge table."""
+    edges = ed.alphabet(tri.n).edges
+    arcs, spokes = [], []
+    for a, b, tag in map(edges.__getitem__, tri.key):
+        if a == b:
+            spokes.append((a, tag))
+        else:
+            arcs.append((a, b))
+    return arcs, spokes
+
+
+def _type_predicates(tri: tr.Triangulation, ends=None) -> tuple[bool, bool, bool, bool]:
+    """The four type templates on the edges' ends (ends: _edge_ends(tri)),
+    independent of classify_type's index arithmetic."""
     n = tri.n
-    spokes = tri.spokes()
-    has_long = any((e.b - e.a) % n == n - 1 for e in tri.plains())
-    double = len(spokes) == 2 and spokes[0].a == spokes[1].a
+    arcs, spokes = _edge_ends(tri) if ends is None else ends
+    has_long = any((b - a) % n == n - 1 for a, b in arcs)
+    double = len(spokes) == 2 and spokes[0][0] == spokes[1][0]
     p1 = has_long
     p2 = not has_long and double
     p3 = not has_long and len(spokes) == 2 and not double
@@ -450,112 +538,77 @@ def _type_predicates(tri: tr.Triangulation) -> tuple[bool, bool, bool, bool]:
     return p1, p2, p3, p4
 
 
-def _types_chunk(n: int, rep_key) -> tuple[list[str], list[str], list[str]]:
-    """Failures of the type templates, local structure and relation
-    dimension on the orbit of one class representative.  The templates and
-    relations_of run on every member; the local structure and the dimension
-    count run at the representative and carry to each member g.T, whose
-    quiver is g.Q(R) and whose relations must be the representative's
-    moved by g."""
-    rep = tr.Triangulation(n, rep_key)
-    q = qv.transport_table(n)[rep_key]
-    local = _local_structure_failures(n, rep_key, q)
-    templates, dims = [], []
-    rels = dim = None
-    for key, g in tr._orbit(n, rep_key).items():  # the representative first
-        tri = tr.Triangulation(n, key)
-        templates.extend(_template_failures(tri))
-        try:
-            member = rl.relations_of(tri)
-        except Exception as exc:  # noqa: BLE001
-            dims.append(f"{tri.token()}: {exc}")
-            continue
-        if key == rep_key:
-            rels, dim = member, rl.path_algebra_dimension(q, member)
-        elif rels is None:
-            continue  # the representative's own failure is recorded
-        elif _generators(member) != _generators(rels, g):
-            dims.append(f"{tri.token()}: relations are not its representative's "
-                        f"{rep.token()} moved by the orbit map")
-        expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
-        if dim != expected:
-            dims.append(f"{tri.token()}: algebra dimension {dim} != hom total {expected}")
-    return templates, local, dims
-
-
-def _generators(rels: rl.RelationSet, g=None) -> tuple[frozenset, frozenset]:
-    """The zero paths and the commutativity pairs, each pair unordered, as
-    sets of vertex tuples moved by the group element g (if given)."""
-    def move(path: tuple) -> tuple:
-        return path if g is None else tuple(g[v] for v in path)
-
-    return (frozenset(map(move, rels.zero_paths)),
-            frozenset(frozenset(map(move, pair)) for pair in rels.commutativity_pairs))
-
-
 def _template_failures(tri: tr.Triangulation) -> list[str]:
     fails = []  # each reason is prefixed by the token on return
     n = tri.n
-    plains, spokes = tri.plains(), tri.spokes()
-    arcs = {(e.a, e.b) for e in plains}
+    ends = arcs, spokes = _edge_ends(tri)
+    arc_set = set(arcs)
     kind = tr.classify_type(tri)
-    preds = _type_predicates(tri)
+    preds = _type_predicates(tri, ends)
     if sum(preds) != 1:
         fails.append(f"{sum(preds)} type predicates hold")
     elif preds.index(True) + 1 != kind:
         fails.append("classifier disagrees with the predicates")
     if len(spokes) < 2:
         fails.append("fewer than two degenerate edges")
-    bases = [s.a for s in spokes]
-    if len(set(bases)) == len(bases) and len({s.tag for s in spokes}) > 1:
+    bases = [a for a, _ in spokes]
+    distinct = sorted(set(bases))
+    if len(distinct) == len(bases) and len({tag for _, tag in spokes}) > 1:
         fails.append("mixed spoke tags without a double")
 
-    long_edges = [e for e in plains if (e.b - e.a) % n == n - 1]
+    long_edges = [(a, b) for a, b in arcs if (b - a) % n == n - 1]
     if long_edges:
         if len(spokes) != 2:
             fails.append(f"long arc with {len(spokes)} spokes")
         else:
-            a, b = long_edges[0].a, long_edges[0].b
-            double = spokes[0].a == spokes[1].a
-            pairing = (not double and {spokes[0].a, spokes[1].a} == {a, b}
-                       and spokes[0].tag == spokes[1].tag)
-            if not (double and spokes[0].a in (a, b)) and not pairing:
+            a, b = long_edges[0]
+            double = bases[0] == bases[1]
+            pairing = (not double and {bases[0], bases[1]} == {a, b}
+                       and spokes[0][1] == spokes[1][1])
+            if not (double and bases[0] in (a, b)) and not pairing:
                 fails.append("long-arc spokes form no double or pairing")
         if len(spokes) >= 3:
             fails.append("three spokes beside a long arc")
     if kind == tr.TYPE2 and not long_edges:
-        a = spokes[0].a
-        if not any(x != a and (a, x) in arcs and (x, a) in arcs
+        a = bases[0]
+        if not any(x != a and (a, x) in arc_set and (x, a) in arc_set
                    for x in range(1, n + 1)):
             fails.append("double without its return arcs")
     if kind == tr.TYPE3:
-        a, b = sorted({s.a for s in spokes})
+        a, b = distinct
         if (b - a) % n == 1 or (a - b) % n == 1:
             fails.append("non-double spoke pair is a pairing")
     # consecutive spokes at non-neighbor vertices must be joined by an arc
-    distinct = sorted(set(bases))
     if len(distinct) >= 2:
         for i, a in enumerate(distinct):
             b = distinct[(i + 1) % len(distinct)]
             if a == b or (b - a) % n == 1:
                 continue
-            if (a, b) not in arcs:
+            if (a, b) not in arc_set:
                 fails.append(f"missing connecting arc {ed.plain(a, b).token()}")
     return [f"{tri.token()}: {reason}" for reason in fails]
 
 
 def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
     """The local structure of the quiver q of the triangulation key, on
-    edge indices."""
+    edge indices, its in, out and undirected adjacency built once."""
     fails = []
     alpha = ed.alphabet(n)
     edges, kinds = alpha.edges, alpha.kind
     token = tr.Triangulation(n, key).token()
+    outs = {v: [] for v in q.vertices}
+    ins = {v: [] for v in q.vertices}
+    nbrs = {v: set() for v in q.vertices}
+    for s, t in q.arrows:
+        outs[s].append(t)
+        ins[t].append(s)
+        nbrs[s].add(t)
+        nbrs[t].add(s)
     try:
         qv.assert_cluster_quiver(q)
     except Exception as exc:  # noqa: BLE001
         fails.append(f"{token}: {exc}")
-    if not qv.is_connected(q):
+    if len(qv.reachable(q.vertices[:1], nbrs.__getitem__)) < len(q.vertices):
         fails.append(f"{token}: quiver disconnected")
 
     for m in key:
@@ -568,21 +621,19 @@ def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
                 if (s in inner and t in outer) or (s in outer and t in inner):
                     fails.append(f"{token}: arrow across {vm} between "
                                  f"{q.label(s)} and {q.label(t)}")
-            cut = qv.delete_vertex(q, m)
-            if qv.reachable(inner, cut.neighbors) & outer:
+            if qv.reachable(inner, lambda v: nbrs[v] - {m}) & outer:
                 fails.append(f"{token}: path around {vm} after deletion")
-            side_neighbors = q.neighbors(m) & inner
+            side_neighbors = nbrs[m] & inner
             if len(side_neighbors) not in (1, 2):
                 fails.append(
                     f"{token}: {vm} has {len(side_neighbors)} region neighbors"
                 )
-            if len(side_neighbors) == 2 and not qv._three_cycles_through(q, m):
+            if len(side_neighbors) == 2 and not any(
+                    y in ins[m] and y != m and x != y for x in outs[m] for y in outs[x]):
                 fails.append(f"{token}: {vm} with two region neighbors off 3-cycles")
         elif kind == ed.CLOSE_TO_BORDER:
-            outs = q.out_neighbors(m)
-            ins = q.in_neighbors(m)
-            on_cycle = m in qv.reachable(outs, q.out_neighbors)
-            if outs and ins and not on_cycle:
+            on_cycle = m in qv.reachable(outs[m], outs.__getitem__)
+            if outs[m] and ins[m] and not on_cycle:
                 fails.append(f"{token}: {vm} neither source, sink, nor on a cycle")
     return fails
 
@@ -606,7 +657,9 @@ def _check_census(n: int) -> list[str]:
     return fails
 
 
-def suite_types(n: int, jobs: int = 1) -> SuiteReport:
+def suite_types(n: int, jobs: int = 1, members=None) -> SuiteReport:
+    """members: the member pass at n (_member_pass), computed here if not
+    given."""
     names = ("each triangulation matches exactly one type template",
              "type and class censuses are consistent",
              "separation, region-neighbor, and border-vertex structure",
@@ -614,10 +667,9 @@ def suite_types(n: int, jobs: int = 1) -> SuiteReport:
     stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("types", n, names, stopped)
-    templates, local, dims = zip(*_parallel(partial(_types_chunk, n), _class_keys(n), jobs))
+    _, templates, local, dims = members or _member_pass(n, jobs)
     return SuiteReport("types", n, list(zip(names, [
-        _gather(templates), _check_census(n),
-        _gather([_alphabet_law_failures(n), *local]), _gather(dims)])))
+        templates, _check_census(n), _gather([_alphabet_law_failures(n), local]), dims])))
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +696,11 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
     def minus(i: int) -> str:
         return f"{rep.token()} minus {alpha.tokens[i]}"
 
+    connected_cuts = _connected_deletions(q)
     for i in rep_key:
         kind = alpha.kind[i]
-        cut = qv.delete_vertex(q, i)
-        connected = qv.is_connected(cut)
-        key = qv.canonical_key(cut) if connected else None
+        connected = i in connected_cuts
+        key = qv.canonical_key(qv.delete_vertex(q, i)) if connected else None
         in_d = key in class_d
         in_a = key in class_a
         if in_d != (kind == ed.CLOSE_TO_BORDER):
@@ -670,6 +722,34 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
                            if s != i and t != i])) != entry.arrows:
             fails.append(f"{minus(i)}: quotient quiver differs")
     return fails
+
+
+def _connected_deletions(q: qv.Quiver) -> set:
+    """The vertices of q whose deletion leaves it connected: one undirected
+    adjacency bitmask per vertex (bit p for the p-th vertex), and per
+    deletion a breadth-first search that expands its whole frontier at
+    once."""
+    bit = {v: 1 << p for p, v in enumerate(q.vertices)}
+    adjacent = {b: 0 for b in bit.values()}
+    for s, t in q.arrows:
+        adjacent[bit[s]] |= bit[t]
+        adjacent[bit[t]] |= bit[s]
+    everything = (1 << len(bit)) - 1
+    found = set()
+    for v, b in bit.items():
+        rest = everything ^ b
+        seen = frontier = rest & -rest  # the lowest vertex left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacent[low]
+                frontier ^= low
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        if seen == rest:
+            found.add(v)
+    return found
 
 
 def _class_size_failures(k: int) -> list[str]:
@@ -808,12 +888,14 @@ def run_suite(suite: str, n: int, jobs: int = 1) -> list[SuiteReport]:
     if suite == "d4":
         return [suite_d4(n)]
     if suite == "all":
-        reports = [
-            suite_crossing(n),
-            suite_flip(n, jobs),
-            suite_transport(n, jobs),
-            suite_types(n, jobs),
-        ]
+        reports = [suite_crossing(n), suite_flip(n, jobs)]
+        # one member pass serves transport and types; it reads the table
+        members = (None if _enumeration_stopped(n) or _table_stopped(n)
+                   else _member_pass(n, jobs))
+        reports.append(suite_transport(n, jobs, members))
+        _release_class_walk()  # commutation was the walk's last reader
+        reports.append(suite_types(n, jobs, members))
+        members = None
         if n >= 5:
             # prop45 and prop47 assume n >= 5; at n=4 the d4 suite documents
             # the failure of the class-quiver bijection instead

@@ -16,7 +16,7 @@ from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat import verify as vf
 from dncat.cli import main
-from dncat.errors import UnsupportedSizeError
+from dncat.errors import ModelInconsistencyError, UnsupportedSizeError
 
 FAN5 = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
 ALL_SPOKES5 = "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+"
@@ -220,17 +220,22 @@ def test_parallel_starts_at_most_one_worker_per_core(monkeypatch):
     assert workers == [3, 2]
 
 
-def test_verify_all_decomposes_each_triangulation_twice(monkeypatch):
-    # once for the template quiver (transport suite), once for the relation
-    # ideal (types suite); the dimension oracle reads the transported quiver.
-    # Counted where the cut is computed: the suites build a fresh object
-    # per member, so the one-entry memo in decompose saves none of them
+def test_verify_all_decomposes_each_triangulation_once(monkeypatch):
+    # one member pass serves the template quiver (transport suite) and the
+    # relation ideal (types suite): direct_quiver_of and relations_of read
+    # one object, so the one-entry memo in decompose cuts each member once;
+    # the dimension oracle reads the transported quiver.  Counted where the
+    # cut is computed, in all and in each suite alone
     calls = []
     cut = qv._decompose
     monkeypatch.setattr(qv, "_decompose", lambda tri: calls.append(tri) or cut(tri))
     reports = vf.run_suite("all", 6)
     assert all(r.ok for r in reports)
-    assert len(calls) == 2 * tr.count_all(6) == 1344
+    assert len(calls) == tr.count_all(6) == 672
+    for suite in ("transport", "types"):
+        calls.clear()
+        assert vf.run_suite(suite, 6)[0].ok
+        assert len(calls) == 672
 
 
 def test_prop45_keys_each_connected_deletion_once(monkeypatch):
@@ -281,6 +286,85 @@ def test_a_corrupted_class_entry_fails_transport_types_and_prop45():
     assert "separation, region-neighbor, and border-vertex structure" in _failing_checks(types)
     assert not prop45.ok
     assert all(r.ok for r in (vf.suite_transport(6), vf.suite_types(6), vf.suite_prop45(6)))
+
+
+def _member_of_class(n, index, accept=lambda key: True):
+    """The first orbit member of the class at index, other than its
+    representative, that accept takes."""
+    rep = tr.equivalence_classes(n)[index].representative.key
+    return next(key for key in tr._orbit_keys(n, rep) if key != rep and accept(key))
+
+
+def _member_lines(capsys, suite, n=6):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == 1 and err == ""  # no error: line, no traceback
+    return [line for line in out.splitlines() if line.startswith("FAIL ") and " suite=" not in line]
+
+
+def test_a_member_whose_cut_fails_is_a_fail_line(capsys, monkeypatch):
+    # the member pass catches the failure per member: the template check
+    # and the dimension check each name it, and no suite ends on error:
+    member = tr.Triangulation(6, _member_of_class(6, 9))
+    cut = qv._decompose
+
+    def failing(tri):
+        if tri.key == member.key:
+            raise ModelInconsistencyError("cut refused")
+        return cut(tri)
+
+    monkeypatch.setattr(qv, "_decompose", failing)
+    direct = ("FAIL direct template equals mutation transport: 1 failure(s); "
+              f"smallest: {member.token()}: cut refused")
+    dims = ("FAIL relation ideals give the morphism-space dimensions: 1 failure(s); "
+            f"smallest: {member.token()}: cut refused")
+    assert _member_lines(capsys, "transport") == [direct]
+    assert _member_lines(capsys, "types") == [dims]
+    assert _member_lines(capsys, "all") == [direct, dims]
+
+
+def test_a_dropped_template_arrow_fails_the_template_check(capsys, monkeypatch):
+    # an arrow that no relation generator uses leaves relations_of and the
+    # dimension count untouched; the member's template still differs from
+    # its class quiver moved onto it
+    def unused(key):
+        dec = qv._decompose(tr.Triangulation(6, key))
+        used = {step for path in dec.zero_paths + sum(dec.comm_pairs, ())
+                for step in zip(path, path[1:])}
+        return [a for a in dec.arrows if a not in used]
+
+    member = tr.Triangulation(6, _member_of_class(6, 9, unused))
+    arrow = unused(member.key)[0]
+    cut = qv._decompose
+
+    def dropped(tri):
+        dec = cut(tri)
+        if tri.key != member.key:
+            return dec
+        return dec._replace(arrows=tuple(a for a in dec.arrows if a != arrow))
+
+    monkeypatch.setattr(qv, "_decompose", dropped)
+    want = ["FAIL direct template equals mutation transport: 1 failure(s); "
+            f"smallest: {member.token()}: template and transport disagree"]
+    assert _member_lines(capsys, "transport") == want
+    assert _member_lines(capsys, "all") == want
+
+
+def test_all_releases_the_class_walk_before_types(monkeypatch):
+    # commutation, in transport, is the last reader of the walk at n
+    held = []
+    suite_types = vf.suite_types
+    monkeypatch.setattr(vf, "suite_types", lambda *args: held.append(
+        tr.class_graph.cache_info().currsize) or suite_types(*args))
+    assert all(r.ok for r in vf.run_suite("all", 6))
+    assert held == [0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_connected_deletions_match_the_cut_quivers(n):
+    # prop45's bitmask search against is_connected on each cut quiver
+    for key, q in qv.transport_table(n).items():
+        assert vf._connected_deletions(q) == {
+            i for i in key if qv.is_connected(qv.delete_vertex(q, i))}, key
 
 
 def test_an_entry_not_fixed_by_its_stabilizer_fails_equivariance():

@@ -1,7 +1,7 @@
 import pytest
 
 from dncat.edges import all_edges, crossing_number, plain, spoke
-from dncat.staple import staple_crossing_number
+from dncat.staple import least_crossings, realizations, staple_crossing_number
 
 
 def test_oracle_values():
@@ -28,3 +28,17 @@ def test_oracle_matches_crossing_rule_exhaustively():
                 assert staple_crossing_number(n, m, other) == crossing_number(n, m, other), (
                     n, m.token(), other.token(),
                 )
+
+
+def test_realizations_built_once_give_the_oracle():
+    # the crossing suite builds each edge's staples once and takes the
+    # minimum pair by pair; staple_crossing_number is the reference
+    for n in range(4, 9):
+        edges = all_edges(n)
+        curves = [realizations(n, e) for e in edges]
+        for i, m in enumerate(edges):
+            for j in range(i + 1, len(edges)):
+                if m.is_spoke and edges[j].is_spoke:
+                    continue
+                assert least_crossings(curves[i], curves[j]) == (
+                    staple_crossing_number(n, m, edges[j])), (n, m.token(), edges[j].token())
