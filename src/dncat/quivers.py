@@ -97,29 +97,29 @@ def mutate(q: Quiver, v) -> Quiver:
         raise ValueError(f"unknown vertex {v!r}")
     counts: dict = {}
     ins, outs = [], []
-    for s, t in q.arrows:
-        if s == v or t == v:
-            counts[(t, s)] = counts.get((t, s), 0) + 1
-            if t == v:
-                ins.append(s)
-            else:
-                outs.append(t)
-        else:
-            counts[(s, t)] = counts.get((s, t), 0) + 1
+    for pair in q.arrows:  # each arrow at v reversed as it is counted
+        s, t = pair
+        if t == v:
+            ins.append(s)
+            pair = (t, s)
+        elif s == v:
+            outs.append(t)
+            pair = (t, s)
+        counts[pair] = counts.get(pair, 0) + 1
     for u in ins:
         for w in outs:
             if u == w:
                 raise ModelInconsistencyError("2-cycle through mutation vertex")
             counts[(u, w)] = counts.get((u, w), 0) + 1
-    for s, t in list(counts):
-        if s < t:
-            cancel = min(counts[(s, t)], counts.get((t, s), 0))
-            if cancel:
-                counts[(s, t)] -= cancel
-                counts[(t, s)] -= cancel
+    # each opposite pair cancelled once, from its side with the larger count;
+    # a loop is its own opposite and stays
     arrows = []
     for pair, c in counts.items():
-        arrows.extend([pair] * c)
+        s, t = pair
+        if s != t:
+            c -= counts.get((t, s), 0)
+        if c > 0:
+            arrows += [pair] * c
     return Quiver(q.vertices, tuple(sorted(arrows)), q.n)
 
 
@@ -446,7 +446,10 @@ def _refine_colors(n_verts: int, adj_out, adj_in, colors, count: int):
     unchanged, and a round that leaves every class a singleton is the last.
     As the old color sorts first, each class is ranked on its own, above
     the signatures of the classes below it; a singleton cannot split, so it
-    takes that offset without being signed."""
+    takes that offset without being signed.  The colors must refine the
+    (out-degree, in-degree) partition, as _canonical_search's do: then the
+    members of a class have out-lists of one length, and the out-colors
+    followed by the in-colors, as one list, sort as the pair does."""
     while count < n_verts:
         cells = [[] for _ in range(count)]
         for v, c in enumerate(colors):
@@ -456,12 +459,15 @@ def _refine_colors(n_verts: int, adj_out, adj_in, colors, count: int):
         base = 0
         for cell in cells:
             if len(cell) > 1:
-                sig = [(tuple(sorted(map(get, adj_out[v]))),
-                        tuple(sorted(map(get, adj_in[v])))) for v in cell]
-                rank = {s: i for i, s in enumerate(sorted(set(sig)), base)}
-                for v, s in zip(cell, sig):
-                    new[v] = rank[s]
-                base += len(rank)
+                signed = sorted([(sorted(map(get, adj_out[v])) + sorted(map(get, adj_in[v])), v)
+                                 for v in cell])
+                last = signed[0][0]
+                for sig, v in signed:
+                    if sig != last:
+                        base += 1
+                        last = sig
+                    new[v] = base
+                base += 1
             else:
                 new[cell[0]] = base
                 base += 1

@@ -337,9 +337,12 @@ def orbit(tri: Triangulation) -> list[Triangulation]:
 
 
 def canonical_form(tri: Triangulation) -> tuple[Triangulation, int]:
-    """Lexicographic minimum of the orbit plus the orbit's cardinality."""
-    keys = _orbit_keys(tri.n, tri.key)
-    return Triangulation(tri.n, keys[0]), len(keys)
+    """Lexicographic minimum of the orbit plus the orbit's cardinality, the
+    number of distinct images: one pass over the group, the orbit not
+    sorted."""
+    images = itemgetter(*tri.key)
+    orbit = {tuple(sorted(images(g))) for g in _group(tri.n)}
+    return Triangulation(tri.n, min(orbit)), len(orbit)
 
 
 def classify_type(tri: Triangulation) -> int:

@@ -53,15 +53,32 @@ first check compares every entry of both tables with the rule at each
 pair it visits, and that pair comparison is what ties the tables (and so
 every suite that reads them) to the rule.
 
-The alphabet laws are checked once per n (_alphabet_law_failures); a
-broken law is a failure of every check it carries.  The type templates,
-direct template == transport (against g.Q(R), no member canonicalized) and
-relations_of run on every member, in one pass over each orbit
-(_member_pass) that builds and cuts each member once and also runs the
-local structure and the dimension count at the representative.  The
-pass returns the failure lists of both suites; in all it runs once per n
-and both read it, and a suite run alone runs it itself.  A member whose
-cut fails is a failure of both the template check and the dimension count.
+The laws run once per run.  In all, the alphabet laws
+(_alphabet_law_failures) and the stabilizer check at n
+(_check_symmetry_invariance) are computed once, as one Laws, and handed to
+flip, transport, types and prop45; a suite run alone computes its own.
+A broken law is a failure of every check it carries.  The arcs inside
+each arc are one bitmask per edge (_inner_masks), built once per run for
+the inner-arc law and the local structure.
+
+The type templates, direct template == transport and relations_of run on
+every member, in one pass over each orbit (_member_pass) that builds and
+cuts each member once and also runs the local structure and the
+dimension count at the representative.  Members are compared in the
+representative's frame: the template's arrows, moved back by g^-1, as
+one sorted tuple against Q(R)'s, no member canonicalized.  R itself, and
+a member that disagrees, are built by direct_quiver_of, whose cluster-
+quiver assertion gives a failure its message.  The pass returns the
+failure lists of both suites; in all it runs once per n and both read
+it, and a suite run alone runs it itself.  A member whose cut fails is a
+failure of both the template check and the dimension count.
+
+prop45 keys its close-to-border deletions through the quotient class.
+Where the labelled quotient check finds the cut quiver equal to the class
+quiver Q(R') at n - 1 (the cut is the quotient's quiver, the Iyama-Yoshino
+reduction), its key is Q(R')'s, computed once per class at n - 1 per run,
+before any fork.  Any other cut, and every degenerate deletion, is keyed
+itself.
 """
 
 from __future__ import annotations
@@ -145,12 +162,23 @@ def _inside(n: int, m: ed.TaggedEdge, e: ed.TaggedEdge) -> bool:
     return start < end <= (m.b - m.a) % n
 
 
-def _alphabet_law_failures(n: int) -> list[str]:
+def _inner_masks(n: int) -> list[int]:
+    """Per edge index m, the bitmask of the edges that _inside puts inside
+    m: bit m itself for an arc, and 0 for a spoke.  Built once per run and
+    read by the inner-arc law and the local structure."""
+    edges = ed.alphabet(n).edges
+    return [sum(1 << j for j, e in enumerate(edges) if _inside(n, m, e)) for m in edges]
+
+
+def _alphabet_law_failures(n: int, inner=None) -> list[str]:
     """The translation and the tag swap preserve each compatibility row
     (bit j of row i is bit g(j) of row g(i)), each edge kind, and the arcs
-    inside each connected arc."""
+    inside each connected arc (inner: _inner_masks(n), built if not
+    given; bit j of inner[i] is bit g(j) of inner[g(i)])."""
     alpha = ed.alphabet(n)
     edges, masks, kind = alpha.edges, alpha.masks, alpha.kind
+    if inner is None:
+        inner = _inner_masks(n)
     fails = []
     for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
         for i, m in enumerate(edges):
@@ -160,11 +188,25 @@ def _alphabet_law_failures(n: int) -> list[str]:
                 fails.append(f"{m.token()}: compatibility row not {name} equivariant")
             if kind[perm[i]] != kind[i]:
                 fails.append(f"{m.token()}: edge kind not {name} invariant")
-            if kind[i] == ed.CONNECTED and any(
-                    _inside(n, m, e) != _inside(n, edges[perm[i]], edges[perm[j]])
-                    for j, e in enumerate(edges)):
-                fails.append(f"{m.token()}: inner arcs not {name} equivariant")
+            if kind[i] == ed.CONNECTED:
+                moved = inner[perm[i]]
+                if inner[i] != sum(1 << j for j, k in enumerate(perm) if moved >> k & 1):
+                    fails.append(f"{m.token()}: inner arcs not {name} equivariant")
     return fails
+
+
+class Laws(namedtuple("Laws", "alphabet symmetry")):
+    """The failures of the laws at n that carry checks along the orbits:
+    _alphabet_law_failures and _check_symmetry_invariance.  all computes
+    them once and hands them to each suite that reads them; a suite run
+    alone computes its own."""
+
+    __slots__ = ()
+
+
+def _laws(n: int, inner=None) -> Laws:
+    """Both laws at n; the stabilizer check reads the transport table."""
+    return Laws(_alphabet_law_failures(n, inner), _check_symmetry_invariance(n))
 
 
 def _quotient_row_law_failures(n: int) -> list[str]:
@@ -372,7 +414,8 @@ def _check_flip_connected(n: int, laws: list[str]) -> list[str]:
     return fails + laws
 
 
-def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
+def suite_flip(n: int, jobs: int = 1, laws=None) -> SuiteReport:
+    """laws: the Laws at n, computed here (the alphabet laws) if not given."""
     names = ("every edge of every triangulation flips uniquely and involutively",
              "flip graph is connected from the fan")
     stopped = _enumeration_stopped(n)
@@ -381,16 +424,16 @@ def suite_flip(n: int, jobs: int = 1) -> SuiteReport:
     # at the class representatives; the compatibility-row law moves each
     # flip to the other orbit members
     results = _parallel(partial(_flip_chunk, n), _class_keys(n), jobs)
-    laws = _alphabet_law_failures(n)
+    alphabet = laws.alphabet if laws else _alphabet_law_failures(n)
     return SuiteReport("flip", n, list(zip(names, [
-        _gather([laws, *results]), _check_flip_connected(n, laws)])))
+        _gather([alphabet, *results]), _check_flip_connected(n, alphabet)])))
 
 
 # ---------------------------------------------------------------------------
 # transport
 
 
-def _check_commutation(n: int) -> list[str]:
+def _check_commutation(n: int, laws: list[str]) -> list[str]:
     """Mutate the quiver of every class representative at every flip with
     the public `mutate` and compare with quiver_of the flipped key, the
     table entry that the class walk carries it onto: the mutated arrows
@@ -399,8 +442,8 @@ def _check_commutation(n: int) -> list[str]:
     this cross-checks two implementations of the mutation rule.  A member
     g.T of the class has the quiver g.quiver_of(T) (the stabilizer check)
     and the flips g.flip(T, m) (the alphabet laws, checked here), and
-    mutation commutes with relabelling, so the comparison holds at g.T."""
-    laws = _alphabet_law_failures(n)
+    mutation commutes with relabelling, so the comparison holds at g.T.
+    laws: the alphabet law failures at n."""
     try:
         _, flips, _ = tr.class_graph(n)
     except ModelInconsistencyError as exc:
@@ -429,9 +472,9 @@ def _check_symmetry_invariance(n: int) -> list[str]:
                    and qv._moved(g, q.arrows) != q.arrows for g in group)]
 
 
-def suite_transport(n: int, jobs: int = 1, members=None) -> SuiteReport:
-    """members: the member pass at n (_member_pass), computed here if not
-    given."""
+def suite_transport(n: int, jobs: int = 1, members=None, laws=None) -> SuiteReport:
+    """members: the member pass at n (_member_pass); laws: the Laws at n;
+    each computed here if not given."""
     names = ("mutation commutes with every flip (path independence)",
              "direct template equals mutation transport",
              "quivers are translation and tag-swap equivariant")
@@ -439,47 +482,54 @@ def suite_transport(n: int, jobs: int = 1, members=None) -> SuiteReport:
     stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("transport", n, names, stopped)
+    laws = laws or _laws(n)
     direct = (members or _member_pass(n, jobs))[0]
     return SuiteReport("transport", n, list(zip(names, [
-        _check_commutation(n), direct, _check_symmetry_invariance(n)])))
+        _check_commutation(n, laws.alphabet), direct, laws.symmetry])))
 
 
 # ---------------------------------------------------------------------------
 # the member pass (transport's template check and the types suite)
 
 
-def _member_chunk(n: int, inverse: dict, rep_key) -> tuple[list[str], ...]:
+def _member_chunk(n: int, inverse: dict, inner: list[int], rep_key) -> tuple[list[str], ...]:
     """The failures of the direct template, the type templates, the local
     structure and the relation dimension on the orbit of one class
-    representative R.  Each member g.T is built once and cut once:
-    direct_quiver_of, compared with g.Q(R) (no member canonicalized), and
-    relations_of read one decompose.  The templates and relations_of run
-    on every member; the local structure and the dimension count run at R
+    representative R.  Each member g.T is built once and cut once, and
+    checked in R's frame: the template's arrows, moved back by inverse[g],
+    must be Q(R)'s (no member canonicalized), and relations_of reads the
+    same decompose.  R itself, and a member whose arrows disagree, run
+    direct_quiver_of, its build and its cluster-quiver assertion, which
+    give the failure its message.  The templates and relations_of run on
+    every member; the local structure and the dimension count run at R
     and carry to g.T, whose quiver is g.Q(R) and whose relation generators,
     moved back by inverse[g], must be R's.  A member whose cut fails
     fails the template check and the dimension check."""
     q = qv.transport_table(n)[rep_key]
-    local = _local_structure_failures(n, rep_key, q)
+    local = _local_structure_failures(n, rep_key, q, inner)
     direct, templates, dims = [], [], []
     gens = dim = None
     for key, g in tr._orbit(n, rep_key).items():  # the representative first
         tri = tr.Triangulation(n, key)
         templates.extend(_template_failures(tri))
+        back = inverse[g]
         try:
-            if qv.direct_quiver_of(tri).arrows != qv._moved(g, q.arrows):
-                direct.append(f"{tri.token()}: template and transport disagree")
+            if key == rep_key or qv._moved(back, qv.decompose(tri).arrows) != q.arrows:
+                if qv.direct_quiver_of(tri).arrows != qv._moved(g, q.arrows):
+                    direct.append(f"{tri.token()}: template and transport disagree")
         except Exception as exc:  # noqa: BLE001
             direct.append(f"{tri.token()}: {exc}")
         try:
-            member = rl.relations_of(tri)
+            rels = rl.relations_of(tri)
         except Exception as exc:  # noqa: BLE001
             dims.append(f"{tri.token()}: {exc}")
             continue
+        member = _generators(rels, back)
         if key == rep_key:
-            gens, dim = _generators(member), rl.path_algebra_dimension(q, member)
+            gens, dim = member, rl.path_algebra_dimension(q, rels)
         elif gens is None:
             continue  # the representative's own failure is recorded
-        elif _generators(member, inverse[g]) != gens:
+        elif member != gens:
             dims.append(f"{tri.token()}: relations are not its representative's "
                         f"{tr.Triangulation(n, rep_key).token()} moved by the orbit map")
         expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
@@ -488,23 +538,28 @@ def _member_chunk(n: int, inverse: dict, rep_key) -> tuple[list[str], ...]:
     return direct, templates, local, dims
 
 
-def _member_pass(n: int, jobs: int) -> tuple[list[str], ...]:
+def _member_pass(n: int, jobs: int, inner=None) -> tuple[list[str], ...]:
     """_member_chunk over every class, each of its four failure lists
-    gathered; the inverse of each group element is computed once."""
+    gathered; the inverse of each group element, and the inner-arc masks
+    (inner, if not given), are computed once."""
     # g is a permutation of the indices, so its argsort is its inverse
     inverse = {g: sorted(range(len(g)), key=g.__getitem__) for g in tr._group(n)}
-    results = _parallel(partial(_member_chunk, n, inverse), _class_keys(n), jobs)
+    if inner is None:
+        inner = _inner_masks(n)
+    results = _parallel(partial(_member_chunk, n, inverse, inner), _class_keys(n), jobs)
     return tuple(map(_gather, zip(*results)))
 
 
-def _generators(rels: rl.RelationSet, g=None) -> tuple[frozenset, frozenset]:
+def _generators(rels: rl.RelationSet, g) -> tuple[frozenset, frozenset]:
     """The zero paths and the commutativity pairs, each pair unordered, as
-    sets of vertex tuples moved by the index map g (if given)."""
-    def move(path: tuple) -> tuple:
-        return path if g is None else tuple([g[v] for v in path])
-
-    return (frozenset(map(move, rels.zero_paths)),
-            frozenset(frozenset(map(move, pair)) for pair in rels.commutativity_pairs))
+    sets of vertex tuples moved by the index map g (the identity at R).
+    Most members have no commutativity pair, and skip building that set."""
+    zero = frozenset([itemgetter(*path)(g) for path in rels.zero_paths])
+    pairs = rels.commutativity_pairs
+    if not pairs:
+        return zero, frozenset()
+    return zero, frozenset([frozenset([itemgetter(*path)(g) for path in pair])
+                            for pair in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +644,13 @@ def _template_failures(tri: tr.Triangulation) -> list[str]:
     return [f"{tri.token()}: {reason}" for reason in fails]
 
 
-def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
+def _local_structure_failures(n: int, key, q: qv.Quiver, inner_masks) -> list[str]:
     """The local structure of the quiver q of the triangulation key, on
-    edge indices, its in, out and undirected adjacency built once."""
+    edge indices, its in, out and undirected adjacency built once; the arcs
+    inside each connected arc are read off inner_masks (_inner_masks(n))."""
     fails = []
     alpha = ed.alphabet(n)
-    edges, kinds = alpha.edges, alpha.kind
+    kinds = alpha.kind
     token = tr.Triangulation(n, key).token()
     outs = {v: [] for v in q.vertices}
     ins = {v: [] for v in q.vertices}
@@ -615,7 +671,7 @@ def _local_structure_failures(n: int, key, q: qv.Quiver) -> list[str]:
         kind = kinds[m]
         vm = alpha.tokens[m]
         if kind == ed.CONNECTED:
-            inner = {i for i in key if i != m and _inside(n, edges[m], edges[i])}
+            inner = {i for i in key if i != m and inner_masks[m] >> i & 1}
             outer = set(key) - inner - {m}
             for s, t in q.arrows:
                 if (s in inner and t in outer) or (s in outer and t in inner):
@@ -657,9 +713,9 @@ def _check_census(n: int) -> list[str]:
     return fails
 
 
-def suite_types(n: int, jobs: int = 1, members=None) -> SuiteReport:
-    """members: the member pass at n (_member_pass), computed here if not
-    given."""
+def suite_types(n: int, jobs: int = 1, members=None, laws=None) -> SuiteReport:
+    """members: the member pass at n (_member_pass); laws: the Laws at n
+    (the alphabet laws); each computed here if not given."""
     names = ("each triangulation matches exactly one type template",
              "type and class censuses are consistent",
              "separation, region-neighbor, and border-vertex structure",
@@ -668,30 +724,34 @@ def suite_types(n: int, jobs: int = 1, members=None) -> SuiteReport:
     if stopped:
         return _stopped_report("types", n, names, stopped)
     _, templates, local, dims = members or _member_pass(n, jobs)
+    alphabet = laws.alphabet if laws else _alphabet_law_failures(n)
     return SuiteReport("types", n, list(zip(names, [
-        templates, _check_census(n), _gather([_alphabet_law_failures(n), local]), dims])))
+        templates, _check_census(n), _gather([alphabet, local]), dims])))
 
 
 # ---------------------------------------------------------------------------
 # prop45 (quotient laws)
 
 
-def _prop45_chunk(n: int, rep_key) -> list[str]:
+def _prop45_chunk(n: int, class_keys: dict, rep_key) -> list[str]:
     """prop45 on the orbit of one class representative, run at the
     representative.  Its deletions are keyed and tested against A(n-1) and
     D(n-1), and its quotients compared with the class table at n - 1.
-    Every other member is the image of the representative under a group
-    element g, and its quiver is the class quiver relabelled by g; with the
-    edge kinds invariant under the group the membership and connectivity
-    facts carry over, and with the quotient rows equivariant (up to h at
-    n - 1) and the n - 1 table fixed by its stabilizers, so does the
-    quotient law."""
+    A close-to-border deletion whose cut quiver, labelled through the
+    quotient's edge map, is the class quiver Q(R') at n - 1 has that
+    quiver's key, class_keys[R']; any other is keyed itself.  Every other
+    member is the image of the representative under a group element g, and
+    its quiver is the class quiver relabelled by g; with the edge kinds
+    invariant under the group the membership and connectivity facts carry
+    over, and with the quotient rows equivariant (up to h at n - 1) and the
+    n - 1 table fixed by its stabilizers, so does the quotient law."""
     fails = []
     alpha = ed.alphabet(n)
     class_d, class_a = qv.mutation_class_d(n - 1), qv.mutation_class_a(n - 1)
     rep = tr.Triangulation(n, rep_key)
     q = qv.transport_table(n)[rep_key]
     reduced = qv.transport_table(n - 1)
+    group = tr._group(n - 1)
 
     def minus(i: int) -> str:
         return f"{rep.token()} minus {alpha.tokens[i]}"
@@ -700,7 +760,24 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
     for i in rep_key:
         kind = alpha.kind[i]
         connected = i in connected_cuts
-        key = qv.canonical_key(qv.delete_vertex(q, i)) if connected else None
+        quotient = None
+        if kind == ed.CLOSE_TO_BORDER:
+            # labelled equality through the quotient's edge map, in its class's frame
+            edge_map = tr.quotient_map(rep, alpha.edges[i])
+            rep2, h = tr._class_of(n - 1, tuple(sorted(edge_map.values())))
+            h = group[h]
+            entry = reduced.get(rep2)
+            if entry is None:
+                quotient = "quotient is not a triangulation"
+            elif tuple(sorted([(h[edge_map[s]], h[edge_map[t]]) for s, t in q.arrows
+                               if s != i and t != i])) != entry.arrows:
+                quotient = "quotient quiver differs"
+        if not connected:
+            key = None
+        elif kind == ed.CLOSE_TO_BORDER and quotient is None:
+            key = class_keys[rep2]  # the cut quiver is Q(rep2) relabelled
+        else:
+            key = qv.canonical_key(qv.delete_vertex(q, i))
         in_d = key in class_d
         in_a = key in class_a
         if in_d != (kind == ed.CLOSE_TO_BORDER):
@@ -709,18 +786,8 @@ def _prop45_chunk(n: int, rep_key) -> list[str]:
             fails.append(f"{minus(i)}: A-membership {in_a}, {kind}")
         if kind == ed.CONNECTED and connected:
             fails.append(f"{minus(i)}: connected arc left it connected")
-        if kind != ed.CLOSE_TO_BORDER:
-            continue
-        # labelled equality through the quotient's edge map, in its class's frame
-        edge_map = tr.quotient_map(rep, alpha.edges[i])
-        rep2, h = tr._class_of(n - 1, tuple(sorted(edge_map.values())))
-        h = tr._group(n - 1)[h]
-        entry = reduced.get(rep2)
-        if entry is None:
-            fails.append(f"{minus(i)}: quotient is not a triangulation")
-        elif tuple(sorted([(h[edge_map[s]], h[edge_map[t]]) for s, t in q.arrows
-                           if s != i and t != i])) != entry.arrows:
-            fails.append(f"{minus(i)}: quotient quiver differs")
+        if quotient:
+            fails.append(f"{minus(i)}: {quotient}")
     return fails
 
 
@@ -766,7 +833,8 @@ def _class_size_failures(k: int) -> list[str]:
     return fails
 
 
-def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
+def suite_prop45(n: int, jobs: int = 1, laws=None) -> SuiteReport:
+    """laws: the Laws at n, computed here if not given."""
     if n < 5:
         raise UnsupportedSizeError(
             f"prop45 needs n >= 5, as it deletes a vertex into size n-1; got n={n}"
@@ -776,11 +844,13 @@ def suite_prop45(n: int, jobs: int = 1) -> SuiteReport:
     if stopped:
         return _stopped_report("prop45", n, [name], stopped)
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
-    results = _parallel(partial(_prop45_chunk, n), _class_keys(n), jobs)
+    # one key per class at n - 1, before forking, for the cuts that are its quiver
+    class_keys = {key: qv.canonical_key(q) for key, q in qv.transport_table(n - 1).items()}
+    results = _parallel(partial(_prop45_chunk, n, class_keys), _class_keys(n), jobs)
+    laws = laws or _laws(n)
     return SuiteReport("prop45", n, [
-        (name, _gather([sizes, _alphabet_law_failures(n), _quotient_row_law_failures(n),
-                        _check_symmetry_invariance(n), _check_symmetry_invariance(n - 1),
-                        *results]))])
+        (name, _gather([sizes, laws.alphabet, _quotient_row_law_failures(n),
+                        laws.symmetry, _check_symmetry_invariance(n - 1), *results]))])
 
 
 # ---------------------------------------------------------------------------
@@ -888,18 +958,22 @@ def run_suite(suite: str, n: int, jobs: int = 1) -> list[SuiteReport]:
     if suite == "d4":
         return [suite_d4(n)]
     if suite == "all":
-        reports = [suite_crossing(n), suite_flip(n, jobs)]
-        # one member pass serves transport and types; it reads the table
-        members = (None if _enumeration_stopped(n) or _table_stopped(n)
-                   else _member_pass(n, jobs))
-        reports.append(suite_transport(n, jobs, members))
+        reports = [suite_crossing(n)]
+        # the laws at n and one member pass serve flip, transport, types and
+        # prop45, the inner-arc masks both laws and pass; they read the table
+        laws = members = None
+        if not (_enumeration_stopped(n) or _table_stopped(n)):
+            inner = _inner_masks(n)
+            laws, members = _laws(n, inner), _member_pass(n, jobs, inner)
+        reports.append(suite_flip(n, jobs, laws))
+        reports.append(suite_transport(n, jobs, members, laws))
         _release_class_walk()  # commutation was the walk's last reader
-        reports.append(suite_types(n, jobs, members))
+        reports.append(suite_types(n, jobs, members, laws))
         members = None
         if n >= 5:
             # prop45 and prop47 assume n >= 5; at n=4 the d4 suite documents
             # the failure of the class-quiver bijection instead
-            reports.append(suite_prop45(n, jobs))
+            reports.append(suite_prop45(n, jobs, laws))
             reports.append(suite_prop47(n))
         reports.append(suite_d4(4))
         return reports

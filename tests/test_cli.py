@@ -238,19 +238,67 @@ def test_verify_all_decomposes_each_triangulation_once(monkeypatch):
         assert len(calls) == 672
 
 
-def test_prop45_keys_each_connected_deletion_once(monkeypatch):
-    # one canonical key per connected deletion of each class representative,
-    # tested against both classes; the other orbit members are checked by
-    # relabelling, and the quotient law is a labelled comparison
+def test_prop45_keys_degenerate_deletions_and_each_class_below_once(monkeypatch):
+    # one canonical key per connected degenerate deletion of each class
+    # representative, and one per class at n - 1: a close-to-border cut
+    # that the labelled quotient check finds equal to a class quiver at
+    # n - 1 takes that quiver's key.  The other orbit members are checked by
+    # relabelling
     canonical_key = qv.canonical_key
-    for n, want in ((6, 316), (7, 1029)):
+    for n, degenerate, want in ((6, 185, 211), (7, 567, 647)):
         qv.mutation_class_a(n - 1)
         qv.mutation_class_d(n - 1)
+        kinds = ed.alphabet(n).kind
+        assert sum(kinds[i] == ed.DEGENERATE and i in vf._connected_deletions(q)
+                   for key, q in qv.transport_table(n).items() for i in key) == degenerate
+        assert degenerate + len(tr.equivalence_classes(n - 1)) == want
         calls = []
         monkeypatch.setattr(qv, "canonical_key",
                             lambda q: calls.append(q) or canonical_key(q))
         assert vf.suite_prop45(n).ok
         assert len(calls) == want
+
+
+def test_all_computes_the_laws_once_per_n(monkeypatch):
+    # flip, transport, types and prop45 read one computation of each law at
+    # n; prop45 also checks the stabilizers at n - 1
+    calls = []
+    for name in ("_alphabet_law_failures", "_check_symmetry_invariance"):
+        law = getattr(vf, name)
+        monkeypatch.setattr(vf, name, lambda n, *rest, law=law, name=name: (
+            calls.append((name, n)) or law(n, *rest)))
+    assert all(r.ok for r in vf.run_suite("all", 6))
+    assert sorted(calls) == [("_alphabet_law_failures", 6),
+                             ("_check_symmetry_invariance", 5),
+                             ("_check_symmetry_invariance", 6)]
+
+
+def test_prop45_keys_a_cut_directly_when_its_class_entry_below_is_corrupted(monkeypatch):
+    # one arrow of a class quiver at n - 1 reversed: the deletions whose
+    # quotient lands in that class fail the labelled check, each is keyed
+    # from its own cut quiver, and the line is the one the suite printed
+    # when every close-to-border cut was keyed itself
+    n = 6
+    table = qv.transport_table(n - 1)
+    key = tr.equivalence_classes(n - 1)[9].representative.key
+    good = table[key]
+    (s, t), *rest = good.arrows
+    rep = tr.parse_triangulation(n, "p:1-3,p:1-4,p:1-5,s:1:+,s:5:+,s:6:+")
+    cut = qv.delete_vertex(qv.transport_table(n)[rep.key], ed.alphabet(n).by_token["p:1-3"])
+    canonical_key = qv.canonical_key
+    calls = []
+    monkeypatch.setattr(qv, "canonical_key", lambda q: calls.append(q) or canonical_key(q))
+    table[key] = qv.Quiver(good.vertices, tuple(sorted([(t, s), *rest])), n - 1)
+    try:
+        report = vf.suite_prop45(n)
+    finally:
+        table[key] = good
+    assert report.lines() == [
+        "FAIL vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff "
+        "degenerate: 5 failure(s); smallest: p:1-3,p:1-4,p:1-5,s:1:+,s:5:+,s:6:+ "
+        "minus p:1-3: quotient quiver differs",
+        "FAIL suite=prop45 n=6"]
+    assert cut in calls
 
 
 def _non_representative(n, accept=lambda key: True):
@@ -345,6 +393,28 @@ def test_a_dropped_template_arrow_fails_the_template_check(capsys, monkeypatch):
     monkeypatch.setattr(qv, "_decompose", dropped)
     want = ["FAIL direct template equals mutation transport: 1 failure(s); "
             f"smallest: {member.token()}: template and transport disagree"]
+    assert _member_lines(capsys, "transport") == want
+    assert _member_lines(capsys, "all") == want
+
+
+def test_a_member_whose_cut_gains_a_2_cycle_fails_with_the_assertion(capsys, monkeypatch):
+    # members are compared in their representative's frame; one whose
+    # template differs is built whole, so the cluster-quiver assertion of
+    # direct_quiver_of names the 2-cycle.  Its relations still compose
+    member = tr.Triangulation(6, _member_of_class(6, 9))
+    assert member.token() == "p:1-3,p:1-4,p:1-5,s:1:-,s:5:-,s:6:-"
+    cut = qv._decompose
+
+    def two_cycle(tri):
+        dec = cut(tri)
+        if tri.key != member.key:
+            return dec
+        s, t = dec.arrows[0]
+        return dec._replace(arrows=dec.arrows + ((t, s),))
+
+    monkeypatch.setattr(qv, "_decompose", two_cycle)
+    want = ["FAIL direct template equals mutation transport: 1 failure(s); smallest: "
+            f"{member.token()}: 2-cycle 's:1:-'<->'s:5:-' (direct at {member.token()})"]
     assert _member_lines(capsys, "transport") == want
     assert _member_lines(capsys, "all") == want
 

@@ -97,6 +97,61 @@ def test_mutate_involution_and_matrix_oracle():
     assert count > 100
 
 
+def reference_mutate(q, v):
+    """Mutation as counted in three passes: reverse at v while counting,
+    compose through v, then cancel each opposite pair from its lower end."""
+    if v not in q.vertices:
+        raise ValueError(f"unknown vertex {v!r}")
+    counts = {}
+    ins, outs = [], []
+    for s, t in q.arrows:
+        if s == v or t == v:
+            counts[(t, s)] = counts.get((t, s), 0) + 1
+            if t == v:
+                ins.append(s)
+            else:
+                outs.append(t)
+        else:
+            counts[(s, t)] = counts.get((s, t), 0) + 1
+    for u in ins:
+        for w in outs:
+            if u == w:
+                raise ModelInconsistencyError("2-cycle through mutation vertex")
+            counts[(u, w)] = counts.get((u, w), 0) + 1
+    for s, t in list(counts):
+        if s < t:
+            cancel = min(counts[(s, t)], counts.get((t, s), 0))
+            if cancel:
+                counts[(s, t)] -= cancel
+                counts[(t, s)] -= cancel
+    arrows = []
+    for pair, c in counts.items():
+        arrows.extend([pair] * c)
+    return Quiver(q.vertices, tuple(sorted(arrows)), q.n)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ModelInconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_mutate_equals_the_three_pass_reference_on_random_multigraphs():
+    # multiple arrows, loops, 2-cycles and unknown vertices included: the
+    # same quiver or the same error at every vertex
+    rng = random.Random(20)
+    errors = 0
+    for _ in range(3000):
+        arrows = [(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randrange(13))]
+        q = Quiver.build(range(6), arrows)
+        for v in range(7):
+            got = _outcome(mutate, q, v)
+            assert got == _outcome(reference_mutate, q, v), (arrows, v)
+            errors += not isinstance(got, Quiver)
+    assert 0 < errors < 3000 * 7
+
+
 def test_base_quiver_shape():
     q = base_quiver(5)
     assert q.to_json()["arrows"] == [
