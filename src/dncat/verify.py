@@ -73,6 +73,10 @@ failure lists of both suites; in all it runs once per n and both read
 it, and a suite run alone runs it itself.  A member whose cut fails is a
 failure of both the template check and the dimension count.
 
+Every check line has a fault that fails it: the table of faults in
+tests/test_faults.py, whose coverage test requires a row for each line of
+all at n = 6, so a new line needs a row there.
+
 prop45 keys its close-to-border deletions through the quotient class.
 Where the labelled quotient check finds the cut quiver equal to the class
 quiver Q(R') at n - 1 (the cut is the quotient's quiver, the Iyama-Yoshino
@@ -703,6 +707,13 @@ def _check_census(n: int) -> list[str]:
     count = len(tr.equivalence_classes(n))
     if sum(classes.values()) != count:
         fails.append("class census does not sum to the class count")
+    weighted = dict.fromkeys(census, 0)  # the classes' orbits, per recorded type
+    for cls in tr.equivalence_classes(n):
+        weighted[cls.type] += cls.orbit_size
+    for kind, total in weighted.items():
+        if total != census[kind]:
+            fails.append(f"type {kind} classes' orbits hold {total} triangulations, "
+                         f"type census {census[kind]}")
     if count != tr.class_count_formula(n):
         fails.append(f"{count} classes, but |Mut(D_{n})| = {tr.class_count_formula(n)}")
     if n == 5:

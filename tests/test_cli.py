@@ -16,7 +16,9 @@ from dncat import relations as rl
 from dncat import triangulations as tr
 from dncat import verify as vf
 from dncat.cli import main
-from dncat.errors import ModelInconsistencyError, UnsupportedSizeError
+from dncat.errors import UnsupportedSizeError
+
+import test_faults as tf
 
 FAN5 = "p:1-3,p:1-4,p:1-5,s:1:+,s:1:-"
 ALL_SPOKES5 = "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+"
@@ -273,150 +275,94 @@ def test_all_computes_the_laws_once_per_n(monkeypatch):
                              ("_check_symmetry_invariance", 6)]
 
 
-def test_prop45_keys_a_cut_directly_when_its_class_entry_below_is_corrupted(monkeypatch):
-    # one arrow of a class quiver at n - 1 reversed: the deletions whose
-    # quotient lands in that class fail the labelled check, each is keyed
-    # from its own cut quiver, and the line is the one the suite printed
-    # when every close-to-border cut was keyed itself
-    n = 6
-    table = qv.transport_table(n - 1)
-    key = tr.equivalence_classes(n - 1)[9].representative.key
-    good = table[key]
-    (s, t), *rest = good.arrows
-    rep = tr.parse_triangulation(n, "p:1-3,p:1-4,p:1-5,s:1:+,s:5:+,s:6:+")
-    cut = qv.delete_vertex(qv.transport_table(n)[rep.key], ed.alphabet(n).by_token["p:1-3"])
+# Each fault test below keeps the name it had before the table of faults
+# in tests/test_faults.py and runs its fault's rows, which hold what it
+# asserted (the table's own runner repeats them); a few add a fact.
+
+
+def test_prop45_keys_a_cut_directly_when_its_class_entry_below_is_corrupted(capsys, monkeypatch):
+    # the deletions whose quotient lands in the reversed class at n - 1 fail
+    # the labelled check, and each is keyed from its own cut quiver
+    rep = tr.parse_triangulation(6, tf.CLASS9)
+    cut = qv.delete_vertex(qv.transport_table(6)[rep.key], ed.alphabet(6).by_token["p:1-3"])
     canonical_key = qv.canonical_key
     calls = []
     monkeypatch.setattr(qv, "canonical_key", lambda q: calls.append(q) or canonical_key(q))
-    table[key] = qv.Quiver(good.vertices, tuple(sorted([(t, s), *rest])), n - 1)
-    try:
-        report = vf.suite_prop45(n)
-    finally:
-        table[key] = good
-    assert report.lines() == [
-        "FAIL vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff "
-        "degenerate: 5 failure(s); smallest: p:1-3,p:1-4,p:1-5,s:1:+,s:5:+,s:6:+ "
-        "minus p:1-3: quotient quiver differs",
-        "FAIL suite=prop45 n=6"]
+    tf.check_fault(capsys, monkeypatch, tf.reversed_entry_below)
     assert cut in calls
 
 
-def _non_representative(n, accept=lambda key: True):
-    reps = {cls.representative.key for cls in tr.equivalence_classes(n)}
-    return next(t.key for t in tr.enumerate_all(n) if t.key not in reps and accept(t.key))
-
-
-def _failing_checks(report):
-    return {name for name, fails in report.checks if fails}
-
-
-def _reports_with_entry(n, key, arrows):
-    """The transport, types and prop45 reports at n with the class table's
-    entry at the representative key replaced by the given arrows."""
-    table = qv.transport_table(n)
-    good = table[key]
-    table[key] = qv.Quiver(good.vertices, tuple(sorted(arrows)), n)
-    try:
-        return vf.suite_transport(n), vf.suite_types(n), vf.suite_prop45(n)
-    finally:
-        table[key] = good
-
-
-def test_a_corrupted_class_entry_fails_transport_types_and_prop45():
-    # every member's quiver is read from its class entry; an entry with one
-    # vertex cut off must fail each suite that reads it, run alone
-    key = tr.equivalence_classes(6)[9].representative.key
-    arrows = [a for a in qv.transport_table(6)[key].arrows if key[0] not in a]
-    transport, types, prop45 = _reports_with_entry(6, key, arrows)
-    assert _failing_checks(transport) >= {
-        "mutation commutes with every flip (path independence)",
-        "direct template equals mutation transport"}
-    assert "separation, region-neighbor, and border-vertex structure" in _failing_checks(types)
-    assert not prop45.ok
+def test_a_corrupted_class_entry_fails_transport_types_and_prop45(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.entry_cut_off)
     assert all(r.ok for r in (vf.suite_transport(6), vf.suite_types(6), vf.suite_prop45(6)))
 
 
-def _member_of_class(n, index, accept=lambda key: True):
-    """The first orbit member of the class at index, other than its
-    representative, that accept takes."""
-    rep = tr.equivalence_classes(n)[index].representative.key
-    return next(key for key in tr._orbit_keys(n, rep) if key != rep and accept(key))
-
-
-def _member_lines(capsys, suite, n=6):
-    code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
-    assert code == 1 and err == ""  # no error: line, no traceback
-    return [line for line in out.splitlines() if line.startswith("FAIL ") and " suite=" not in line]
-
-
 def test_a_member_whose_cut_fails_is_a_fail_line(capsys, monkeypatch):
-    # the member pass catches the failure per member: the template check
-    # and the dimension check each name it, and no suite ends on error:
-    member = tr.Triangulation(6, _member_of_class(6, 9))
-    cut = qv._decompose
-
-    def failing(tri):
-        if tri.key == member.key:
-            raise ModelInconsistencyError("cut refused")
-        return cut(tri)
-
-    monkeypatch.setattr(qv, "_decompose", failing)
-    direct = ("FAIL direct template equals mutation transport: 1 failure(s); "
-              f"smallest: {member.token()}: cut refused")
-    dims = ("FAIL relation ideals give the morphism-space dimensions: 1 failure(s); "
-            f"smallest: {member.token()}: cut refused")
-    assert _member_lines(capsys, "transport") == [direct]
-    assert _member_lines(capsys, "types") == [dims]
-    assert _member_lines(capsys, "all") == [direct, dims]
+    tf.check_fault(capsys, monkeypatch, tf.member_cut_refused)
 
 
 def test_a_dropped_template_arrow_fails_the_template_check(capsys, monkeypatch):
-    # an arrow that no relation generator uses leaves relations_of and the
-    # dimension count untouched; the member's template still differs from
-    # its class quiver moved onto it
-    def unused(key):
-        dec = qv._decompose(tr.Triangulation(6, key))
-        used = {step for path in dec.zero_paths + sum(dec.comm_pairs, ())
-                for step in zip(path, path[1:])}
-        return [a for a in dec.arrows if a not in used]
-
-    member = tr.Triangulation(6, _member_of_class(6, 9, unused))
-    arrow = unused(member.key)[0]
-    cut = qv._decompose
-
-    def dropped(tri):
-        dec = cut(tri)
-        if tri.key != member.key:
-            return dec
-        return dec._replace(arrows=tuple(a for a in dec.arrows if a != arrow))
-
-    monkeypatch.setattr(qv, "_decompose", dropped)
-    want = ["FAIL direct template equals mutation transport: 1 failure(s); "
-            f"smallest: {member.token()}: template and transport disagree"]
-    assert _member_lines(capsys, "transport") == want
-    assert _member_lines(capsys, "all") == want
+    tf.check_fault(capsys, monkeypatch, tf.dropped_template_arrow)
 
 
 def test_a_member_whose_cut_gains_a_2_cycle_fails_with_the_assertion(capsys, monkeypatch):
-    # members are compared in their representative's frame; one whose
-    # template differs is built whole, so the cluster-quiver assertion of
-    # direct_quiver_of names the 2-cycle.  Its relations still compose
-    member = tr.Triangulation(6, _member_of_class(6, 9))
-    assert member.token() == "p:1-3,p:1-4,p:1-5,s:1:-,s:5:-,s:6:-"
-    cut = qv._decompose
+    tf.check_fault(capsys, monkeypatch, tf.two_cycle)
 
-    def two_cycle(tri):
-        dec = cut(tri)
-        if tri.key != member.key:
-            return dec
-        s, t = dec.arrows[0]
-        return dec._replace(arrows=dec.arrows + ((t, s),))
 
-    monkeypatch.setattr(qv, "_decompose", two_cycle)
-    want = ["FAIL direct template equals mutation transport: 1 failure(s); smallest: "
-            f"{member.token()}: 2-cycle 's:1:-'<->'s:5:-' (direct at {member.token()})"]
-    assert _member_lines(capsys, "transport") == want
-    assert _member_lines(capsys, "all") == want
+def test_an_entry_not_fixed_by_its_stabilizer_fails_equivariance(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.stabilizer_moved)
+    assert vf.suite_transport(6).ok
+
+
+def test_types_alone_catches_a_dropped_generator(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.dropped_generator)
+
+
+def test_flip_alone_catches_a_cleared_mask_bit(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.cleared_spoke_bit)
+    # the row law names the cleared row in both checks
+    with tf.applied(tf.cleared_spoke_bit, monkeypatch):
+        for _, fails in vf.suite_flip(6).checks:
+            assert "s:1:+: compatibility row not translation equivariant" in fails
+
+
+def test_connectivity_catches_an_unreachable_class(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.unreachable_class)
+
+
+def test_connectivity_catches_revisits_of_a_proper_subgroup(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.translation_revisits)
+
+
+@pytest.mark.parametrize("suite", ["all", "transport", "types", "prop45", "prop47"])
+def test_a_stopped_class_walk_fails_each_suite_reading_the_table(capsys, monkeypatch, suite):
+    tf.check_fault(capsys, monkeypatch, tf.stopped_walk, [suite])
+
+
+def test_prop45_reports_a_stopped_walk_at_n_minus_1(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.stopped_walk_below)
+
+
+def test_a_path_dependent_transport_fails_its_checks(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.path_dependent)
+
+
+def test_crossing_alone_catches_a_short_maximal_set(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.short_kernel, ["crossing"])
+
+
+@pytest.mark.parametrize("suite", ["all", "flip", "transport", "types", "prop45", "prop47"])
+def test_every_suite_reports_a_short_maximal_set(capsys, monkeypatch, suite):
+    tf.check_fault(capsys, monkeypatch, tf.short_kernel, [suite])
+
+
+def test_prop45_alone_catches_a_corrupted_quotient_row(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.quotient_row)
+
+
+@pytest.mark.parametrize("fault", [tf.a_count_off, tf.d_count_off], ids=["A", "D"])
+def test_prop45_checks_the_class_sizes(capsys, monkeypatch, fault):
+    tf.check_fault(capsys, monkeypatch, fault)
 
 
 def test_all_releases_the_class_walk_before_types(monkeypatch):
@@ -437,278 +383,10 @@ def test_connected_deletions_match_the_cut_quivers(n):
             i for i in key if qv.is_connected(qv.delete_vertex(q, i))}, key
 
 
-def test_an_entry_not_fixed_by_its_stabilizer_fails_equivariance():
-    # quiver_of moves the class entry by one group element per member; an
-    # entry that an element fixing its representative moves is caught
-    n = 6
-    for cls in tr.equivalence_classes(n):
-        key = cls.representative.key
-        stabilizer = [g for g in tr._group(n)
-                      if tuple(sorted(g[i] for i in key)) == key and any(g[i] != i for i in key)]
-        if stabilizer:
-            break
-    g = stabilizer[0]
-    good = qv.transport_table(n)[key]
-    s, t = next(a for a in good.arrows if (g[a[0]], g[a[1]]) != a)
-    arrows = [(t, s) if a == (s, t) else a for a in good.arrows]  # one arrow reversed
-    transport, _, prop45 = _reports_with_entry(n, key, arrows)
-    fails = dict(transport.checks)["quivers are translation and tag-swap equivariant"]
-    assert fails == [f"{cls.representative.token()}: quiver not fixed by its stabilizer"]
-    assert not prop45.ok
-    assert vf.suite_transport(n).ok
-
-
-def test_types_alone_catches_a_dropped_generator(monkeypatch):
-    # the dimension count runs at the class representatives; one member
-    # losing a zero path whose loss changes its dimension must still fail
-    relations_of = rl.relations_of
-
-    def dropped(key):
-        rels = relations_of(tr.Triangulation(6, key))
-        return rl.RelationSet(rels.zero_paths[1:], rels.commutativity_pairs, rels.n)
-
-    def visible(key):
-        q = qv.quiver_of(tr.Triangulation(6, key))
-        rels = relations_of(tr.Triangulation(6, key))
-        return (rels.zero_paths and rl.path_algebra_dimension(q, dropped(key))
-                != rl.path_algebra_dimension(q, rels))
-
-    key = _non_representative(6, visible)
-    monkeypatch.setattr(rl, "relations_of",
-                        lambda tri: dropped(key) if tri.key == key else relations_of(tri))
-    report = vf.suite_types(6)
-    assert _failing_checks(report) == {"relation ideals give the morphism-space dimensions"}
-
-
-CONNECTED = "flip graph is connected from the fan"
-
-
-@pytest.fixture
-def walk_fault(monkeypatch):
-    """Room for a fault in the class walk at n = 6: the enumeration and the
-    class tables at n = 6 and n - 1 are built from the true alphabet first,
-    so only the walk and what reads it see the fault, and the walk's cache
-    is cleared around the test.  (With no table cached, a walk that stops
-    stops the transport build too, and each suite that reads the table
-    fails every check with "transport table at n=6 stopped".)"""
-    tr.count_all(6)
-    qv.transport_table(5)
-    qv.transport_table(6)
-    tr.class_graph.cache_clear()
-    yield monkeypatch
-    monkeypatch.undo()
-    tr.class_graph.cache_clear()
-
-
-def _connectivity_fails(capsys, want):
-    """Run flip alone and all at n = 6: each exits 1 with FAIL lines and no
-    error, and the connectivity line reports the failure want."""
-    for suite in ("flip", "all"):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
-        assert code == 1 and err == ""  # no error: line, no traceback
-        line = next(line for line in out.splitlines() if CONNECTED in line)
-        assert line.startswith(f"FAIL {CONNECTED}: ") and want in line, line
-    return out.splitlines()
-
-
-def _clear_a_mask_bit(monkeypatch, n):
-    """The alphabet at n with the lowest set bit of its first spoke row
-    cleared."""
-    alphabet = ed.alphabet
-    alpha = alphabet(n)
-    i = next(i for i, e in enumerate(alpha.edges) if e.is_spoke)
-    row = alpha.masks[i]
-    masks = list(alpha.masks)
-    masks[i] = row & (row - 1)  # clears the lowest set bit
-    bad = alpha._replace(masks=tuple(masks))
-    monkeypatch.setattr(ed, "alphabet", lambda k: bad if k == n else alphabet(k))
-
-
-def test_flip_alone_catches_a_cleared_mask_bit(capsys, walk_fault):
-    # flips run at the class representatives, and the compatibility rows
-    # carry them to the orbits; a row with one bit cleared must fail
-    _clear_a_mask_bit(walk_fault, 6)
-    # both checks report their failures: the flip back of p:1-3 and the
-    # class walk meet a row with no replacement, and the row law names it
-    lines = _connectivity_fails(capsys, "smallest: walk from the fan stopped: flip of "
-                                        "s:2:+ has 0 replacements")
-    assert lines[5].startswith("FAIL every edge of every triangulation flips "
-                               "uniquely and involutively: ")
-    for _, fails in vf.suite_flip(6).checks:
-        assert "s:1:+: compatibility row not translation equivariant" in fails
-
-
-def test_connectivity_catches_an_unreachable_class(capsys, walk_fault):
-    # the class of the all-spoke triangulation is entered by one flip of one
-    # representative; a flip sent back onto its own triangulation leaves it
-    # unreached
-    _, flips, _ = tr.class_graph(6)
-    into = {}
-    for key, row in flips.items():
-        for m, (_, rep, _) in zip(key, row):
-            if rep != key:
-                into.setdefault(rep, []).append((key, m))
-    lone = [rep for rep, entries in into.items() if len(entries) == 1]
-    assert len(lone) == 1 and tr.Triangulation(6, lone[0]).token() == (
-        "s:1:+,s:2:+,s:3:+,s:4:+,s:5:+,s:6:+")
-    (rep, m), = into[lone[0]]
-    flip_index = tr._flip_index
-    walk_fault.setattr(tr, "_flip_index", lambda n, key, i: (
-        (key, i) if (n, key, i) == (6, rep, m) else flip_index(n, key, i)))
-    tr.class_graph.cache_clear()
-    _connectivity_fails(capsys, "1 failure(s); smallest: reached 79 of 80 classes "
-                                "from the fan")
-
-
-def test_connectivity_catches_revisits_of_a_proper_subgroup(capsys, walk_fault):
-    # the revisits carry the fan's component onto itself; when they
-    # generate only the translations, the walk proves nothing about the
-    # component's images under the tag swap
-    start, flips, revisits = tr.class_graph(6)
-    assert len(revisits) == len(tr._group(6)) == 12
-    translations = frozenset(y for y in revisits if y % 2 == 0)  # tau^k sits at 2k
-    real = tr.class_graph
-    walk_fault.setattr(tr, "class_graph", lambda n: (
-        (start, flips, translations) if n == 6 else real(n)))
-    assert vf._check_flip_connected(6, []) == ["revisits generate 6 of 12 group elements"]
-    _connectivity_fails(capsys, "1 failure(s); smallest: revisits generate 6 of 12 "
-                                "group elements")
-
-
-# the suites that read the transport table, and their checks
-READS_TABLE = {"transport": 3, "types": 4, "prop45": 1, "prop47": 1}
-
-
-def _table_stopped_lines(out, want):
-    """The check lines of the suites in READS_TABLE, each a FAIL whose one
-    failure starts with want; returns the suite= lines."""
-    suites, block = [], []
-    for line in out.splitlines():
-        if " suite=" not in line:
-            block.append(line)
-            continue
-        suites.append(line)
-        suite = line.split(" suite=")[1].split()[0]
-        if suite in READS_TABLE:
-            assert len(block) == READS_TABLE[suite]
-            for check in block:
-                assert check.startswith("FAIL ") and (
-                    f": 1 failure(s); smallest: {want}" in check), check
-        block = []
-    return suites
-
-
-@pytest.mark.parametrize("suite", ["all", *READS_TABLE])
-def test_a_stopped_class_walk_fails_each_suite_reading_the_table(capsys, walk_fault, suite):
-    # with no table cached, the walk stops at the cleared bit inside the
-    # transport build; each suite that reads the table asks for it up front
-    # and reports the stop on each of its checks, not as one error: line
-    _clear_a_mask_bit(walk_fault, 6)
-    qv.transport_table.cache_clear()
-    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "6")
-    assert code == 1 and err == ""
-    suites = _table_stopped_lines(
-        out, "transport table at n=6 stopped: flip of s:2:+ has 0 replacements []; expected 1")
-    if suite == "all":
-        assert suites == [f"FAIL suite={s} n=6" for s in ("crossing", "flip", *READS_TABLE)] + [
-            "PASS suite=d4 n=4"]
-    else:
-        assert suites == [f"FAIL suite={suite} n=6"]
-
-
-def test_prop45_reports_a_stopped_walk_at_n_minus_1(capsys, monkeypatch):
-    tr.count_all(5)
-    qv.transport_table(6)
-    _clear_a_mask_bit(monkeypatch, 5)
-    qv.transport_table.cache_clear()
-    tr.class_graph.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "--suite", "prop45", "--n", "6")
-    finally:
-        monkeypatch.undo()
-        tr.class_graph.cache_clear()
-    assert code == 1 and err == ""
-    assert _table_stopped_lines(out, "transport table at n=5 stopped: flip of ") == [
-        "FAIL suite=prop45 n=6"]
-
-
-def test_a_path_dependent_transport_fails_its_checks(capsys, monkeypatch):
-    # a mutation that drops an arrow makes the transported quivers disagree;
-    # the build stops, and each check of the suite reports it
-    mutate_arrows = qv._mutate_arrows
-    monkeypatch.setattr(qv, "_mutate_arrows",
-                        lambda arrows, v, v2: mutate_arrows(arrows, v, v2)[1:])
-    qv.transport_table.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "--suite", "transport", "--n", "5")
-    finally:
-        monkeypatch.undo()
-        qv.transport_table.cache_clear()
-    assert code == 1 and err == ""
-    assert _table_stopped_lines(
-        out, "transport table at n=5 stopped: transported quiver depends on the flip "
-             "path at ") == ["FAIL suite=transport n=5"]
-
-
 @pytest.fixture
 def short_kernel(monkeypatch):
-    """A clique kernel that drops one vertex from the first clique, so the
-    enumeration stops at every n; the enumeration cache is cleared around
-    it, and the suites' other caches are bypassed by their up-front ask."""
-    kernel = tr.maximal_cliques
-
-    def short(masks, m):
-        cliques = kernel(masks, m)
-        return [cliques[0][1:]] + cliques[1:]
-
-    tr._all_index_sets.cache_clear()
-    monkeypatch.setattr(tr, "maximal_cliques", short)
-    yield
-    monkeypatch.undo()
-    tr._all_index_sets.cache_clear()
-
-
-def test_crossing_alone_catches_a_short_maximal_set(capsys, short_kernel):
-    # a kernel that drops one vertex from one clique stops the enumeration;
-    # both checks on the enumeration report it, and the suite still prints
-    code, out, err = run(capsys, "verify", "--suite", "crossing", "--n", "5")
-    assert code == 1 and "PASS" not in out and "error:" not in err
-    stopped = ("1 failure(s); smallest: enumeration stopped: "
-               "maximal non-crossing set of size 4 at n=5")
-    assert out.splitlines() == [
-        "ok   crossing symmetry, range, translation and tag-swap invariance",
-        "ok   staple arrangement oracle agreement",
-        f"FAIL every maximal non-crossing set has n edges: {stopped}",
-        f"FAIL triangulation count matches the cluster-count formula: {stopped}",
-        "FAIL suite=crossing n=5",
-    ]
-
-
-# checks per suite that need the enumeration
-NEEDS_ENUMERATION = {"crossing": 2, "flip": 2, "transport": 3, "types": 4,
-                     "prop45": 1, "prop47": 1, "d4": 1}
-
-
-@pytest.mark.parametrize("suite", ["all", "flip", "transport", "types", "prop45", "prop47"])
-def test_every_suite_reports_a_short_maximal_set(capsys, short_kernel, suite):
-    # each check that needs the enumeration fails with the kernel guard's
-    # message, the others still run, and no suite ends the run with error:
-    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "5")
-    assert code == 1 and "PASS" not in out and "error:" not in err
-    suites = list(NEEDS_ENUMERATION) if suite == "all" else [suite]
-    lines = out.splitlines()
-    assert [line for line in lines if " suite=" in line] == [
-        f"FAIL suite={s} n={4 if s == 'd4' else 5}" for s in suites]
-    checks = [line for line in lines if " suite=" not in line]
-    fails = [line for line in checks if line.startswith("FAIL ")]
-    assert len(fails) == sum(NEEDS_ENUMERATION[s] for s in suites)
-    for line in fails:
-        k = 4 if "exist at n=4" in line else 5  # d4 runs at n = 4
-        assert line.endswith("1 failure(s); smallest: enumeration stopped: "
-                             f"maximal non-crossing set of size {k - 1} at n={k}"), line
-    assert [line for line in checks if not line.startswith("FAIL ")] == (
-        ["ok   crossing symmetry, range, translation and tag-swap invariance",
-         "ok   staple arrangement oracle agreement"] if suite == "all" else [])
+    with tf.applied(tf.short_kernel, monkeypatch):
+        yield
 
 
 def test_a_refused_enumeration_runs_the_kernel_once_per_n(capsys, monkeypatch, short_kernel):
@@ -824,29 +502,6 @@ def test_prop45_jobs_deterministic(capsys):
     assert serial == parallel and "PASS suite=prop45 n=6" in serial
 
 
-def test_prop45_alone_catches_a_corrupted_quotient_row(capsys, monkeypatch):
-    # the quotient law runs at the class representatives, and the quotient
-    # rows carry it to the orbits; p:2-4 is in no representative at n = 6,
-    # so its row is read only by the row law
-    n = 6
-    alpha = ed.alphabet(n)
-    i = alpha.index[ed.plain(2, 4)]
-    assert all(i not in cls.representative.key for cls in tr.equivalence_classes(n))
-    rows = tr._quotient_rows
-    row = list(rows(n)[i])
-    a, b = [j for j, r in enumerate(row) if r is not None][:2]
-    row[a], row[b] = row[b], row[a]
-    bad = {**rows(n), i: tuple(row)}
-    monkeypatch.setattr(tr, "_quotient_rows", lambda k: bad if k == n else rows(k))
-    code, out, err = run(capsys, "verify", "--suite", "prop45", "--n", "6")
-    assert code == 1 and "error:" not in err
-    assert out.splitlines() == [
-        "FAIL vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff "
-        "degenerate: 2 failure(s); smallest: p:2-4: quotient row not translation "
-        "equivariant",
-        "FAIL suite=prop45 n=6"]
-
-
 def test_quotient_row_law_names_an_arc_carried_off_the_rows(monkeypatch):
     n = 6
     rows = tr._quotient_rows
@@ -855,20 +510,6 @@ def test_quotient_row_law_names_an_arc_carried_off_the_rows(monkeypatch):
     monkeypatch.setattr(tr, "_quotient_rows", lambda k: bad if k == n else rows(k))
     assert vf._quotient_row_law_failures(n) == [
         "p:3-5: translation carries the arc off the quotient rows"]
-
-
-@pytest.mark.parametrize("patch, want", [
-    ("mutation_class_a_count", "|Mut(A_5)| = 19, formula 20"),
-    ("class_count_formula", "|Mut(D_5)| = 26, formula 27"),
-], ids=["A", "D"])
-def test_prop45_checks_the_class_sizes(monkeypatch, patch, want):
-    module = qv if patch == "mutation_class_a_count" else tr
-    count = getattr(module, patch)
-    monkeypatch.setattr(module, patch, lambda k: count(k) + 1)
-    report = vf.suite_prop45(6)
-    assert not report.ok
-    ((_, fails),) = report.checks
-    assert fails == [want]
 
 
 def test_mutation_classes_are_built_once(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 import dncat
 from dncat import edges as ed
-from dncat import verify as vf
 from dncat.edges import (
     Alphabet,
     alphabet,
@@ -28,6 +27,8 @@ from dncat.edges import (
     tau_order,
 )
 from dncat.errors import InvalidEdgeError, InvalidVertexError, UnsupportedSizeError
+
+import test_faults as tf
 
 
 def test_delta_length_examples():
@@ -253,37 +254,16 @@ def test_alphabet_matches_the_pairwise_reference():
             assert getattr(got, field) == getattr(want, field), (n, field)
 
 
-def _broken_alphabet(monkeypatch, n, **fields):
-    """Serve an alphabet at n with the given fields replaced, as if cached."""
-    real = ed.alphabet
-    broken = real(n)._replace(**fields)
-    monkeypatch.setattr(ed, "alphabet", lambda k: broken if k == n else real(k))
+# the crossing suite's fault tests keep their names and run their rows of
+# the table in tests/test_faults.py
 
 
-def test_crossing_suite_catches_a_swapped_crossing_pair(monkeypatch):
-    n = 6
-    row = bytearray(alphabet(n).cross[0])
-    j, k = row.index(0), row.index(1)
-    row[j], row[k] = row[k], row[j]
-    _broken_alphabet(monkeypatch, n, cross=(bytes(row),) + alphabet(n).cross[1:])
-    lines = vf.suite_crossing(n).lines()
-    assert lines[0].startswith(
-        "FAIL crossing symmetry, range, translation and tag-swap invariance: 2 failure(s)")
-    assert lines[1:] == ["ok   staple arrangement oracle agreement",
-                         "ok   every maximal non-crossing set has n edges",
-                         "ok   triangulation count matches the cluster-count formula",
-                         f"FAIL suite=crossing n={n}"]
+def test_crossing_suite_catches_a_swapped_crossing_pair(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.swapped_crossing_pair)
 
 
-def test_crossing_suite_catches_a_flipped_mask_bit(monkeypatch):
-    n = 6
-    masks = list(alphabet(n).masks)
-    masks[3] ^= 1 << 7
-    _broken_alphabet(monkeypatch, n, masks=tuple(masks))
-    lines = vf.suite_crossing(n).lines()
-    assert lines[0] == ("FAIL crossing symmetry, range, translation and tag-swap invariance: "
-                        "1 failure(s); smallest: mask bit at "
-                        f"{alphabet(n).tokens[3]},{alphabet(n).tokens[7]} disagrees with the rule")
+def test_crossing_suite_catches_a_flipped_mask_bit(capsys, monkeypatch):
+    tf.check_fault(capsys, monkeypatch, tf.flipped_mask_bit)
 
 
 def test_import_builds_no_tables():
