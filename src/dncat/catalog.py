@@ -128,7 +128,8 @@ def _record(line: str, where: str, **fields: type) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed JSON in {where}: {exc}") from exc
-    if isinstance(record, dict) and all(isinstance(record.get(f), t) for f, t in fields.items()):
+    # exact types: JSON true and false are bools, which isinstance takes for ints
+    if type(record) is dict and all(type(record.get(f)) is t for f, t in fields.items()):
         return record
     spec = ", ".join(f"{f}: {t.__name__}" for f, t in fields.items())
     raise CatalogError(f"{where} must be a JSON object with {spec}")

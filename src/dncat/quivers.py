@@ -346,7 +346,11 @@ def _decompose(tri: tr.Triangulation) -> Decomposition:
                 stack.append((x, k))  # split first
 
     if kind == tr.TYPE1:
-        j = next(i for i in arcs if i % m == m - 1)  # length n
+        j = next((i for i in arcs if i % m == m - 1), None)  # length n
+        if j is None:
+            raise ModelInconsistencyError(
+                f"type 1 needs an arc of length {n}, found none in {tri.token()}"
+            )
         a = j // m + 1
         b = (a - 2) % n + 1
         add_region(a, b)

@@ -53,13 +53,16 @@ first check compares every entry of both tables with the rule at each
 pair it visits, and that pair comparison is what ties the tables (and so
 every suite that reads them) to the rule.
 
-The laws run once per run.  In all, the alphabet laws
-(_alphabet_law_failures) and the stabilizer check at n
-(_check_symmetry_invariance) are computed once, as one Laws, and handed to
-flip, transport, types and prop45; a suite run alone computes its own.
-A broken law is a failure of every check it carries.  The arcs inside
-each arc are one bitmask per edge (_inner_masks), built once per run for
-the inner-arc law and the local structure.
+The work that flip, transport, types and prop45 share at n is one run
+value (_Run), built by run_suite for the suites it runs and by each of
+those suites when called alone.  It holds n, the worker count, and four
+parts: the arcs inside each arc as one bitmask per edge (_inner_masks),
+the alphabet laws (_alphabet_law_failures), the stabilizer check at n
+(_check_symmetry_invariance) and the member pass (below).  The first
+suite to read a part computes it, in its own span, and every later
+suite of the run reads the same value: in all, flip computes the masks
+and the alphabet laws, and transport the stabilizer check and the member
+pass.  A broken law is a failure of every check it carries.
 
 The type templates, direct template == transport and relations_of run on
 every member, in one pass over each orbit (_member_pass) that builds and
@@ -69,9 +72,9 @@ representative's frame: the template's arrows, moved back by g^-1, as
 one sorted tuple against Q(R)'s, no member canonicalized.  R itself, and
 a member that disagrees, are built by direct_quiver_of, whose cluster-
 quiver assertion gives a failure its message.  The pass returns the
-failure lists of both suites; in all it runs once per n and both read
-it, and a suite run alone runs it itself.  A member whose cut fails is a
-failure of both the template check and the dimension count.
+failure lists of transport and types, which both read it from the run.
+A member whose cut fails is a failure of both the template check and the
+dimension count.
 
 Every check line has a fault that fails it: the table of faults in
 tests/test_faults.py, whose coverage test requires a row for each line of
@@ -89,7 +92,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 
 from . import edges as ed
@@ -168,21 +171,19 @@ def _inside(n: int, m: ed.TaggedEdge, e: ed.TaggedEdge) -> bool:
 
 def _inner_masks(n: int) -> list[int]:
     """Per edge index m, the bitmask of the edges that _inside puts inside
-    m: bit m itself for an arc, and 0 for a spoke.  Built once per run and
-    read by the inner-arc law and the local structure."""
+    m: bit m itself for an arc, and 0 for a spoke.  Built once per run
+    (_Run.inner) and read by the inner-arc law and the local structure."""
     edges = ed.alphabet(n).edges
     return [sum(1 << j for j, e in enumerate(edges) if _inside(n, m, e)) for m in edges]
 
 
-def _alphabet_law_failures(n: int, inner=None) -> list[str]:
+def _alphabet_law_failures(n: int, inner: list[int]) -> list[str]:
     """The translation and the tag swap preserve each compatibility row
     (bit j of row i is bit g(j) of row g(i)), each edge kind, and the arcs
-    inside each connected arc (inner: _inner_masks(n), built if not
-    given; bit j of inner[i] is bit g(j) of inner[g(i)])."""
+    inside each connected arc (inner: _inner_masks(n); bit j of inner[i]
+    is bit g(j) of inner[g(i)])."""
     alpha = ed.alphabet(n)
     edges, masks, kind = alpha.edges, alpha.masks, alpha.kind
-    if inner is None:
-        inner = _inner_masks(n)
     fails = []
     for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
         for i, m in enumerate(edges):
@@ -199,18 +200,29 @@ def _alphabet_law_failures(n: int, inner=None) -> list[str]:
     return fails
 
 
-class Laws(namedtuple("Laws", "alphabet symmetry")):
-    """The failures of the laws at n that carry checks along the orbits:
-    _alphabet_law_failures and _check_symmetry_invariance.  all computes
-    them once and hands them to each suite that reads them; a suite run
-    alone computes its own."""
+class _Run:
+    """The work that flip, transport, types and prop45 share at n, each part
+    computed when a suite first reads it (the module docstring); jobs is the
+    worker count of the per-class chunks."""
 
-    __slots__ = ()
+    def __init__(self, n: int, jobs: int = 1) -> None:
+        self.n, self.jobs = n, jobs
 
+    @cached_property
+    def inner(self) -> list[int]:
+        return _inner_masks(self.n)
 
-def _laws(n: int, inner=None) -> Laws:
-    """Both laws at n; the stabilizer check reads the transport table."""
-    return Laws(_alphabet_law_failures(n, inner), _check_symmetry_invariance(n))
+    @cached_property
+    def alphabet(self) -> list[str]:
+        return _alphabet_law_failures(self.n, self.inner)
+
+    @cached_property
+    def symmetry(self) -> list[str]:
+        return _check_symmetry_invariance(self.n)
+
+    @cached_property
+    def members(self) -> tuple[list[str], ...]:
+        return _member_pass(self.n, self.jobs, self.inner)
 
 
 def _quotient_row_law_failures(n: int) -> list[str]:
@@ -418,8 +430,9 @@ def _check_flip_connected(n: int, laws: list[str]) -> list[str]:
     return fails + laws
 
 
-def suite_flip(n: int, jobs: int = 1, laws=None) -> SuiteReport:
-    """laws: the Laws at n, computed here (the alphabet laws) if not given."""
+def suite_flip(n: int, run: _Run | None = None) -> SuiteReport:
+    """run: the shared work at n, built here if not given."""
+    run = run or _Run(n)
     names = ("every edge of every triangulation flips uniquely and involutively",
              "flip graph is connected from the fan")
     stopped = _enumeration_stopped(n)
@@ -427,10 +440,9 @@ def suite_flip(n: int, jobs: int = 1, laws=None) -> SuiteReport:
         return _stopped_report("flip", n, names, stopped)
     # at the class representatives; the compatibility-row law moves each
     # flip to the other orbit members
-    results = _parallel(partial(_flip_chunk, n), _class_keys(n), jobs)
-    alphabet = laws.alphabet if laws else _alphabet_law_failures(n)
+    results = _parallel(partial(_flip_chunk, n), _class_keys(n), run.jobs)
     return SuiteReport("flip", n, list(zip(names, [
-        _gather([alphabet, *results]), _check_flip_connected(n, alphabet)])))
+        _gather([run.alphabet, *results]), _check_flip_connected(n, run.alphabet)])))
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +488,9 @@ def _check_symmetry_invariance(n: int) -> list[str]:
                    and qv._moved(g, q.arrows) != q.arrows for g in group)]
 
 
-def suite_transport(n: int, jobs: int = 1, members=None, laws=None) -> SuiteReport:
-    """members: the member pass at n (_member_pass); laws: the Laws at n;
-    each computed here if not given."""
+def suite_transport(n: int, run: _Run | None = None) -> SuiteReport:
+    """run: the shared work at n, built here if not given."""
+    run = run or _Run(n)
     names = ("mutation commutes with every flip (path independence)",
              "direct template equals mutation transport",
              "quivers are translation and tag-swap equivariant")
@@ -486,10 +498,8 @@ def suite_transport(n: int, jobs: int = 1, members=None, laws=None) -> SuiteRepo
     stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("transport", n, names, stopped)
-    laws = laws or _laws(n)
-    direct = (members or _member_pass(n, jobs))[0]
     return SuiteReport("transport", n, list(zip(names, [
-        _check_commutation(n, laws.alphabet), direct, laws.symmetry])))
+        _check_commutation(n, run.alphabet), run.members[0], run.symmetry])))
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +552,12 @@ def _member_chunk(n: int, inverse: dict, inner: list[int], rep_key) -> tuple[lis
     return direct, templates, local, dims
 
 
-def _member_pass(n: int, jobs: int, inner=None) -> tuple[list[str], ...]:
+def _member_pass(n: int, jobs: int, inner: list[int]) -> tuple[list[str], ...]:
     """_member_chunk over every class, each of its four failure lists
-    gathered; the inverse of each group element, and the inner-arc masks
-    (inner, if not given), are computed once."""
+    gathered; the inverse of each group element is computed once, and
+    inner is _inner_masks(n)."""
     # g is a permutation of the indices, so its argsort is its inverse
     inverse = {g: sorted(range(len(g)), key=g.__getitem__) for g in tr._group(n)}
-    if inner is None:
-        inner = _inner_masks(n)
     results = _parallel(partial(_member_chunk, n, inverse, inner), _class_keys(n), jobs)
     return tuple(map(_gather, zip(*results)))
 
@@ -724,9 +732,9 @@ def _check_census(n: int) -> list[str]:
     return fails
 
 
-def suite_types(n: int, jobs: int = 1, members=None, laws=None) -> SuiteReport:
-    """members: the member pass at n (_member_pass); laws: the Laws at n
-    (the alphabet laws); each computed here if not given."""
+def suite_types(n: int, run: _Run | None = None) -> SuiteReport:
+    """run: the shared work at n, built here if not given."""
+    run = run or _Run(n)
     names = ("each triangulation matches exactly one type template",
              "type and class censuses are consistent",
              "separation, region-neighbor, and border-vertex structure",
@@ -734,10 +742,9 @@ def suite_types(n: int, jobs: int = 1, members=None, laws=None) -> SuiteReport:
     stopped = _enumeration_stopped(n) or _table_stopped(n)
     if stopped:
         return _stopped_report("types", n, names, stopped)
-    _, templates, local, dims = members or _member_pass(n, jobs)
-    alphabet = laws.alphabet if laws else _alphabet_law_failures(n)
+    _, templates, local, dims = run.members
     return SuiteReport("types", n, list(zip(names, [
-        templates, _check_census(n), _gather([alphabet, local]), dims])))
+        templates, _check_census(n), _gather([run.alphabet, local]), dims])))
 
 
 # ---------------------------------------------------------------------------
@@ -844,12 +851,13 @@ def _class_size_failures(k: int) -> list[str]:
     return fails
 
 
-def suite_prop45(n: int, jobs: int = 1, laws=None) -> SuiteReport:
-    """laws: the Laws at n, computed here if not given."""
+def suite_prop45(n: int, run: _Run | None = None) -> SuiteReport:
+    """run: the shared work at n, built here if not given."""
     if n < 5:
         raise UnsupportedSizeError(
             f"prop45 needs n >= 5, as it deletes a vertex into size n-1; got n={n}"
         )
+    run = run or _Run(n)
     name = "vertex deletion lands in D(n-1) iff close to border, in A(n-1) iff degenerate"
     stopped = _enumeration_stopped(n, n - 1) or _table_stopped(n, n - 1)
     if stopped:
@@ -857,11 +865,10 @@ def suite_prop45(n: int, jobs: int = 1, laws=None) -> SuiteReport:
     sizes = _class_size_failures(n - 1)  # builds both classes before forking
     # one key per class at n - 1, before forking, for the cuts that are its quiver
     class_keys = {key: qv.canonical_key(q) for key, q in qv.transport_table(n - 1).items()}
-    results = _parallel(partial(_prop45_chunk, n, class_keys), _class_keys(n), jobs)
-    laws = laws or _laws(n)
+    results = _parallel(partial(_prop45_chunk, n, class_keys), _class_keys(n), run.jobs)
     return SuiteReport("prop45", n, [
-        (name, _gather([sizes, laws.alphabet, _quotient_row_law_failures(n),
-                        laws.symmetry, _check_symmetry_invariance(n - 1), *results]))])
+        (name, _gather([sizes, run.alphabet, _quotient_row_law_failures(n),
+                        run.symmetry, _check_symmetry_invariance(n - 1), *results]))])
 
 
 # ---------------------------------------------------------------------------
@@ -954,37 +961,29 @@ def _witness_failures(a: tr.Triangulation, b: tr.Triangulation,
 
 
 def run_suite(suite: str, n: int, jobs: int = 1) -> list[SuiteReport]:
+    run = _Run(n, jobs)
     if suite == "crossing":
         return [suite_crossing(n)]
     if suite == "flip":
-        return [suite_flip(n, jobs)]
+        return [suite_flip(n, run)]
     if suite == "transport":
-        return [suite_transport(n, jobs)]
+        return [suite_transport(n, run)]
     if suite == "types":
-        return [suite_types(n, jobs)]
+        return [suite_types(n, run)]
     if suite == "prop45":
-        return [suite_prop45(n, jobs)]
+        return [suite_prop45(n, run)]
     if suite == "prop47":
         return [suite_prop47(n)]
     if suite == "d4":
         return [suite_d4(n)]
     if suite == "all":
-        reports = [suite_crossing(n)]
-        # the laws at n and one member pass serve flip, transport, types and
-        # prop45, the inner-arc masks both laws and pass; they read the table
-        laws = members = None
-        if not (_enumeration_stopped(n) or _table_stopped(n)):
-            inner = _inner_masks(n)
-            laws, members = _laws(n, inner), _member_pass(n, jobs, inner)
-        reports.append(suite_flip(n, jobs, laws))
-        reports.append(suite_transport(n, jobs, members, laws))
+        reports = [suite_crossing(n), suite_flip(n, run), suite_transport(n, run)]
         _release_class_walk()  # commutation was the walk's last reader
-        reports.append(suite_types(n, jobs, members, laws))
-        members = None
+        reports.append(suite_types(n, run))
         if n >= 5:
             # prop45 and prop47 assume n >= 5; at n=4 the d4 suite documents
             # the failure of the class-quiver bijection instead
-            reports.append(suite_prop45(n, jobs, laws))
+            reports.append(suite_prop45(n, run))
             reports.append(suite_prop47(n))
         reports.append(suite_d4(4))
         return reports

@@ -275,6 +275,51 @@ def test_all_computes_the_laws_once_per_n(monkeypatch):
                              ("_check_symmetry_invariance", 6)]
 
 
+def _shared_work(monkeypatch) -> list:
+    """(name, n, suite) of each call of the run's parts, suite the innermost
+    vf.suite_* call active at the time (None outside every suite)."""
+    calls, active = [], []
+    for suite in ("crossing", "flip", "transport", "types", "prop45", "prop47", "d4"):
+        fn = getattr(vf, f"suite_{suite}")
+
+        def within(*args, fn=fn, suite=suite):
+            active.append(suite)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(vf, f"suite_{suite}", within)
+    for name in ("_inner_masks", "_alphabet_law_failures", "_check_symmetry_invariance",
+                 "_member_pass"):
+        fn = getattr(vf, name)
+        monkeypatch.setattr(vf, name, lambda n, *rest, fn=fn, name=name: (
+            calls.append((name, n, active[-1] if active else None)) or fn(n, *rest)))
+    return calls
+
+
+def test_all_computes_each_part_once_in_the_first_suite_to_read_it(monkeypatch):
+    # flip reads the masks and the alphabet laws first, transport the
+    # stabilizer check and the member pass; nothing runs between suites
+    calls = _shared_work(monkeypatch)
+    assert all(r.ok for r in vf.run_suite("all", 6))
+    assert sorted(calls) == [("_alphabet_law_failures", 6, "flip"),
+                             ("_check_symmetry_invariance", 5, "prop45"),
+                             ("_check_symmetry_invariance", 6, "transport"),
+                             ("_inner_masks", 6, "flip"),
+                             ("_member_pass", 6, "transport")]
+
+
+def test_a_suite_alone_computes_only_the_parts_it_reads(monkeypatch):
+    calls = _shared_work(monkeypatch)
+    assert vf.run_suite("flip", 6)[0].ok
+    assert sorted(calls) == [("_alphabet_law_failures", 6, "flip"), ("_inner_masks", 6, "flip")]
+    calls.clear()
+    assert vf.run_suite("types", 6)[0].ok  # the masks once, for the laws and the pass
+    assert sorted(calls) == [("_alphabet_law_failures", 6, "types"),
+                             ("_inner_masks", 6, "types"), ("_member_pass", 6, "types")]
+
+
 # Each fault test below keeps the name it had before the table of faults
 # in tests/test_faults.py and runs its fault's rows, which hold what it
 # asserted (the table's own runner repeats them); a few add a fact.
@@ -453,7 +498,7 @@ def test_template_checks_catch_a_wrong_classifier(monkeypatch):
 def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
     alphabet = ed.alphabet
     alpha = alphabet(6)
-    assert vf._alphabet_law_failures(6) == []
+    assert vf._alphabet_law_failures(6, vf._inner_masks(6)) == []
     index = alpha.index
     spoke = index[ed.spoke(1, 1)]
     masks = list(alpha.masks)
@@ -468,7 +513,8 @@ def test_alphabet_laws_name_a_broken_row_kind_and_side(monkeypatch):
                        (dict(tau=tuple(tau)), "p:1-4: inner arcs not translation")):
         bad = alpha._replace(**edit)
         monkeypatch.setattr(ed, "alphabet", lambda n: bad if n == 6 else alphabet(n))
-        assert any(f.startswith(want) for f in vf._alphabet_law_failures(6))
+        assert any(f.startswith(want)
+                   for f in vf._alphabet_law_failures(6, vf._inner_masks(6)))
 
 
 def test_verify_all_jobs_deterministic(capsys):
@@ -713,6 +759,11 @@ def _dropping(i, field, entry):
      "p:1-3,p:1-4,s:4:+,s:4:- before p:1-3,p:1-4,s:1:+,s:4:+"),
     ("classes.jsonl", _retype_first,
      "class p:1-3,p:1-4,s:1:+,s:1:- recorded as type 2, but it is of type 1"),
+    # JSON true is not the integer 1, though Python's bool is an int
+    ("classes.jsonl", lambda lines: [json.dumps({**json.loads(lines[0]), "type": True}),
+                                     *lines[1:]],
+     "classes.jsonl must be a JSON object with representative: str, orbitSize: int, "
+     "type: int"),
     # a class payload that is not its template (record 3 is of type 2)
     ("classes.jsonl", _dropping(0, "quiver", "arrows"),
      "class p:1-3,p:1-4,s:1:+,s:1:- has a quiver field unlike its template's"),
@@ -731,7 +782,7 @@ def _dropping(i, field, entry):
      lambda lines: ['{"edges":"p:1-3,zz,s:1:+,s:1:-"}', *lines[1:]],
      "malformed edge token 'zz'"),
 ], ids=["class-dropped", "class-repeated", "triangulation-dropped",
-        "triangulation-overwritten", "class-overwritten", "class-retyped",
+        "triangulation-overwritten", "class-overwritten", "class-retyped", "class-typed-true",
         "class-arrow-dropped", "class-zero-path-dropped", "class-pair-dropped",
         "triangulation-crossing", "triangulation-repeated-edge",
         "triangulation-malformed"])

@@ -464,6 +464,10 @@ ROWS = [
     Row(dropped_generator, "dims", 1, f"{MEMBER}: relations are not its representative's "
                                       f"{CLASS9} moved by the orbit map"),
     Row(wrong_classifier, "templates", 1, f"{MEMBER}: classifier disagrees with the predicates"),
+    *[Row(wrong_classifier, line, 1, f"{MEMBER}: type 1 needs an arc of length 6, found none "
+                                     f"in {MEMBER}") for line in ["direct", "dims"]],
+    Row(wrong_classifier, "census", 2, "type 1 classes' orbits hold 336 triangulations, "
+                                       "type census 337"),
     Row(swapped_class_types, "census", 2, "type 1 classes' orbits hold 342 triangulations, "
                                           "type census 336"),
     Row(member_edge_kind, "local", 2, "p:2-5: edge kind not translation invariant"),
@@ -484,8 +488,8 @@ ROWS = [
 EXACT = {swapped_crossing_pair, staple_swapped, short_kernel, count_formula_off,
          translation_revisits, stopped_walk, stopped_walk_below, entry_cut_off,
          member_cut_refused, dropped_template_arrow, two_cycle, dropped_generator,
-         swapped_class_types, reversed_entry_below, quotient_row, a_count_off, no_witness,
-         wrong_vertex_map}
+         wrong_classifier, swapped_class_types, reversed_entry_below, quotient_row,
+         a_count_off, no_witness, wrong_vertex_map}
 
 FAULTS = list(dict.fromkeys(row.fault for row in ROWS))
 
