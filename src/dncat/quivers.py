@@ -596,10 +596,6 @@ def connected_components(q: Quiver) -> int:
     return count
 
 
-def is_connected(q: Quiver) -> bool:
-    return connected_components(q) <= 1
-
-
 # ---------------------------------------------------------------------------
 # mutation classes
 

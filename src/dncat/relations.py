@@ -24,9 +24,6 @@ class RelationSet(namedtuple("RelationSet", "zero_paths commutativity_pairs n",
 
     __slots__ = ()
 
-    def is_empty(self) -> bool:
-        return not self.zero_paths and not self.commutativity_pairs
-
     def to_json(self) -> dict:
         """Paths by vertex name: edge tokens for a triangulation."""
         tokens = None if self.n is None else ed.alphabet(self.n).tokens

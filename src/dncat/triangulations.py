@@ -48,16 +48,6 @@ class Triangulation(namedtuple("Triangulation", "n key")):
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [e.to_json() for e in self.edges]}
 
-    def plains(self) -> tuple[TaggedEdge, ...]:
-        """The arcs: the n(n-2) arcs open the alphabet, so the key below n(n-2)."""
-        universe, key = ed.alphabet(self.n).edges, self.key
-        return tuple([universe[i] for i in key[:bisect_left(key, self.n * (self.n - 2))]])
-
-    def spokes(self) -> tuple[TaggedEdge, ...]:
-        """The spokes, by base and +1 before -1: the key from n(n-2) on."""
-        universe, key = ed.alphabet(self.n).edges, self.key
-        return tuple([universe[i] for i in key[bisect_left(key, self.n * (self.n - 2)):]])
-
     def __repr__(self) -> str:
         return f"Triangulation[n={self.n}: {self.token()}]"
 

@@ -7,13 +7,13 @@ from n = 10 on, p:1-10... sorts before p:1-3....  The rest keep the order
 they find them in: the maximality check in enumeration order, the symmetry
 check in key order when run alone, and _check_flip_connected,
 _check_commutation and _check_census in their own order, any carried-law
-failures last.  Suites: crossing, flip, transport, types, prop45,
-prop47, d4, all.  Each suite asks for the enumeration once, up front; when
-the clique kernel's size guard refuses it, every check that needs it
-fails with "enumeration stopped: ..." instead of running.  Each suite
-that reads the transport table then asks for it the same way: a class
-walk or a build that stops fails each of its checks with "transport table
-at n=... stopped: ...".
+failures last (on the dimension line, after its sorted member failures).
+Suites: crossing, flip, transport, types, prop45, prop47, d4, all.  Each
+suite asks for the enumeration once, up front; when the clique kernel's
+size guard refuses it, every check that needs it fails with "enumeration
+stopped: ..." instead of running.  Each suite that reads the transport
+table then asks for it the same way: a class walk or a build that stops
+fails each of its checks with "transport table at n=... stopped: ...".
 
 The translation tau and the tag swap sigma carry a triangulation T to the
 members g.T of its orbit, and Gamma(T), Gamma(tau T) and Gamma(sigma T) are
@@ -42,10 +42,10 @@ run alone:
   law (_quotient_row_law_failures) gives quotient(g.T, g.m) =
   h.quotient(T, m) for some h of the group at n - 1, and the stabilizer
   check at n - 1 makes quiver_of there equivariant under h.
-- types, dimension count: at the representatives.  On every member the
-  relation generators (each commutativity pair unordered) must be the
-  representative's moved by g, and the count is compared with the
-  member's own hom total.
+- types, dimension count: at the representatives, against the hom total.
+  On every member the relation generators (each commutativity pair
+  unordered) must be the representative's moved by g, and the hom law
+  (_hom_law_failures) makes the hom total of g.T equal T's.
 
 The per-n crossing and mask tables are built by translation from the rows
 at vertex 1, not by the crossing rule pair by pair.  The crossing suite's
@@ -223,6 +223,23 @@ class _Run:
     @cached_property
     def members(self) -> tuple[list[str], ...]:
         return _member_pass(self.n, self.jobs, self.inner)
+
+
+def _hom_law_failures(n: int) -> list[str]:
+    """The translation and the tag swap preserve each crossing row and
+    commute with tau^-1, so dim Hom(g a, g b) = e(g a, tau^-1 g b) is
+    dim Hom(a, b) and the hom total of g.T is T's."""
+    alpha = ed.alphabet(n)
+    cross, tau_inv = alpha.cross, alpha.tau_inv
+    fails = []
+    for name, perm in (("translation", alpha.tau), ("tag swap", alpha.sigma)):
+        gather = itemgetter(*perm)  # row[g j], j in order
+        for i, token in enumerate(alpha.tokens):
+            if gather(cross[perm[i]]) != tuple(cross[i]):
+                fails.append(f"{token}: crossing row not {name} equivariant")
+            if tau_inv[perm[i]] != perm[tau_inv[i]]:
+                fails.append(f"{token}: {name} does not commute with tau^-1")
+    return fails
 
 
 def _quotient_row_law_failures(n: int) -> list[str]:
@@ -515,10 +532,10 @@ def _member_chunk(n: int, inverse: dict, inner: list[int], rep_key) -> tuple[lis
     relations_of reads the same decompose.  A member whose arrows disagree
     runs direct_quiver_of, its build and its cluster-quiver assertion,
     which give the failure its message.  The templates and relations_of run on
-    every member; the local structure and the dimension count run at R
-    and carry to g.T, whose quiver is g.Q(R) and whose relation generators,
-    moved back by inverse[g], must be R's.  A member whose cut fails
-    fails the template check and the dimension check."""
+    every member; the local structure and the dimension count run at R and
+    carry to g.T: its quiver is g.Q(R), its relation generators moved back
+    by inverse[g] must be R's, and the hom law gives it R's hom total.  A
+    member whose cut fails fails the template check and the dimension check."""
     q = qv.transport_table(n)[rep_key]
     local = _local_structure_failures(n, rep_key, q, inner)
     direct, templates, dims = [], [], []
@@ -541,14 +558,12 @@ def _member_chunk(n: int, inverse: dict, inner: list[int], rep_key) -> tuple[lis
         member = _generators(rels, back)
         if key == rep_key:
             gens, dim = member, rl.path_algebra_dimension(q, rels)
-        elif gens is None:
-            continue  # the representative's own failure is recorded
-        elif member != gens:
+            expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
+            if dim != expected:
+                dims.append(f"{tri.token()}: algebra dimension {dim} != hom total {expected}")
+        elif gens is not None and member != gens:  # else R's failure is recorded
             dims.append(f"{tri.token()}: relations are not its representative's "
                         f"{tr.Triangulation(n, rep_key).token()} moved by the orbit map")
-        expected = sum(map(sum, tr.pairwise_hom_matrix(tri)))
-        if dim != expected:
-            dims.append(f"{tri.token()}: algebra dimension {dim} != hom total {expected}")
     return direct, templates, local, dims
 
 
@@ -735,7 +750,8 @@ def suite_types(n: int, run: _Run | None = None) -> SuiteReport:
         return _stopped_report("types", n, names, stopped)
     _, templates, local, dims = run.members
     return SuiteReport("types", n, list(zip(names, [
-        templates, _check_census(n), _gather([run.alphabet, local]), dims])))
+        templates, _check_census(n), _gather([run.alphabet, local]),
+        dims + _hom_law_failures(n)])))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,15 @@ def test_all_computes_each_part_once_in_the_first_suite_to_read_it(monkeypatch):
                              ("_member_pass", 6, "transport")]
 
 
+def test_the_hom_total_runs_once_per_class(monkeypatch):
+    # at the representatives only: the hom law carries it to the members
+    pairwise_hom_matrix, keys = tr.pairwise_hom_matrix, []
+    monkeypatch.setattr(tr, "pairwise_hom_matrix",
+                        lambda tri: keys.append(tri.key) or pairwise_hom_matrix(tri))
+    assert all(r.ok for r in vf.run_suite("all", 6))
+    assert keys == vf._class_keys(6) and len(keys) == 80
+
+
 def test_a_suite_alone_computes_only_the_parts_it_reads(monkeypatch):
     calls = _shared_work(monkeypatch)
     assert vf.run_suite("flip", 6)[0].ok
@@ -408,10 +417,10 @@ def test_all_releases_the_class_walk_before_types(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_connected_deletions_match_the_cut_quivers(n):
-    # prop45's bitmask search against is_connected on each cut quiver
+    # prop45's bitmask search against connected_components on each cut quiver
     for key, q in qv.transport_table(n).items():
         assert vf._connected_deletions(q) == {
-            i for i in key if qv.is_connected(qv.delete_vertex(q, i))}, key
+            i for i in key if qv.connected_components(qv.delete_vertex(q, i)) == 1}, key
 
 
 @pytest.fixture

@@ -195,11 +195,35 @@ def _member() -> tuple:
 
 def swapped_crossing_pair(mp):
     # a 0 and a 1 of the first crossing row at n = 6; the dimension count
-    # reads each member's hom total off the crossing rows
+    # reads each representative's hom total off the crossing rows, and the
+    # hom law the rows of every member
     row = bytearray(ed.alphabet(6).cross[0])
     j, k = row.index(0), row.index(1)
     row[j], row[k] = row[k], row[j]
     _alphabet(mp, 6, cross=(bytes(row), *ed.alphabet(6).cross[1:]))
+
+
+def member_cross_entry(mp):
+    # the p:1-3 entry of p:2-5's crossing row, 1 to 0: p:2-5 is in no
+    # representative, so only the hom law reads its row
+    alpha = ed.alphabet(6)
+    i, j = alpha.by_token["p:2-5"], alpha.by_token["p:1-3"]
+    assert all(i not in key for key in vf._class_keys(6))
+    row = bytearray(alpha.cross[i])
+    assert row[j] == 1
+    row[j] = 0
+    _alphabet(mp, 6, cross=(*alpha.cross[:i], bytes(row), *alpha.cross[i + 1:]))
+
+
+def member_tau_inv(mp):
+    # the tau^-1 images of p:2-5 and p:2-4 swapped: both are in no
+    # representative, so only the hom law reads them
+    alpha = ed.alphabet(6)
+    i, j = alpha.by_token["p:2-5"], alpha.by_token["p:2-4"]
+    assert all(i not in key and j not in key for key in vf._class_keys(6))
+    tau_inv = list(alpha.tau_inv)
+    tau_inv[i], tau_inv[j] = tau_inv[j], tau_inv[i]
+    _alphabet(mp, 6, tau_inv=tuple(tau_inv))
 
 
 def flipped_mask_bit(mp):
@@ -346,7 +370,8 @@ def type_three_for_four(mp):
 
 def swapped_class_types(mp):
     # the types of classes 0 (type 1, orbit 6) and 4 (type 3, orbit 12)
-    # swapped: the class census and both censuses' sums are unchanged
+    # swapped: the class census per type is unchanged, and only the orbit
+    # sums per type move
     classes = list(tr.equivalence_classes(6))
     a, b = classes[0], classes[4]
     assert (a.type, a.orbit_size, b.type, b.orbit_size) == (1, 6, 3, 12)
@@ -431,7 +456,10 @@ PATH = "transport table at n=5 stopped: transported quiver depends on the flip p
 
 ROWS = [
     Row(swapped_crossing_pair, "axioms", 2, "table e(p:1-3,p:1-3) = 1, rule 0"),
-    Row(swapped_crossing_pair, "dims", 182, f"{FAN_CLASS}: algebra dimension 20 != hom total 19"),
+    Row(swapped_crossing_pair, "dims", 81, f"{FAN_CLASS}: algebra dimension 20 != hom total 19"),
+    Row(member_cross_entry, "axioms", 1, "table e(p:2-5,p:1-3) = 0, rule 1"),
+    Row(member_cross_entry, "dims", 2, "p:2-5: crossing row not translation equivariant"),
+    Row(member_tau_inv, "dims", 4, "p:2-4: translation does not commute with tau^-1"),
     Row(flipped_mask_bit, "axioms", 1, "mask bit at p:1-6,p:2-1 disagrees with the rule"),
     Row(staple_swapped, "staple", 17, "p:1-3,p:2-1: rule 1 vs staple 0"),
     *[Row(short_kernel, line, 1, STOPPED, 5) for line in [
@@ -459,7 +487,7 @@ ROWS = [
                                           "mutation != flip"),
     Row(entry_cut_off, "direct", 12, f"{CLASS9}: template and transport disagree"),
     Row(entry_cut_off, "local", 2, f"{CLASS9}: p:1-4 has 0 region neighbors"),
-    Row(entry_cut_off, "dims", 12, f"{CLASS9}: algebra dimension 14 != hom total 17"),
+    Row(entry_cut_off, "dims", 1, f"{CLASS9}: algebra dimension 14 != hom total 17"),
     Row(entry_cut_off, "prop45", 3, f"{CLASS9} minus s:1:+: A-membership False, degenerate"),
     Row(stabilizer_moved, "equivariant", 1, f"{FAN_CLASS}: quiver not fixed by its stabilizer"),
     Row(stabilizer_moved, "prop45", 2, f"{FAN_CLASS} minus p:1-3: quotient quiver differs"),
@@ -497,11 +525,12 @@ ROWS = [
 ]
 
 # the faults whose rows name every line they fail
-EXACT = {swapped_crossing_pair, staple_swapped, short_kernel, count_formula_off,
-         translation_revisits, stopped_walk, stopped_walk_below, entry_cut_off,
-         member_cut_refused, dropped_template_arrow, two_cycle, dropped_generator,
-         wrong_classifier, type_three_for_four, swapped_class_types, reversed_entry_below,
-         quotient_row, a_count_off, no_witness, wrong_vertex_map}
+EXACT = {swapped_crossing_pair, member_cross_entry, member_tau_inv, staple_swapped,
+         short_kernel, count_formula_off, translation_revisits, stopped_walk,
+         stopped_walk_below, entry_cut_off, member_cut_refused, dropped_template_arrow,
+         two_cycle, dropped_generator, wrong_classifier, type_three_for_four,
+         swapped_class_types, reversed_entry_below, quotient_row, a_count_off, no_witness,
+         wrong_vertex_map}
 
 FAULTS = list(dict.fromkeys(row.fault for row in ROWS))
 

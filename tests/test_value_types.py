@@ -85,4 +85,4 @@ def test_defaults():
     assert qv.Quiver((1,), ()).n is None
     empty = rl.RelationSet()
     assert (empty.zero_paths, empty.commutativity_pairs, empty.n) == ((), (), None)
-    assert empty.is_empty() and empty == rl.RelationSet((), (), None)
+    assert empty == rl.RelationSet((), (), None)
