@@ -9,9 +9,12 @@ def maximal_cliques(masks, m: int) -> list[bytes]:
     """All maximal cliques of the graph whose row i has bit j set iff i~j
     (no row has its own bit set).
 
-    Bron-Kerbosch with Tomita pivoting over Python integer bitsets: at each
-    step the pivot is the vertex of cand | done with the most neighbours in
-    cand, and only the candidates outside the pivot's row are tried.  Each
+    Bron-Kerbosch over Python integer bitsets, pivoting on the highest
+    candidate: only the candidates outside its row are tried.  Any vertex of
+    cand | done is a valid pivot, so each maximal clique is found once; this
+    rule needs no scan per node, and on the compatibility graphs the package
+    enumerates (n = 4..12) it measured faster than Tomita's most-neighbours
+    pivot and the other scan-free choices, despite a larger search tree.  Each
     clique is packed as bytes(sorted(clique)), one byte per vertex, so every
     vertex index must be below 256; bytes sort lexicographically as the
     tuples of the same indices do, and the result is sorted that way.
@@ -27,15 +30,7 @@ def maximal_cliques(masks, m: int) -> list[bytes]:
             if done == 0:
                 out.append(bytes(sorted(clique)))
             return
-        pool, pivot, most = cand | done, 0, -1
-        while pool:
-            low = pool & -pool
-            u = low.bit_length() - 1
-            count = (cand & masks[u]).bit_count()
-            if count > most:
-                pivot, most = u, count
-            pool ^= low
-        branch = cand & ~masks[pivot]
+        branch = cand & ~masks[cand.bit_length() - 1]
         while branch:
             low = branch & -branch
             v = low.bit_length() - 1

@@ -226,7 +226,7 @@ def reference_classify_type(tri):
     return tr.TYPE4
 
 
-def test_split_and_type_match_reference_on_every_triangulation():
+def test_classify_type_matches_reference_on_every_triangulation():
     for n in range(4, 9):
         for tri in tr.enumerate_all(n):
             assert tr.classify_type(tri) == reference_classify_type(tri)
@@ -234,7 +234,7 @@ def test_split_and_type_match_reference_on_every_triangulation():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(10, 30), st.integers(0, 2**32 - 1))
-def test_split_and_type_match_reference_on_random_walks(n, seed):
+def test_classify_type_matches_reference_on_random_walks(n, seed):
     rng = random.Random(seed)
     tri = random_walk(n, rng, 3 * n)
     for _ in range(4):

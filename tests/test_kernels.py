@@ -26,7 +26,7 @@ def test_maximal_cliques_small_graph():
 def test_cliques_equal_flip_bfs_set():
     # Bron-Kerbosch on the compatibility graph and the flip-graph walk from
     # the fan reach the triangulations independently
-    for n in (4, 5, 6, 7):
+    for n in (4, 5, 6, 7, 8):
         masks = list(compatibility_masks(n))
         cliques = maximal_cliques(masks, len(masks))
         reached = [key for key, _ in reference_walk(n)]
@@ -71,8 +71,16 @@ def graphs():
                              max_size=m * (m - 1) // 2)))
 
 
+def moon_moser(m):
+    """The complete multipartite graph with parts of 3: 3^(m/3) maximal
+    cliques, the worst case for a pivoting search."""
+    return m, [i // 3 != j // 3 for i in range(m) for j in range(i + 1, m)]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(graphs())
+@example(moon_moser(9))
+@example(moon_moser(12))
 @example((10, [False] * 45))  # ten isolated vertices
 @example((10, [True] * 45))  # the complete graph
 @example((4, [True, True, False, True, False, False]))  # triangle plus an isolated vertex
